@@ -284,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the zero list as JSON to this path")
     p.add_argument("--strict", action="store_true",
                    help="exit 4 if any cell is unresolved")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--tol", type=float, help="target absolute error")
     p.add_argument("--zero-tol", type=float, help="zero residual tolerance")
     p.set_defaults(fn=cmd_zeros)
@@ -296,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-cap", type=float, default=2.0)
     p.add_argument("--out", help="write the counts as CSV to this path")
     p.add_argument("--strict", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--tol", type=float, help="target absolute error")
     p.set_defaults(fn=cmd_density)
 

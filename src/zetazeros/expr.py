@@ -6,17 +6,13 @@ Grammar (whitespace insensitive):
     term   := factor ("*" factor)*
     factor := base ("^" INT)?
     base   := NUMBER | "(" expr ")"
-            | "zeta" "(" affine ")"
-            | "hurwitz" "(" affine "," RATIONAL ")"
-            | "xi" "(" affine ")"
-            | "ezd" "(" INT ")"
-            | "barnes" "(" INT "," RATIONAL ")"
-            | "sphere" "(" INT ")"
-            | "symmat" "(" INT "," ("Ln"|"Ln*") "," SIGN "," SIGN ")"
+            | ATOM "(" arg ("," arg)* ")"
             | "dirichlet" "[" pair ("," pair)* "]"
     affine := linear polynomial in "s" with rational coefficients, e.g. 2*s-1
     pair   := "(" NUMBER "," NUMBER ")"        # (coefficient a_k, exponent l_k)
 
+ATOM is a name in the ATOMS registry, whose entry gives its argument readers
+(affine, INT, RATIONAL, "Ln"|"Ln*", SIGN), pole candidates and evaluator.
 Only integer powers >= 1 exist, matching polynomial combinations of the
 atoms; affine arguments are restricted to rational alpha*s + beta.
 """
@@ -26,17 +22,21 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, reduce
+from typing import Callable
 
 from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, cv_add, cv_mul, cv_neg, cv_pow
 from .errors import ArityError, ExprSyntaxError, PoleProximity, UnknownFamily
 from .families import (
     BarnesParams,
     SymMatrixParams,
+    barnes_poles,
     barnes_zeta,
     ez_diagonal,
+    ez_diagonal_poles,
+    sphere_poles,
     sphere_spectral,
-    symmat_pole_candidates,
+    symmat_poles,
     symmat_zeta,
 )
 from .zeta import completed_zeta, hurwitz_zeta, riemann_zeta
@@ -46,55 +46,71 @@ from .zeta import completed_zeta, hurwitz_zeta, riemann_zeta
 # IR nodes
 # ---------------------------------------------------------------------------
 
+class _Node:
+    """Base of the IR nodes.  Nodes are immutable, so the pole guard list and
+    the evaluation closure are built on first evaluation and kept on the node:
+    the per-point path neither hashes the tree nor converts Fractions again."""
+
+    @cached_property
+    def _plan(self):
+        return tuple((c.location, c.source) for c in pole_set(self)), _compile(self)
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: complex
 
 
 @dataclass(frozen=True)
-class DirichletPoly:
+class DirichletPoly(_Node):
     pairs: tuple[tuple[complex, float], ...]   # sum a_k * exp(-l_k * s); entire
 
 
+class _Atom(_Node):
+    """An ATOMS registry atom; ``args`` are its arguments in signature order."""
+
+
 @dataclass(frozen=True)
-class ZetaAtom:
-    kind: str                  # "zeta" | "hurwitz" | "xi"
+class ZetaAtom(_Atom):
+    kind: str                  # registry name of an atom whose first argument is affine
     alpha: Fraction            # argument alpha*s + beta, alpha != 0
     beta: Fraction
-    a: Fraction | None = None  # hurwitz shift
+    a: Fraction | None = None  # shift, for atoms that take one
 
-    def arg(self, s: complex) -> complex:
-        return float(self.alpha) * s + float(self.beta)
+    @property
+    def args(self) -> tuple:
+        return ((self.alpha, self.beta),) + (() if self.a is None else (self.a,))
 
 
 @dataclass(frozen=True)
-class FamilyAtom:
-    kind: str                  # "ezd" | "barnes" | "sphere" | "symmat"
+class FamilyAtom(_Atom):
+    kind: str                  # registry name of a family atom, evaluated at s
     params: tuple
 
+    @property
+    def args(self) -> tuple:
+        return self.params
+
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Node):
     children: tuple
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     children: tuple
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: object
     k: int
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     child: object
-
-
-ZetaExpr = object   # structural alias; every node type above qualifies
 
 
 # ---------------------------------------------------------------------------
@@ -218,61 +234,23 @@ class _Parser:
         name = name_tok[1]
         if name == "s":
             raise ExprSyntaxError(
-                "bare 's' is only valid inside a zeta/hurwitz/xi argument", name_tok[2]
+                "bare 's' is only valid inside an affine atom argument", name_tok[2]
             )
         if name == "dirichlet":
             return self.dirichlet_body()
-        if name not in ("zeta", "hurwitz", "xi", "ezd", "barnes", "sphere", "symmat"):
+        kind = ATOMS.get(name)
+        if kind is None:
             raise UnknownFamily(f"unknown function {name!r} at position {name_tok[2]}")
         self.expect("(")
-        if name == "zeta":
-            alpha, beta = self.affine()
-            self.expect(")")
-            return ZetaAtom("zeta", alpha, beta)
-        if name == "xi":
-            alpha, beta = self.affine()
-            self.expect(")")
-            return ZetaAtom("xi", alpha, beta)
-        if name == "hurwitz":
-            alpha, beta = self.affine()
-            self.expect(",")
-            a = self.rational()
-            self.expect(")")
-            if not 0 < a <= 1:
-                raise ArityError(f"hurwitz shift must be in (0, 1], got {a}")
-            return ZetaAtom("hurwitz", alpha, beta, a=a)
-        if name == "ezd":
-            r = self.integer()
-            self.expect(")")
-            return FamilyAtom("ezd", (r,))
-        if name == "barnes":
-            r = self.integer()
-            self.expect(",")
-            a = self.rational()
-            self.expect(")")
-            if a <= 0:
-                raise ArityError("barnes shift must be > 0")
-            return FamilyAtom("barnes", (r, a))
-        if name == "sphere":
-            n = self.integer()
-            self.expect(")")
-            return FamilyAtom("sphere", (n,))
-        # symmat(n, Ln|Ln*, SIGN, SIGN)
-        n = self.integer()
-        self.expect(",")
-        lat_tok = self.expect("name")
-        lattice = lat_tok[1]
-        if lattice != "Ln":
-            raise ArityError(f"lattice must be Ln or Ln*, got {lattice!r}")
-        if self.peek()[0] == "*":
-            self.next()
-            lattice = "Ln*"
-        self.expect(",")
-        eta = self.sign()
-        self.expect(",")
-        theta = self.sign()
+        args = []
+        for i, read in enumerate(kind.signature):
+            if i:
+                self.expect(",")
+            args.append(read(self))
         self.expect(")")
-        return FamilyAtom("symmat", (n, lattice, eta, theta))
+        if kind.signature[0] is _Parser.affine:
+            return ZetaAtom(name, *args[0], *args[1:])
+        return FamilyAtom(name, tuple(args))
 
     def dirichlet_body(self):
         self.expect("[")
@@ -297,6 +275,17 @@ class _Parser:
             raise ExprSyntaxError("expected an integer", tok[2])
         return int(tok[1])
 
+    def over(self, val: Fraction) -> Fraction:
+        """val, divided by INT when a '/' follows; the INT must be nonzero."""
+        if self.peek()[0] != "/":
+            return val
+        self.next()
+        pos = self.peek()[2]
+        den = self.integer()
+        if den == 0:
+            raise ExprSyntaxError("denominator must be nonzero", pos)
+        return val / den
+
     def signed_number(self) -> float:
         sign = 1.0
         if self.peek()[0] in "+-":
@@ -308,15 +297,16 @@ class _Parser:
         sign = 1
         if self.peek()[0] in "+-":
             sign = -1 if self.next()[0] == "-" else 1
-        tok = self.expect("num")
-        val = Fraction(tok[1])
-        if self.peek()[0] == "/":
+        return sign * self.over(Fraction(self.expect("num")[1]))
+
+    def lattice(self) -> str:
+        lattice = self.expect("name")[1]
+        if lattice != "Ln":
+            raise ArityError(f"lattice must be Ln or Ln*, got {lattice!r}")
+        if self.peek()[0] == "*":
             self.next()
-            den = self.expect("num")
-            if "." in den[1]:
-                raise ExprSyntaxError("rational denominator must be an integer", den[2])
-            val /= int(den[1])
-        return sign * val
+            lattice = "Ln*"
+        return lattice
 
     def sign(self) -> int:
         tok = self.next()
@@ -346,12 +336,7 @@ class _Parser:
                 tok = self.peek()
             if tok[0] == "name" and tok[1] == "s":
                 self.next()
-                coef = Fraction(1)
-                if self.peek()[0] == "/":
-                    self.next()
-                    den = self.expect("num")
-                    coef /= int(den[1])
-                alpha += sign * coef
+                alpha += sign * self.over(Fraction(1))
             elif tok[0] == "num":
                 coef = self.rational()
                 if self.peek()[0] == "*":
@@ -381,21 +366,17 @@ def parse_expr(text: str):
 # Printing (round-trips through parse_expr)
 # ---------------------------------------------------------------------------
 
-def _fmt_rational(q: Fraction) -> str:
-    return str(q)          # "3", "-1/2", ...
-
-
 def _fmt_affine(alpha: Fraction, beta: Fraction) -> str:
     if alpha == 1:
         out = "s"
     elif alpha == -1:
         out = "-s"
     else:
-        out = f"{_fmt_rational(alpha)}*s"
+        out = f"{alpha}*s"
     if beta > 0:
-        out += f"+{_fmt_rational(beta)}"
+        out += f"+{beta}"
     elif beta < 0:
-        out += f"-{_fmt_rational(-beta)}"
+        out += f"-{-beta}"
     return out
 
 
@@ -412,20 +393,9 @@ def to_text(e) -> str:
     if isinstance(e, DirichletPoly):
         inner = ",".join(f"({_fmt_number(a.real)},{_fmt_number(l)})" for a, l in e.pairs)
         return f"dirichlet[{inner}]"
-    if isinstance(e, ZetaAtom):
-        arg = _fmt_affine(e.alpha, e.beta)
-        if e.kind == "hurwitz":
-            return f"hurwitz({arg},{_fmt_rational(e.a)})"
-        return f"{e.kind}({arg})"
-    if isinstance(e, FamilyAtom):
-        if e.kind == "ezd":
-            return f"ezd({e.params[0]})"
-        if e.kind == "barnes":
-            return f"barnes({e.params[0]},{_fmt_rational(e.params[1])})"
-        if e.kind == "sphere":
-            return f"sphere({e.params[0]})"
-        n, lattice, eta, theta = e.params
-        return f"symmat({n},{lattice},{'+1' if eta > 0 else '-1'},{'+1' if theta > 0 else '-1'})"
+    if isinstance(e, _Atom):
+        sig = ATOMS[e.kind].signature
+        return f"{e.kind}({','.join(_SHOW.get(r, str)(v) for r, v in zip(sig, e.args))})"
     if isinstance(e, Add):
         parts = []
         for i, c in enumerate(e.children):
@@ -446,6 +416,91 @@ def to_text(e) -> str:
 def _paren_if(e, kinds: tuple) -> str:
     text = to_text(e)
     return f"({text})" if isinstance(e, kinds) else text
+
+
+# ---------------------------------------------------------------------------
+# Atom registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AtomKind:
+    """One atom name: its argument readers, pole candidates and evaluator.
+
+    ``poles`` and ``evaluator`` take the node's arguments.  Evaluators look up
+    the zeta and family functions in this module's globals at call time, so
+    rebinding those names (as tracing does) takes effect.
+    """
+
+    signature: tuple[Callable, ...]
+    poles: Callable[..., list]
+    evaluator: Callable[..., Callable[[complex, EvalConfig], ComplexValue]]
+
+
+def _shift(ok, message: str):
+    """Reader of a RATIONAL shift; ArityError(message) unless ok(shift)."""
+    def read(parser):
+        a = parser.rational()
+        if not ok(a):
+            raise ArityError(message.format(a))
+        return a
+    return read
+
+
+# How each reader's value prints back; str for the rest.
+_SHOW = {
+    _Parser.affine: lambda ab: _fmt_affine(*ab),
+    _Parser.sign: lambda v: "+1" if v > 0 else "-1",
+}
+
+
+def _arg_pole(ab) -> float:
+    """The s at which alpha*s + beta = 1, where zeta-type atoms have their pole."""
+    return (1.0 - float(ab[1])) / float(ab[0])
+
+
+def _at_affine(ab, f):
+    """Closure s -> f(alpha*s + beta, cfg) with float coefficients fixed once."""
+    alpha, beta = float(ab[0]), float(ab[1])
+    return lambda s, cfg: f(alpha * s + beta, cfg)
+
+
+def _locations(poles) -> list[float]:
+    return [loc for loc, _ in poles]
+
+
+ATOMS: dict[str, AtomKind] = {
+    "zeta": AtomKind(
+        (_Parser.affine,),
+        poles=lambda ab: [_arg_pole(ab)],
+        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: riemann_zeta(z, cfg))),
+    "hurwitz": AtomKind(
+        (_Parser.affine, _shift(lambda a: 0 < a <= 1, "hurwitz shift must be in (0, 1], got {}")),
+        poles=lambda ab, a: [_arg_pole(ab)],
+        evaluator=lambda ab, a: _at_affine(
+            ab, lambda z, cfg, a=float(a): hurwitz_zeta(z, a, cfg))),
+    "xi": AtomKind(
+        (_Parser.affine,),
+        # Gamma-side pole where the argument is 0, next to zeta's at 1
+        poles=lambda ab: [_arg_pole(ab), -float(ab[1]) / float(ab[0])],
+        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: completed_zeta(z, cfg))),
+    "ezd": AtomKind(
+        (_Parser.integer,),
+        poles=lambda r: _locations(ez_diagonal_poles(r)),
+        evaluator=lambda r: lambda s, cfg: ez_diagonal(r, s, cfg)),
+    "barnes": AtomKind(
+        (_Parser.integer, _shift(lambda a: a > 0, "barnes shift must be > 0")),
+        poles=lambda r, a: _locations(barnes_poles(r)),
+        evaluator=lambda r, a: (
+            lambda s, cfg, a=float(a): barnes_zeta(BarnesParams(r, a), s, cfg))),
+    "sphere": AtomKind(
+        (_Parser.integer,),
+        poles=lambda n: _locations(sphere_poles(n)),
+        evaluator=lambda n: lambda s, cfg: sphere_spectral(n, s, cfg)),
+    "symmat": AtomKind(
+        (_Parser.integer, _Parser.lattice, _Parser.sign, _Parser.sign),
+        poles=lambda n, *_: _locations(symmat_poles(n)),
+        evaluator=lambda *p: lambda s, cfg: symmat_zeta(SymMatrixParams(*p), s, cfg)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -472,30 +527,10 @@ class PoleSet:
         return len(self.entries)
 
 
-def _atom_poles(e, path: str):
-    if isinstance(e, ZetaAtom):
-        alpha, beta = float(e.alpha), float(e.beta)
-        roots = [(1.0 - beta) / alpha]
-        if e.kind == "xi":
-            roots.append(-beta / alpha)     # Gamma-side pole at argument 0
-        return [PoleCandidate(complex(r), f"{path}:{to_text(e)}") for r in sorted(roots)]
-    if isinstance(e, FamilyAtom):
-        kind = e.kind
-        if kind == "ezd":
-            locs = [1.0 / k for k in range(1, e.params[0] + 1)]
-        elif kind == "barnes":
-            locs = [float(k) for k in range(1, e.params[0] + 1)]
-        elif kind == "sphere":
-            locs = [(j + 1) / 2.0 for j in range(e.params[0])]
-        else:
-            locs = symmat_pole_candidates(e.params[0])
-        return [PoleCandidate(complex(l), f"{path}:{to_text(e)}") for l in sorted(locs)]
-    return []
-
-
 def _collect_poles(e, path: str, out: list):
-    if isinstance(e, (ZetaAtom, FamilyAtom)):
-        out.extend(_atom_poles(e, path))
+    if isinstance(e, _Atom):
+        source = f"{path}:{to_text(e)}"
+        out.extend(PoleCandidate(complex(loc), source) for loc in ATOMS[e.kind].poles(*e.args))
     elif isinstance(e, Add):
         for i, c in enumerate(e.children):
             _collect_poles(c, f"{path}.Add[{i}]", out)
@@ -509,18 +544,11 @@ def _collect_poles(e, path: str, out: list):
     # Const / DirichletPoly: entire, nothing to record
 
 
-@lru_cache(maxsize=512)
 def pole_set(e) -> PoleSet:
     """Complete, conservative pole-candidate list (never auto-cancelled)."""
     out: list[PoleCandidate] = []
     _collect_poles(e, "", out)
-    seen = set()
-    unique = []
-    for c in out:
-        key = (c.location, c.source)
-        if key not in seen:
-            seen.add(key)
-            unique.append(c)
+    unique = list(dict.fromkeys(out))
     unique.sort(key=lambda c: (c.location.real, c.location.imag, c.source))
     return PoleSet(tuple(unique))
 
@@ -529,55 +557,49 @@ def pole_set(e) -> PoleSet:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_node(e, s: complex, cfg: EvalConfig) -> ComplexValue:
+def _compile(e):
+    """Closure (s, cfg) -> ComplexValue evaluating the subtree e."""
     if isinstance(e, Const):
-        return ComplexValue.of(e.value, 0.0)
+        value = ComplexValue.of(e.value, 0.0)
+        return lambda s, cfg: value
     if isinstance(e, DirichletPoly):
-        val = 0j
-        mass = 0.0
-        for a, lam in e.pairs:
-            term = a * cmath.exp(-lam * s)
-            val += term
-            mass += abs(term)
-        return ComplexValue.of(val, 4e-16 * mass)
-    if isinstance(e, ZetaAtom):
-        arg = e.arg(s)
-        if e.kind == "zeta":
-            return riemann_zeta(arg, cfg)
-        if e.kind == "hurwitz":
-            return hurwitz_zeta(arg, float(e.a), cfg)
-        return completed_zeta(arg, cfg)
-    if isinstance(e, FamilyAtom):
-        if e.kind == "ezd":
-            return ez_diagonal(e.params[0], s, cfg)
-        if e.kind == "barnes":
-            return barnes_zeta(BarnesParams(e.params[0], float(e.params[1])), s, cfg)
-        if e.kind == "sphere":
-            return sphere_spectral(e.params[0], s, cfg)
-        n, lattice, eta, theta = e.params
-        return symmat_zeta(SymMatrixParams(n, lattice, eta, theta), s, cfg)
+        def dirichlet(s, cfg):
+            val = 0j
+            mass = 0.0
+            for a, lam in e.pairs:
+                term = a * cmath.exp(-lam * s)
+                val += term
+                mass += abs(term)
+            return ComplexValue.of(val, 4e-16 * mass)
+        return dirichlet
+    if isinstance(e, _Atom):
+        return ATOMS[e.kind].evaluator(*e.args)
     if isinstance(e, Add):
-        return cv_add(*(_eval_node(c, s, cfg) for c in e.children))
+        terms = [_compile(c) for c in e.children]
+        return lambda s, cfg: cv_add(*(f(s, cfg) for f in terms))
     if isinstance(e, Mul):
-        acc = _eval_node(e.children[0], s, cfg)
-        for c in e.children[1:]:
-            acc = cv_mul(acc, _eval_node(c, s, cfg))
-        return acc
+        first, *rest = [_compile(c) for c in e.children]
+        return lambda s, cfg: reduce(cv_mul, (f(s, cfg) for f in rest), first(s, cfg))
     if isinstance(e, Pow):
-        return cv_pow(_eval_node(e.base, s, cfg), e.k)
+        base, k = _compile(e.base), e.k
+        return lambda s, cfg: cv_pow(base(s, cfg), k)
     if isinstance(e, Neg):
-        return cv_neg(_eval_node(e.child, s, cfg))
+        child = _compile(e.child)
+        return lambda s, cfg: cv_neg(child(s, cfg))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def eval_expr(e, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """Evaluate with first-order error propagation; guards every pole candidate."""
+    if not isinstance(e, _Node):
+        raise TypeError(f"not an expression node: {e!r}")
     s = complex(s)
-    for cand in pole_set(e):
-        if abs(s - cand.location) < cfg.pole_guard:
+    guard, fn = e._plan
+    for location, source in guard:
+        if abs(s - location) < cfg.pole_guard:
             raise PoleProximity(
-                f"s={s:.6g} within pole_guard of candidate {cand.location:.6g} "
-                f"from {cand.source}",
-                location=cand.location, source=cand.source,
+                f"s={s:.6g} within pole_guard of candidate {location:.6g} "
+                f"from {source}",
+                location=location, source=source,
             )
-    return _eval_node(e, s, cfg)
+    return fn(s, cfg)

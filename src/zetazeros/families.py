@@ -34,6 +34,22 @@ BARNES_MAX_R = 12
 SPHERE_MAX_N = 16
 
 
+# Each family lists the zeta factors that carry its poles; one guard reads the list.
+
+def _factor_pole(c: int, j: int, shift: str = "") -> tuple[float, str]:
+    """The pole of the factor zeta(c*s - j[, shift]), at s = (j + 1) / c."""
+    arg = ("s" if c == 1 else f"{c}*s") + (f"-{j}" if j else "")
+    return (j + 1) / c, f"zeta({arg}{shift})"
+
+
+def _guard_poles(poles, s: complex, cfg: EvalConfig) -> None:
+    for loc, factor in poles:
+        if abs(s - loc) < cfg.pole_guard:
+            raise PoleProximity(
+                f"{factor} has a pole at s={loc:g}", location=complex(loc), source=factor,
+            )
+
+
 # ---------------------------------------------------------------------------
 # Euler-Zagier diagonal: Hoffman partition identity
 # ---------------------------------------------------------------------------
@@ -90,15 +106,16 @@ def hoffman_diagonal_coeffs(r: int) -> tuple[PartitionTerm, ...]:
     return tuple(terms)
 
 
+@lru_cache(maxsize=None)
+def ez_diagonal_poles(r: int) -> tuple[tuple[float, str], ...]:
+    """(location, factor) for the poles of zeta_r(s, ..., s): zeta(k*s), k = 1..r."""
+    return tuple(_factor_pole(k, 0) for k in range(1, r + 1))
+
+
 def ez_diagonal(r: int, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta_r(s, ..., s) evaluated through the Hoffman reduction."""
     s = complex(s)
-    for k in range(1, r + 1):
-        if abs(s - 1.0 / k) < cfg.pole_guard:
-            raise PoleProximity(
-                f"zeta({k}*s) pole: s within pole_guard of 1/{k}",
-                location=1.0 / k, source=f"zeta({k}s)",
-            )
+    _guard_poles(ez_diagonal_poles(r), s, cfg)
     atoms = {}
     for k in range(1, r + 1):
         atoms[k] = riemann_zeta(k * s, cfg)
@@ -293,15 +310,16 @@ def barnes_weights(r: int, a: float) -> list[float]:
     return vals
 
 
+@lru_cache(maxsize=None)
+def barnes_poles(r: int) -> tuple[tuple[float, str], ...]:
+    """(location, factor) for the poles of zeta_r(s, a): zeta(s - j, a), j = 0..r-1."""
+    return tuple(_factor_pole(1, j, ",a") for j in range(r))
+
+
 def barnes_zeta(p: BarnesParams, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta_r(s, a) = sum_j p_{rj}(a) zeta(s - j, a), valid on the continued domain."""
     s = complex(s)
-    for k in range(1, p.r + 1):
-        if abs(s - k) < cfg.pole_guard:
-            raise PoleProximity(
-                f"Barnes pole at s={k} (of s=1..{p.r})", location=complex(k),
-                source=f"barnes({p.r},{p.a})",
-            )
+    _guard_poles(barnes_poles(p.r), s, cfg)
     weights = barnes_weights(p.r, p.a)
     total = ComplexValue.of(0j, 0.0)
     for j, wgt in enumerate(weights):
@@ -429,16 +447,17 @@ def sphere_mult_poly(n: int) -> SphereParams:
     return SphereParams(n, tuple(coeffs[:n]))
 
 
+@lru_cache(maxsize=None)
+def sphere_poles(n: int) -> tuple[tuple[float, str], ...]:
+    """(location, factor) for the poles of Z_{S^n}: zeta(2s - j, (n+1)/2), j = 0..n-1."""
+    return tuple(_factor_pole(2, j, f",{(n + 1) / 2:g}") for j in range(n))
+
+
 def sphere_spectral(n: int, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """Z_{S^n}(s) = sum_j c_j zeta(2s - j, (n+1)/2) over the shifted eigenvalues."""
     s = complex(s)
     params = sphere_mult_poly(n)
-    for j in range(n):
-        if abs(s - (j + 1) / 2.0) < cfg.pole_guard:
-            raise PoleProximity(
-                f"sphere zeta pole: 2s-{j} = 1", location=(j + 1) / 2.0,
-                source=f"sphere({n})",
-            )
+    _guard_poles(sphere_poles(n), s, cfg)
     a = (n + 1) / 2.0
     total = ComplexValue.of(0j, 0.0)
     for j, c in enumerate(params.mult_poly):
@@ -476,28 +495,24 @@ class SymMatrixParams:
         return val
 
 
-def symmat_pole_candidates(n: int) -> list[float]:
+@lru_cache(maxsize=None)
+def symmat_poles(n: int) -> tuple[tuple[float, str], ...]:
+    """(location, factor) for symmat_zeta: zeta(s-(n-1)/2), zeta(2s-j) for j = 1..n-1, zeta(s)."""
     h = n // 2
-    poles = {1.0, (n + 1) / 2.0}
-    poles.update(float(k) for k in range(1, h + 1))            # zeta(2s-(2k-1))
-    poles.update(k + 0.5 for k in range(1, h + 1))             # zeta(2s-2k)
-    return sorted(poles)
+    return ((_factor_pole(1, h),) + tuple(_factor_pole(2, j) for j in range(1, n))
+            + (_factor_pole(1, 0),))
+
+
+def symmat_pole_candidates(n: int) -> list[float]:
+    """Sorted distinct pole locations of symmat_zeta."""
+    return sorted({loc for loc, _ in symmat_poles(n)})
 
 
 def symmat_zeta(p: SymMatrixParams, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """b_n(s;L) * ( A_n(s;L) zeta(s-(n-1)/2) + B_n(s) ) for odd n >= 3."""
     s = complex(s)
+    _guard_poles(symmat_poles(p.n), s, cfg)
     n, h = p.n, p.n // 2
-    checks = [((n + 1) / 2.0, f"zeta(s-{(n - 1) // 2})")]
-    checks += [(float(k), f"zeta(2s-{2 * k - 1})") for k in range(1, h + 1)]
-    checks += [(1.0, "zeta(s)")]
-    checks += [(k + 0.5, f"zeta(2s-{2 * k})") for k in range(1, h + 1)]
-    for loc, name in checks:
-        if abs(s - loc) < cfg.pole_guard:
-            raise PoleProximity(
-                f"symmat factor {name} has a pole at s={loc:g}",
-                location=complex(loc), source=name,
-            )
 
     tabs = get_tables()
     b_num = Fraction(1)

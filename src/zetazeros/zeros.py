@@ -11,13 +11,15 @@ Near-zero boundary samples trigger a deterministic outward jitter; the
 near-zero threshold is 10 * zero_tol, scaled down by the magnitude of the
 neighbouring samples when those sit below 1, so that exponentially small
 functions (completed-zeta combinations at height t) remain scannable.
+
+Scans run in the calling thread.  The ``threads`` keyword of the scan
+functions is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG
@@ -36,7 +38,6 @@ _TILE_HEIGHT = 25.0          # density-scan strip height
 _NEWTON_MAX_STEPS = 60
 _JITTER_RETRIES = 8
 _CELL_EVAL_BUDGET = 4_000_000
-_FRONTIER_TARGET = 16        # fixed fan-out so results do not depend on threads
 
 
 @dataclass(frozen=True)
@@ -394,13 +395,13 @@ def _boundary_scale(walker: _Walker, rect: Rectangle) -> float:
 
 
 def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig):
-    """Fully resolve one pole-free cell of known winding; sequential."""
-    walker = _Walker(fn, cc)
+    """Fully resolve one pole-free cell of known winding."""
     records: list[ZeroRecord] = []
     unresolved: list[UnresolvedCell] = []
     stack = [(rect, w)]
     while stack:
         cell, wc = stack.pop()
+        walker = _Walker(fn, cc)      # the evaluation budget is per cell
         if wc == 0:
             continue
         if wc < 0:
@@ -449,48 +450,13 @@ def localize_zeros(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
     """Locate every zero of the expression inside a pole-free rectangle.
 
     Records are sorted by (Im, Re); unresolved cells are surfaced rather than
-    silently dropped.  Results are identical for any thread count.
+    silently dropped.  ``threads`` is accepted for compatibility and has no
+    effect: the scan runs in the calling thread.
     """
     _assert_pole_free(e, rect)
     fn = expression_fn(e, cfg)
-    walker = _Walker(fn, cc)
     w_root, root = _winding_with_expansion(fn, rect, cc)
-
-    # Fixed fan-out plan, independent of the thread count, so that results
-    # (including isolating cells and refine paths) are identical for any
-    # parallelism level.
-    frontier: list[tuple[Rectangle, int]] = [(root, w_root)]
-    for _ in range(2):
-        if len(frontier) >= _FRONTIER_TARGET:
-            break
-        nxt: list[tuple[Rectangle, int]] = []
-        for cell, wc in frontier:
-            if wc > 1 or (wc == 1 and max(cell.width, cell.height) > 1.0):
-                try:
-                    nxt.extend(kid for kid in _split_cell(walker, cell, wc, cc)
-                               if kid[1] != 0)
-                    continue
-                except (NearZeroOnContour, ContourError, DepthExceeded):
-                    pass
-            nxt.append((cell, wc))
-        if len(nxt) == len(frontier):
-            frontier = nxt
-            break
-        frontier = nxt
-
-    records: list[ZeroRecord] = []
-    unresolved: list[UnresolvedCell] = []
-    if threads > 1 and len(frontier) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(
-                lambda cw: _resolve_cell(fn, cw[0], cw[1], cc), frontier
-            ))
-    else:
-        outs = [_resolve_cell(fn, cell, wc, cc) for cell, wc in frontier]
-    for recs, unres in outs:
-        records.extend(recs)
-        unresolved.extend(unres)
-
+    records, unresolved = _resolve_cell(fn, root, w_root, cc)
     records.sort(key=lambda r: (r.location.im, r.location.re, r.winding_mult))
     unresolved.sort(key=lambda u: (u.rect.t_lo, u.rect.sigma_lo))
     return LocalizeResult(tuple(records), tuple(unresolved))
@@ -522,7 +488,8 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
 
     Every implemented atom has only real pole candidates, so a positive
     t_floor keeps all scan tiles pole-free; tiles are counted by winding
-    alone.  Counts are non-decreasing by construction.
+    alone.  Counts are non-decreasing by construction.  ``threads`` has no
+    effect and is kept for compatibility.
     """
     if not sigma0 > 0.5:
         raise ValueError("density_scan requires sigma0 > 1/2")
@@ -558,13 +525,7 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
             tiles = [Rectangle(lo, hi, cuts[i], cuts[i + 1])
                      for i in range(len(cuts) - 1)]
             try:
-                if threads > 1:
-                    with ThreadPoolExecutor(max_workers=threads) as pool:
-                        tile_w = list(pool.map(
-                            lambda r: _stable_winding(fn, r, cc), tiles
-                        ))
-                else:
-                    tile_w = [_stable_winding(fn, r, cc) for r in tiles]
+                tile_w = [_stable_winding(fn, r, cc) for r in tiles]
             except NearZeroOnContour:
                 if attempt == _JITTER_RETRIES:
                     complete = False

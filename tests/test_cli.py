@@ -28,6 +28,8 @@ def test_eval_pole_exit_3(capsys):
 def test_eval_syntax_exit_2(capsys):
     assert run("eval", "zeta(s", "--at", "2") == 2
     assert run("eval", "frob(s)", "--at", "2") == 2
+    for text in ("zeta(s/0)", "hurwitz(s,1/0)", "barnes(2,1/0)", "zeta(1/0*s)", "zeta(s/2.5)"):
+        assert run("eval", text, "--at", "2") == 2, text
 
 
 def test_usage_error_exit_2():

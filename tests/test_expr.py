@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import zetazeros.expr as X
 from zetazeros.config import EvalConfig
 from zetazeros.errors import ArityError, ExprSyntaxError, PoleProximity, UnknownFamily
 from zetazeros.expr import (
+    ATOMS,
     Add,
     Const,
     DirichletPoly,
@@ -19,6 +21,14 @@ from zetazeros.expr import (
     parse_expr,
     pole_set,
     to_text,
+)
+from zetazeros.families import (
+    BarnesParams,
+    SymMatrixParams,
+    barnes_zeta,
+    ez_diagonal,
+    sphere_spectral,
+    symmat_zeta,
 )
 
 
@@ -72,6 +82,11 @@ def test_syntax_errors_carry_position():
         parse_expr("zeta(2)")      # affine must involve s
     with pytest.raises(ExprSyntaxError):
         parse_expr("zeta(s)^0")
+    for text, pos in [("zeta(s/0)", 7), ("hurwitz(s,1/0)", 12), ("barnes(2,1/0)", 11),
+                      ("zeta(1/0*s)", 7), ("zeta(s/2.5)", 7)]:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expr(text)
+        assert exc.value.position == pos, text
 
 
 def test_unknown_and_arity_errors():
@@ -148,3 +163,56 @@ def test_dirichlet_poly_eval():
     e = parse_expr("dirichlet[(1,0),(-1,0.6931471805599453)]")
     v = eval_expr(e, 3.0)
     assert abs(v.z - (1 - 2.0**-3)) < 1e-14
+
+
+# Several parameter sets for every registered atom kind.
+REGISTRY_CASES = [
+    "zeta(s)", "zeta(3*s)", "zeta(-1/2*s+2)",
+    "hurwitz(2*s-1,1/3)", "hurwitz(s,1)", "hurwitz(s/3+2,1/10)",
+    "xi(s+1/2)", "xi(s)", "xi(3*s-2)",
+    "ezd(1)", "ezd(4)", "ezd(7)",
+    "barnes(1,1)", "barnes(3,1/2)", "barnes(5,7/3)",
+    "sphere(1)", "sphere(3)", "sphere(6)",
+    "symmat(3,Ln,+1,+1)", "symmat(5,Ln*,-1,+1)", "symmat(7,Ln,-1,-1)",
+]
+
+# The family function behind each family atom, called directly.
+FAMILY_FUNCTIONS = {
+    "ezd": lambda p, s: ez_diagonal(p[0], s),
+    "barnes": lambda p, s: barnes_zeta(BarnesParams(p[0], float(p[1])), s),
+    "sphere": lambda p, s: sphere_spectral(p[0], s),
+    "symmat": lambda p, s: symmat_zeta(SymMatrixParams(*p), s),
+}
+
+
+def test_registry_cases_cover_every_atom():
+    assert {parse_expr(text).kind for text in REGISTRY_CASES} == set(ATOMS)
+
+
+@pytest.mark.parametrize("text", REGISTRY_CASES)
+def test_registry_round_trip_and_poles(text):
+    e = parse_expr(text)
+    assert parse_expr(to_text(e)) == e
+    guard = EvalConfig().pole_guard
+    locations = pole_set(e).locations()
+    assert locations
+    for loc in locations:
+        s = loc + guard / 10
+        with pytest.raises(PoleProximity):
+            eval_expr(e, s)
+        if isinstance(e, FamilyAtom):
+            with pytest.raises(PoleProximity):
+                FAMILY_FUNCTIONS[e.kind](e.params, s)
+
+
+def test_eval_looks_up_atom_functions_at_call_time(monkeypatch):
+    e = parse_expr("zeta(2*s) + ezd(2)")
+    first = eval_expr(e, 3.0)
+    calls = []
+    for name in ("riemann_zeta", "ez_diagonal"):
+        def counted(*args, inner=getattr(X, name), name=name):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(X, name, counted)
+    assert eval_expr(e, 3.0) == first
+    assert calls == ["riemann_zeta", "ez_diagonal"]
