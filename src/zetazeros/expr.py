@@ -26,7 +26,7 @@ from functools import cached_property, reduce
 from typing import Callable
 
 from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, cv_add, cv_mul, cv_neg, cv_pow
-from .errors import ArityError, ExprSyntaxError, PoleProximity, UnknownFamily
+from .errors import ArityError, ExprSyntaxError, OutOfRange, PoleProximity, UnknownFamily
 from .families import (
     BarnesParams,
     SymMatrixParams,
@@ -34,6 +34,8 @@ from .families import (
     barnes_zeta,
     ez_diagonal,
     ez_diagonal_poles,
+    hoffman_diagonal_coeffs,
+    sphere_mult_poly,
     sphere_poles,
     sphere_spectral,
     symmat_poles,
@@ -248,6 +250,10 @@ class _Parser:
                 self.expect(",")
             args.append(read(self))
         self.expect(")")
+        try:
+            kind.check(*args)
+        except (OutOfRange, ValueError) as exc:
+            raise ArityError(f"{name}: {exc}") from None
         if kind.signature[0] is _Parser.affine:
             return ZetaAtom(name, *args[0], *args[1:])
         return FamilyAtom(name, tuple(args))
@@ -426,24 +432,22 @@ def _paren_if(e, kinds: tuple) -> str:
 class AtomKind:
     """One atom name: its argument readers, pole candidates and evaluator.
 
-    ``poles`` and ``evaluator`` take the node's arguments.  Evaluators look up
-    the zeta and family functions in this module's globals at call time, so
-    rebinding those names (as tracing does) takes effect.
+    ``poles``, ``evaluator`` and ``check`` take the node's arguments.  The
+    parser runs ``check``, the family's own parameter validator, so that a
+    structural parameter out of range is an ArityError at parse time.
+    Evaluators look up the zeta and family functions in this module's globals
+    at call time, so rebinding those names (as tracing does) takes effect.
     """
 
     signature: tuple[Callable, ...]
     poles: Callable[..., list]
     evaluator: Callable[..., Callable[[complex, EvalConfig], ComplexValue]]
+    check: Callable[..., object] = lambda *args: None
 
 
-def _shift(ok, message: str):
-    """Reader of a RATIONAL shift; ArityError(message) unless ok(shift)."""
-    def read(parser):
-        a = parser.rational()
-        if not ok(a):
-            raise ArityError(message.format(a))
-        return a
-    return read
+def _hurwitz_shift(ab, a) -> None:
+    if not 0 < a <= 1:
+        raise ValueError(f"shift must be in (0, 1], got {a}")
 
 
 # How each reader's value prints back; str for the rest.
@@ -474,10 +478,11 @@ ATOMS: dict[str, AtomKind] = {
         poles=lambda ab: [_arg_pole(ab)],
         evaluator=lambda ab: _at_affine(ab, lambda z, cfg: riemann_zeta(z, cfg))),
     "hurwitz": AtomKind(
-        (_Parser.affine, _shift(lambda a: 0 < a <= 1, "hurwitz shift must be in (0, 1], got {}")),
+        (_Parser.affine, _Parser.rational),
         poles=lambda ab, a: [_arg_pole(ab)],
         evaluator=lambda ab, a: _at_affine(
-            ab, lambda z, cfg, a=float(a): hurwitz_zeta(z, a, cfg))),
+            ab, lambda z, cfg, a=float(a): hurwitz_zeta(z, a, cfg)),
+        check=_hurwitz_shift),
     "xi": AtomKind(
         (_Parser.affine,),
         # Gamma-side pole where the argument is 0, next to zeta's at 1
@@ -486,20 +491,24 @@ ATOMS: dict[str, AtomKind] = {
     "ezd": AtomKind(
         (_Parser.integer,),
         poles=lambda r: _locations(ez_diagonal_poles(r)),
-        evaluator=lambda r: lambda s, cfg: ez_diagonal(r, s, cfg)),
+        evaluator=lambda r: lambda s, cfg: ez_diagonal(r, s, cfg),
+        check=hoffman_diagonal_coeffs),
     "barnes": AtomKind(
-        (_Parser.integer, _shift(lambda a: a > 0, "barnes shift must be > 0")),
+        (_Parser.integer, _Parser.rational),
         poles=lambda r, a: _locations(barnes_poles(r)),
         evaluator=lambda r, a: (
-            lambda s, cfg, a=float(a): barnes_zeta(BarnesParams(r, a), s, cfg))),
+            lambda s, cfg, a=float(a): barnes_zeta(BarnesParams(r, a), s, cfg)),
+        check=lambda r, a: BarnesParams(r, float(a))),
     "sphere": AtomKind(
         (_Parser.integer,),
         poles=lambda n: _locations(sphere_poles(n)),
-        evaluator=lambda n: lambda s, cfg: sphere_spectral(n, s, cfg)),
+        evaluator=lambda n: lambda s, cfg: sphere_spectral(n, s, cfg),
+        check=sphere_mult_poly),
     "symmat": AtomKind(
         (_Parser.integer, _Parser.lattice, _Parser.sign, _Parser.sign),
         poles=lambda n, *_: _locations(symmat_poles(n)),
-        evaluator=lambda *p: lambda s, cfg: symmat_zeta(SymMatrixParams(*p), s, cfg)),
+        evaluator=lambda *p: lambda s, cfg: symmat_zeta(SymMatrixParams(*p), s, cfg),
+        check=SymMatrixParams),
 }
 
 

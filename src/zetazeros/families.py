@@ -201,14 +201,6 @@ def _ez_nested(s_list: tuple[complex, ...], cfg: EvalConfig) -> ComplexValue:
     logn = np.log(np.arange(1, n_top + 1, dtype=np.float64))
     prune_eps = cfg.target_abs_err * 1e-6
 
-    def atom_eval(w: complex) -> ComplexValue:
-        # zeta(w, n_top + 1) = zeta(w) - sum_{m<=n_top} m^{-w}
-        zv = riemann_zeta(w, cfg)
-        terms = np.exp(-w * logn)
-        prefix = complex(terms.sum())
-        noise = 4e-16 * float(np.abs(terms).sum())
-        return ComplexValue.of(zv.z - prefix, zv.abs_err + noise)
-
     suffix_vals: dict[int, ComplexValue] = {}
     for start in range(r - 1, -1, -1):
         sub = s_list[start:]
@@ -235,7 +227,7 @@ def _ez_nested(s_list: tuple[complex, ...], cfg: EvalConfig) -> ComplexValue:
         tail = 0j
         tail_err = coef_err
         for w, a in atoms.items():
-            av = atom_eval(w)
+            av = hurwitz_zeta_shifted(w, n_floor, cfg)     # zeta(w, n_top + 1)
             tail += a * av.z
             tail_err += abs(a) * av.abs_err
         for b, v in err:
@@ -423,6 +415,7 @@ class SphereParams:
     mult_poly: tuple[Fraction, ...]   # c_0..c_{n-1} in powers of m = k + (n-1)/2
 
 
+@lru_cache(maxsize=None)
 def sphere_mult_poly(n: int) -> SphereParams:
     """Exact rational c_j with  multiplicity(k) = sum_j c_j (k + (n-1)/2)^j.
 
@@ -739,40 +732,14 @@ def _lf_tail_bound(spec: LinearFormSeries, tau, lam_const: float, box: int) -> f
 
 
 def _lf_box_sum(spec: LinearFormSeries, s_list, box: int):
+    """Sum over the index box: a python loop over the outer r - 1 indices (one
+    pass when r = 1) and one numpy vector along the innermost index."""
     lo = 0 if spec.index_offset == "from_zero" else 1
-    idx_range = np.arange(lo, lo + box, dtype=np.float64)
+    inner = np.arange(lo, lo + box, dtype=np.float64)
     exclude_origin = spec.excludes_origin
-
-    if spec.r == 1:
-        forms = [spec.lam[l][0] * (idx_range + spec.shifts[0]) for l in range(spec.m)]
-        return _lf_accumulate(forms, s_list, exclude_origin and lo == 0)
-
-    if spec.r == 2 and not spec.strict_order:
-        total = 0j
-        mass = 0.0
-        chunk = max(1, int(4e6 // box))
-        y = idx_range + spec.shifts[1]
-        for start in range(0, box, chunk):
-            x = idx_range[start:start + chunk] + spec.shifts[0]
-            xg, yg = np.meshgrid(x, y, indexing="ij")
-            prod = np.ones_like(xg, dtype=np.complex128)
-            for l, s in enumerate(s_list):
-                form = spec.lam[l][0] * xg + spec.lam[l][1] * yg
-                if exclude_origin and start == 0 and lo == 0:
-                    form[0, 0] = 1.0   # placeholder; the term is zeroed below
-                prod *= np.exp(-s * np.log(form))
-            if exclude_origin and start == 0 and lo == 0:
-                prod[0, 0] = 0.0
-            total += complex(prod.sum())
-            mass += float(np.abs(prod).sum())
-        return total, 4e-16 * mass
-
-    # generic path: iterate python-side over all but the innermost axis
     total = 0j
     mass = 0.0
-    inner = idx_range
-    outer_axes = [range(lo, lo + box)] * (spec.r - 1)
-    for outer in itertools.product(*outer_axes):
+    for outer in itertools.product(range(lo, lo + box), repeat=spec.r - 1):
         if spec.strict_order:
             ok = all(outer[t] > outer[t + 1] for t in range(len(outer) - 1))
             if not ok:
@@ -788,19 +755,10 @@ def _lf_box_sum(spec: LinearFormSeries, s_list, box: int):
                 spec.lam[l][k] * (outer[k] + spec.shifts[k]) for k in range(spec.r - 1)
             ) + spec.lam[l][spec.r - 1] * (inner_vals + spec.shifts[spec.r - 1])
             if exclude_origin and not any(outer):
-                form = np.where(inner_vals == 0, 1.0, form)
+                form = np.where(inner_vals == 0, 1.0, form)   # placeholder; term zeroed below
             prod *= np.exp(-s * np.log(form))
         if exclude_origin and not any(outer):
             prod = np.where(inner_vals == 0, 0.0, prod)
         total += complex(prod.sum())
         mass += float(np.abs(prod).sum())
     return total, 4e-16 * mass
-
-
-def _lf_accumulate(forms, s_list, drop_first):
-    prod = np.ones_like(forms[0], dtype=np.complex128)
-    for form, s in zip(forms, s_list):
-        prod *= np.exp(-s * np.log(form))
-    if drop_first:
-        prod[0] = 0.0
-    return complex(prod.sum()), 4e-16 * float(np.abs(prod).sum())

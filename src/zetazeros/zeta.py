@@ -7,10 +7,13 @@ The workhorse is Euler-Maclaurin summation:
                + sum_{k=1}^{M} B_{2k}/(2k)! * (s)_{2k-1} * (N+a)^{-s-2k+1}
                + R_M(N),
 
-valid for every s != 1 once N is large enough that the correction terms
-decrease.  (s)_m denotes the rising factorial s(s+1)...(s+m-1).  The reported
-abs_err is twice the magnitude of the first omitted correction term plus a
-rounding-noise allowance for the prefix sum.
+valid for every s != 1 and every shift a > 0 once N is large enough that the
+correction terms decrease.  (s)_m denotes the rising factorial
+s(s+1)...(s+m-1).  hurwitz_zeta, hurwitz_zeta_shifted and riemann_zeta all
+evaluate this one formula at their own a.  The reported abs_err is twice the
+magnitude of the first omitted correction term plus a rounding-noise
+allowance for the prefix sum; the allowance is calibrated, not proven, and
+misses on a small share of points (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -44,16 +47,6 @@ def _log_grid(a: float, n: int) -> np.ndarray:
 def _em_cutoff(s: complex) -> int:
     # Keeps the asymptotic correction series decreasing for em_order <= 16.
     return max(20, math.ceil(1.3 * abs(s.imag)) + 10)
-
-
-def _first_omitted_bound(s: complex, a: float, n_cut: int, order: int) -> float:
-    """|B_{2M+2}/(2M+2)! * (s)_{2M+1} * (N+a)^{-s-2M-1}|, the remainder gauge."""
-    bfac = bernoulli_over_factorial()
-    x = n_cut + a
-    poch = 1.0
-    for j in range(2 * order + 1):
-        poch *= abs(s + j)
-    return abs(bfac[2 * order + 2]) * poch * x ** (-(s.real + 2 * order + 1))
 
 
 def _hurwitz_em(s: complex, a: float, n_cut: int, order: int) -> ComplexValue:
@@ -91,22 +84,30 @@ def _hurwitz_em(s: complex, a: float, n_cut: int, order: int) -> ComplexValue:
 
 
 def _choose_cutoff(s: complex, a: float, cfg: EvalConfig) -> int:
+    """Smallest admissible N: _em_cutoff(s), doubled until twice the first
+    omitted term 2|B_{2M+2}/(2M+2)! (s)_{2M+1}| (N+a)^{-Re(s)-2M-1} meets the
+    target.  At Re(s) < 0 the prefix terms grow, so a larger N than needed
+    only inflates rounding noise."""
     n_cut = _em_cutoff(s)
     if n_cut > cfg.max_terms:
         raise BudgetExceeded(
             f"Euler-Maclaurin cutoff {n_cut} exceeds max_terms={cfg.max_terms} "
             f"at s={s:.6g}"
         )
-    if _first_omitted_bound(s, a, n_cut, cfg.em_order) * 2 <= cfg.target_abs_err:
+    order = cfg.em_order
+    poch = 1.0
+    for j in range(2 * order + 1):
+        poch *= abs(s + j)
+    factor = 2.0 * abs(bernoulli_over_factorial()[2 * order + 2]) * poch
+    decay = -(s.real + 2 * order + 1)
+    if factor * (n_cut + a) ** decay <= cfg.target_abs_err:
         return n_cut
     # Doubling only helps while Re(s) + 2M + 1 > 0; otherwise no N converges.
-    if s.real + 2 * cfg.em_order + 1 <= 0.5:
-        raise BudgetExceeded(
-            f"em_order={cfg.em_order} too small for Re(s)={s.real:.3g}"
-        )
-    while n_cut <= cfg.max_terms:
+    if -decay <= 0.5:
+        raise BudgetExceeded(f"em_order={order} too small for Re(s)={s.real:.3g}")
+    while 2 * n_cut <= cfg.max_terms:
         n_cut *= 2
-        if _first_omitted_bound(s, a, n_cut, cfg.em_order) * 2 <= cfg.target_abs_err:
+        if factor * (n_cut + a) ** decay <= cfg.target_abs_err:
             return n_cut
     raise BudgetExceeded(
         f"error target {cfg.target_abs_err:g} unreachable within "
@@ -114,42 +115,33 @@ def _choose_cutoff(s: complex, a: float, cfg: EvalConfig) -> int:
     )
 
 
-def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
-    """zeta(s, a) = sum_{n>=0} (n+a)^{-s} continued to all s != 1; 0 < a <= 1."""
-    s = complex(s)
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"hurwitz_zeta requires 0 < a <= 1, got a={a}")
+def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> ComplexValue:
+    """Pole guard, cutoff, Euler-Maclaurin: the body shared by every a > 0."""
     if abs(s - 1) < cfg.pole_guard:
         raise PoleProximity(
             f"s={s:.6g} within pole_guard of the pole at s=1", location=1.0 + 0j,
             source=f"hurwitz({a})",
         )
-    # Use the smallest admissible cutoff: at Re(s) < 0 the prefix terms grow,
-    # so enlarging N only inflates rounding noise once the tail bound is met.
-    n_cut = _choose_cutoff(s, a, cfg)
-    return _hurwitz_em(s, a, n_cut, cfg.em_order)
+    return _hurwitz_em(s, a, _choose_cutoff(s, a, cfg), cfg.em_order)
+
+
+def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
+    """zeta(s, a) = sum_{n>=0} (n+a)^{-s} continued to all s != 1; 0 < a <= 1."""
+    if not 0.0 < a <= 1.0:
+        raise ValueError(f"hurwitz_zeta requires 0 < a <= 1, got a={a}")
+    return _hurwitz(complex(s), a, cfg)
 
 
 def riemann_zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta(s) = sum_{n>=1} n^{-s}, continued to all s != 1."""
-    return hurwitz_zeta(s, 1.0, cfg)
+    return _hurwitz(complex(s), 1.0, cfg)
 
 
 def hurwitz_zeta_shifted(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
-    """zeta(s, a) for arbitrary a > 0: fractional-part form minus the finite prefix."""
-    s = complex(s)
+    """zeta(s, a) for any a > 0, summed directly at a (no reduction to (0, 1])."""
     if a <= 0:
         raise ValueError(f"requires a > 0, got {a}")
-    if a <= 1.0:
-        return hurwitz_zeta(s, a, cfg)
-    m = math.ceil(a) - 1
-    frac = a - m            # in (0, 1]
-    base = hurwitz_zeta(s, frac, cfg)
-    logs = np.log(np.arange(m, dtype=np.float64) + frac)
-    terms = np.exp(-s * logs)
-    prefix = complex(terms.sum())
-    noise = 4e-16 * float(np.abs(terms).sum())
-    return ComplexValue.of(base.z - prefix, base.abs_err + noise)
+    return _hurwitz(complex(s), a, cfg)
 
 
 def log_gamma(s: complex, pole_guard: float = 1e-8) -> ComplexValue:

@@ -98,6 +98,10 @@ def test_unknown_and_arity_errors():
         parse_expr("barnes(2, -1/2)")
     with pytest.raises(ArityError):
         parse_expr("symmat(3, Lx, +1, +1)")
+    # the families' own validators run at parse time
+    for text in ("ezd(0)", "ezd(13)", "barnes(13,1/2)", "sphere(17)", "symmat(4,Ln,+1,+1)"):
+        with pytest.raises(ArityError):
+            parse_expr(text)
 
 
 def test_pole_sets():

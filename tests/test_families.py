@@ -352,6 +352,11 @@ def test_origin_exclusion():
     v = linear_form_eval(spec, (4,))
     ref = riemann_zeta(3).z + riemann_zeta(4).z
     assert abs(v.z - ref) <= v.abs_err + 1e-9
+    # r = 1: sum over n1 != 0 of n1^{-s} is zeta(s).
+    spec = LinearFormSeries(r=1, m=1, lam=((1,),), shifts=(0,), index_offset="from_zero")
+    assert spec.excludes_origin
+    v = linear_form_eval(spec, (4,))
+    assert abs(v.z - math.pi**4 / 90) <= v.abs_err + 1e-10
 
 
 def test_linear_form_margin_guard():

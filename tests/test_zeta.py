@@ -100,6 +100,20 @@ def test_shifted_entry_point():
     assert abs(v.z - (riemann_zeta(s).z - 1 - rpow(2.0, -s))) < 1e-12
 
 
+def test_shifted_against_mpmath():
+    # a > 1 is summed directly at a; scaled error against a 30-digit reference.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = np.random.default_rng(4)
+    for a in (1.5, 2.0, 2.5, 3.7, 7.25):
+        for t in (1.0, 100.0, 400.0):
+            for _ in range(4):
+                s = complex(rng.uniform(-2, 4), t + rng.uniform(-0.5, 0.5))
+                ref = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), a))
+                err = abs(hurwitz_zeta_shifted(s, a).z - ref)
+                assert err <= 1e-10 * max(1.0, abs(ref)), (s, a)
+
+
 def test_pole_guards():
     with pytest.raises(PoleProximity):
         riemann_zeta(1.0 + 1e-9j)
@@ -117,6 +131,9 @@ def test_budget_exceeded_unreachable_order():
         riemann_zeta(-30.0 + 2j, EvalConfig(em_order=2))
     with pytest.raises(BudgetExceeded):
         riemann_zeta(0.5 + 50j, EvalConfig(target_abs_err=1e-12, max_terms=16))
+    # The target needs N = 160 here, above max_terms: no cutoff past the cap.
+    with pytest.raises(BudgetExceeded):
+        riemann_zeta(2.0, EvalConfig(em_order=1, max_terms=100))
 
 
 def test_log_gamma_values():
