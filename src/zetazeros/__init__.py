@@ -27,7 +27,7 @@ from .families import (
     sphere_spectral,
     symmat_zeta,
 )
-from .expr import eval_expr, parse_expr, pole_set, to_text
+from .expr import eval_batch, eval_expr, parse_expr, pole_set, to_text
 from .zeros import (
     ContourConfig,
     DEFAULT_CONTOUR,
@@ -52,7 +52,7 @@ __all__ = [
     "ez_direct", "hoffman_diagonal_coeffs", "linear_form_eval",
     "linear_form_from_config", "sphere_mult_poly", "sphere_spectral",
     "symmat_zeta",
-    "eval_expr", "parse_expr", "pole_set", "to_text",
+    "eval_batch", "eval_expr", "parse_expr", "pole_set", "to_text",
     "ContourConfig", "DEFAULT_CONTOUR", "CriticalLineReport", "DensityScan",
     "LocalizeResult", "Rectangle", "ZeroRecord", "critical_line_check",
     "density_scan", "localize_zeros", "winding_number",

@@ -63,32 +63,38 @@ class EvalConfig:
 DEFAULT_CONFIG = EvalConfig()
 
 
-# First-order error propagation for ComplexValue arithmetic.  The zero engine
-# and expression evaluator both lean on these, so they live next to the type.
+# First-order error propagation on (value, abs_err) pairs, where a value is a
+# complex or a numpy array of them: the expression evaluator applies these to
+# points and to batches alike, and the cv_* forms to ComplexValues serve the
+# family evaluators.
+
+def err_add(pairs) -> tuple:
+    z, err = 0j, 0.0
+    for v, ev in pairs:
+        z, err = z + v, err + ev
+    return z, err + 1e-16 * abs(z)
+
+
+def err_mul(a, ea, b, eb) -> tuple:
+    z = a * b
+    return z, abs(a) * eb + abs(b) * ea + ea * eb + 1e-16 * abs(z)
+
+
+def err_pow(v, ev, k: int) -> tuple:
+    if k < 1:
+        raise ValueError("integer power must be >= 1")
+    z = v**k
+    err = k * abs(v) ** (k - 1) * ev if k > 1 else ev
+    return z, err + 1e-16 * abs(z)
+
 
 def cv_add(*vals: ComplexValue) -> ComplexValue:
-    z = sum((v.z for v in vals), 0j)
-    err = sum(v.abs_err for v in vals)
-    return ComplexValue.of(z, err + 1e-16 * abs(z))
-
-
-def cv_neg(v: ComplexValue) -> ComplexValue:
-    return ComplexValue(-v.re, -v.im, v.abs_err)
+    return ComplexValue.of(*err_add((v.z, v.abs_err) for v in vals))
 
 
 def cv_mul(a: ComplexValue, b: ComplexValue) -> ComplexValue:
-    z = a.z * b.z
-    err = abs(a.z) * b.abs_err + abs(b.z) * a.abs_err + a.abs_err * b.abs_err
-    return ComplexValue.of(z, err + 1e-16 * abs(z))
+    return ComplexValue.of(*err_mul(a.z, a.abs_err, b.z, b.abs_err))
 
 
 def cv_scale(c: complex, v: ComplexValue) -> ComplexValue:
     return ComplexValue.of(c * v.z, abs(c) * v.abs_err)
-
-
-def cv_pow(v: ComplexValue, k: int) -> ComplexValue:
-    if k < 1:
-        raise ValueError("integer power must be >= 1")
-    z = v.z**k
-    err = k * abs(v.z) ** (k - 1) * v.abs_err if k > 1 else v.abs_err
-    return ComplexValue.of(z, err + 1e-16 * abs(z))

@@ -12,9 +12,12 @@ Grammar (whitespace insensitive):
     pair   := "(" NUMBER "," NUMBER ")"        # (coefficient a_k, exponent l_k)
 
 ATOM is a name in the ATOMS registry, whose entry gives its argument readers
-(affine, INT, RATIONAL, "Ln"|"Ln*", SIGN), pole candidates and evaluator.
+(affine, INT, RATIONAL, "Ln"|"Ln*", SIGN), pole candidates and evaluators.
 Only integer powers >= 1 exist, matching polynomial combinations of the
 atoms; affine arguments are restricted to rational alpha*s + beta.
+
+eval_expr evaluates one point; eval_batch evaluates an array of points in one
+vectorised pass with the same error propagation.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable
 
-from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, cv_add, cv_mul, cv_neg, cv_pow
+import numpy as np
+
+from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, err_add, err_mul, err_pow
 from .errors import ArityError, ExprSyntaxError, OutOfRange, PoleProximity, UnknownFamily
 from .families import (
     BarnesParams,
@@ -41,7 +46,7 @@ from .families import (
     symmat_poles,
     symmat_zeta,
 )
-from .zeta import completed_zeta, hurwitz_zeta, riemann_zeta
+from .zeta import completed_zeta, hurwitz_batch, hurwitz_zeta, riemann_zeta
 
 
 # ---------------------------------------------------------------------------
@@ -50,12 +55,22 @@ from .zeta import completed_zeta, hurwitz_zeta, riemann_zeta
 
 class _Node:
     """Base of the IR nodes.  Nodes are immutable, so the pole guard list and
-    the evaluation closure are built on first evaluation and kept on the node:
-    the per-point path neither hashes the tree nor converts Fractions again."""
+    the evaluation closures are built on first evaluation and kept on the
+    node: the per-point path neither hashes the tree nor converts Fractions
+    again."""
 
     @cached_property
     def _plan(self):
-        return tuple((c.location, c.source) for c in pole_set(self)), _compile(self)
+        """The pole guard list and a closure (s, cfg) -> ComplexValue."""
+        guard = tuple((c.location, c.source) for c in pole_set(self))
+        if isinstance(self, _Atom):          # its evaluator returns a ComplexValue
+            return guard, ATOMS[self.kind].evaluator(*self.args)
+        fn = _compile(self)
+        return guard, lambda s, cfg: ComplexValue.of(*fn(s, cfg))
+
+    @cached_property
+    def _batch_plan(self):
+        return _compile(self, batch=True)
 
 
 @dataclass(frozen=True)
@@ -430,19 +445,23 @@ def _paren_if(e, kinds: tuple) -> str:
 
 @dataclass(frozen=True)
 class AtomKind:
-    """One atom name: its argument readers, pole candidates and evaluator.
+    """One atom name: its argument readers, pole candidates and evaluators.
 
-    ``poles``, ``evaluator`` and ``check`` take the node's arguments.  The
-    parser runs ``check``, the family's own parameter validator, so that a
-    structural parameter out of range is an ArityError at parse time.
-    Evaluators look up the zeta and family functions in this module's globals
-    at call time, so rebinding those names (as tracing does) takes effect.
+    ``poles``, ``evaluator``, ``batch`` and ``check`` take the node's
+    arguments.  ``batch``, where given, returns a closure (s array, cfg) ->
+    (values, abs_errs); eval_batch loops ``evaluator`` over the points of
+    atoms without one.  The parser runs ``check``, the family's own parameter
+    validator, so that a structural parameter out of range is an ArityError at
+    parse time.  Evaluators look up the zeta and family functions in this
+    module's globals at call time, so rebinding those names (as tracing does)
+    takes effect.
     """
 
     signature: tuple[Callable, ...]
     poles: Callable[..., list]
     evaluator: Callable[..., Callable[[complex, EvalConfig], ComplexValue]]
     check: Callable[..., object] = lambda *args: None
+    batch: Callable[..., Callable] | None = None
 
 
 def _hurwitz_shift(ab, a) -> None:
@@ -463,7 +482,8 @@ def _arg_pole(ab) -> float:
 
 
 def _at_affine(ab, f):
-    """Closure s -> f(alpha*s + beta, cfg) with float coefficients fixed once."""
+    """Closure s -> f(alpha*s + beta, cfg) with float coefficients fixed once;
+    s may be a point or an array of points."""
     alpha, beta = float(ab[0]), float(ab[1])
     return lambda s, cfg: f(alpha * s + beta, cfg)
 
@@ -476,13 +496,16 @@ ATOMS: dict[str, AtomKind] = {
     "zeta": AtomKind(
         (_Parser.affine,),
         poles=lambda ab: [_arg_pole(ab)],
-        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: riemann_zeta(z, cfg))),
+        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: riemann_zeta(z, cfg)),
+        batch=lambda ab: _at_affine(ab, lambda z, cfg: hurwitz_batch(z, 1.0, cfg))),
     "hurwitz": AtomKind(
         (_Parser.affine, _Parser.rational),
         poles=lambda ab, a: [_arg_pole(ab)],
         evaluator=lambda ab, a: _at_affine(
             ab, lambda z, cfg, a=float(a): hurwitz_zeta(z, a, cfg)),
-        check=_hurwitz_shift),
+        check=_hurwitz_shift,
+        batch=lambda ab, a: _at_affine(
+            ab, lambda z, cfg, a=float(a): hurwitz_batch(z, a, cfg))),
     "xi": AtomKind(
         (_Parser.affine,),
         # Gamma-side pole where the argument is 0, next to zeta's at 1
@@ -566,35 +589,63 @@ def pole_set(e) -> PoleSet:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _compile(e):
-    """Closure (s, cfg) -> ComplexValue evaluating the subtree e."""
+def _compile(e, batch: bool = False):
+    """Closure (s, cfg) -> (value, abs_err) evaluating the subtree e at the
+    point s, or with ``batch`` at every point of the array s.  Nodes combine
+    values and errors through the err_* propagation rules at a point and on
+    arrays alike; only atoms and exp differ between the two."""
     if isinstance(e, Const):
-        value = ComplexValue.of(e.value, 0.0)
-        return lambda s, cfg: value
+        return lambda s, cfg: (e.value, 0.0)
     if isinstance(e, DirichletPoly):
+        exp = np.exp if batch else cmath.exp
+
         def dirichlet(s, cfg):
             val = 0j
             mass = 0.0
             for a, lam in e.pairs:
-                term = a * cmath.exp(-lam * s)
-                val += term
-                mass += abs(term)
-            return ComplexValue.of(val, 4e-16 * mass)
+                term = a * exp(-lam * s)
+                val = val + term
+                mass = mass + abs(term)
+            return val, 4e-16 * mass
         return dirichlet
     if isinstance(e, _Atom):
-        return ATOMS[e.kind].evaluator(*e.args)
+        kind = ATOMS[e.kind]
+        if batch and kind.batch is not None:
+            return kind.batch(*e.args)
+        f = kind.evaluator(*e.args)
+        if batch:
+            def each(s, cfg):
+                out = [f(z, cfg) for z in s.tolist()]
+                return (np.array([v.z for v in out], dtype=complex),
+                        np.array([v.abs_err for v in out], dtype=float))
+            return each
+
+        def atom(s, cfg):
+            v = f(s, cfg)
+            return v.z, v.abs_err
+        return atom
     if isinstance(e, Add):
-        terms = [_compile(c) for c in e.children]
-        return lambda s, cfg: cv_add(*(f(s, cfg) for f in terms))
+        terms = [_compile(c, batch) for c in e.children]
+        return lambda s, cfg: err_add(f(s, cfg) for f in terms)
     if isinstance(e, Mul):
-        first, *rest = [_compile(c) for c in e.children]
-        return lambda s, cfg: reduce(cv_mul, (f(s, cfg) for f in rest), first(s, cfg))
+        first, *rest = [_compile(c, batch) for c in e.children]
+
+        def mul(s, cfg):
+            z, err = first(s, cfg)
+            for f in rest:
+                z, err = err_mul(z, err, *f(s, cfg))
+            return z, err
+        return mul
     if isinstance(e, Pow):
-        base, k = _compile(e.base), e.k
-        return lambda s, cfg: cv_pow(base(s, cfg), k)
+        base, k = _compile(e.base, batch), e.k
+        return lambda s, cfg: err_pow(*base(s, cfg), k)
     if isinstance(e, Neg):
-        child = _compile(e.child)
-        return lambda s, cfg: cv_neg(child(s, cfg))
+        child = _compile(e.child, batch)
+
+        def neg(s, cfg):
+            v, ev = child(s, cfg)
+            return -v, ev
+        return neg
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -606,9 +657,42 @@ def eval_expr(e, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     guard, fn = e._plan
     for location, source in guard:
         if abs(s - location) < cfg.pole_guard:
-            raise PoleProximity(
-                f"s={s:.6g} within pole_guard of candidate {location:.6g} "
-                f"from {source}",
-                location=location, source=source,
-            )
+            raise _guard_error(s, location, source)
     return fn(s, cfg)
+
+
+def _guard_error(s: complex, location: complex, source: str) -> PoleProximity:
+    return PoleProximity(
+        f"s={s:.6g} within pole_guard of candidate {location:.6g} from {source}",
+        location=location, source=source,
+    )
+
+
+def eval_batch(e, zs, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
+    """eval_expr at every point of the 1-D sequence zs: (values, abs_errs).
+
+    Values agree with eval_expr to rounding (bitwise for xi and the family
+    atoms, which are looped) and do not depend on the order of zs or on how a
+    list of points is split into batches.  The pole guard checks every point
+    before any is evaluated and raises eval_expr's PoleProximity for the first
+    offending one; an atom that fails raises, for its first failing point,
+    what eval_expr raises there; a non-finite abs_err raises ValueError.
+    """
+    if not isinstance(e, _Node):
+        raise TypeError(f"not an expression node: {e!r}")
+    s = np.asarray(zs, dtype=complex)
+    if s.ndim != 1:
+        raise ValueError(f"eval_batch takes a 1-D sequence of points, got shape {s.shape}")
+    guard, _ = e._plan
+    if guard and s.size:
+        locations = np.array([loc for loc, _ in guard])
+        near = np.abs(s[None, :] - locations[:, None]) < cfg.pole_guard
+        hit = near.any(axis=0)
+        if hit.any():
+            i = int(np.argmax(hit))
+            raise _guard_error(complex(s[i]), *guard[int(np.argmax(near[:, i]))])
+    values, errs = (np.array(np.broadcast_to(x, s.shape)) for x in e._batch_plan(s, cfg))
+    bad = np.flatnonzero(~np.isfinite(errs))
+    if bad.size:      # raises the ValueError that ComplexValue gives eval_expr
+        ComplexValue.of(values[bad[0]], errs[bad[0]])
+    return values, errs

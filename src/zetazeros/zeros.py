@@ -7,6 +7,11 @@ total is 2*pi*(zeros - poles) counted with multiplicity.  Zero localization
 quadrisects until each cell holds winding 1, then polishes with Newton using
 a central-difference derivative.
 
+A contour's samples are evaluated in one eval_batch call; a cell split hands
+each child the values on its boundary, which the child's Newton start-up
+reuses.  Phase bisection and Newton are sequential and evaluate single points
+through eval_expr.
+
 Near-zero boundary samples trigger a deterministic outward jitter; the
 near-zero threshold is 10 * zero_tol, scaled down by the magnitude of the
 neighbouring samples when those sit below 1, so that exponentially small
@@ -30,7 +35,7 @@ from .errors import (
     PoleProximity,
     ZetaError,
 )
-from .expr import eval_expr, pole_set
+from .expr import eval_batch, eval_expr, pole_set
 
 TWO_PI = 2.0 * math.pi
 _SAMPLES_PER_UNIT = 8.0      # extra boundary samples per unit of edge length
@@ -110,6 +115,11 @@ class ContourConfig:
             raise ValueError("max_phase_step must be in (0, pi)")
         if self.init_samples_per_edge < 4:
             raise ValueError("init_samples_per_edge must be >= 4")
+        if self.max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
+        for name in ("min_cell", "jitter", "zero_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0")
 
 
 DEFAULT_CONTOUR = ContourConfig()
@@ -166,18 +176,35 @@ class CriticalLineReport:
 # ---------------------------------------------------------------------------
 
 class _Walker:
-    """Boundary phase tracker for one function; counts evaluations."""
+    """Boundary phase tracker for one function; counts evaluations.
+
+    ``fn`` comes from expression_fn: fn(z) evaluates one point (bisection
+    midpoints, Newton), fn.batch(zs) a point list (contour samples).
+    """
 
     def __init__(self, fn, cc: ContourConfig):
         self.fn = fn
         self.cc = cc
         self.evals = 0
 
-    def __call__(self, z: complex) -> complex:
-        self.evals += 1
+    def _count(self, n: int) -> None:
+        self.evals += n
         if self.evals > _CELL_EVAL_BUDGET:
             raise DepthExceeded("per-cell evaluation budget exhausted")
+
+    def __call__(self, z: complex) -> complex:
+        self._count(1)
         return self.fn(z)
+
+    def sample(self, pts: list[complex], known: dict | None = None) -> list[complex]:
+        """F at every point of pts: values in ``known`` are reused, the other
+        distinct points are evaluated in one batch."""
+        values = dict(known or {})
+        todo = [z for z in dict.fromkeys(pts) if z not in values]
+        if todo:
+            self._count(len(todo))
+            values.update(zip(todo, self.fn.batch(todo)))
+        return [values[z] for z in pts]
 
     def boundary_points(self, rect: Rectangle) -> list[complex]:
         pts: list[complex] = []
@@ -198,8 +225,15 @@ class _Walker:
         return 10.0 * self.cc.zero_tol * min(1.0, neighbour_mag)
 
     def winding(self, rect: Rectangle) -> int:
+        return self.wind(rect, *self.boundary(rect))
+
+    def boundary(self, rect: Rectangle) -> tuple[list[complex], list[complex]]:
+        """The contour samples of rect and F at each of them."""
         pts = self.boundary_points(rect)
-        vals = [self(z) for z in pts]
+        return pts, self.sample(pts)
+
+    def wind(self, rect: Rectangle, pts: list[complex], vals: list[complex]) -> int:
+        """Winding number of F around rect from its contour samples."""
         m = len(pts) - 1          # pts[m] == pts[0]
         for i in range(m):
             local = max(abs(vals[(i - 1) % m]), abs(vals[(i + 1) % m]))
@@ -238,8 +272,11 @@ class _Walker:
 
 
 def expression_fn(e, cfg: EvalConfig):
+    """z -> F(z) through eval_expr; ``fn.batch`` maps a point list to its
+    values through eval_batch."""
     def fn(z: complex) -> complex:
         return eval_expr(e, z, cfg).z
+    fn.batch = lambda zs: eval_batch(e, zs, cfg)[0].tolist()
     return fn
 
 
@@ -312,7 +349,8 @@ def _tightened(cc: ContourConfig, factor: int) -> ContourConfig:
     )
 
 
-def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConfig):
+def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConfig,
+                samples: dict | None = None):
     """Quadrisect with a deterministically jittered, asymmetric split point.
 
     The split sits at the golden-ratio point rather than the center so that
@@ -320,7 +358,9 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConf
     child.  Children windings must conserve the parent's; near-zero hits shift
     the split point, and a conservation failure (a zero close enough to an
     edge to alias the phase samples) re-measures parent and children with
-    progressively denser sampling before giving up.
+    progressively denser sampling before giving up.  Returns (child, winding)
+    pairs; ``samples``, when given, receives {child: {z: F(z)}} for the
+    contour samples of each returned child.
     """
     jit = max(_effective_jitter(rect, cc), 1e-12 * max(rect.width, rect.height))
     cx = rect.sigma_lo + _SPLIT_FRAC * rect.width
@@ -344,8 +384,12 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConf
                 Rectangle(sx, rect.sigma_hi, sy, rect.t_hi),
                 Rectangle(rect.sigma_lo, sx, sy, rect.t_hi),
             ]
+            windings, measured = [], []
             try:
-                windings = [wk.winding(c) for c in children]
+                for c in children:
+                    pts, vals = wk.boundary(c)
+                    windings.append(wk.wind(c, pts, vals))
+                    measured.append(dict(zip(pts, vals)))
             except (NearZeroOnContour, ContourError) as exc:
                 last_exc = exc
                 continue
@@ -354,6 +398,8 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConf
                     f"child windings {windings} do not conserve parent {w_par}"
                 )
                 continue
+            if samples is not None:
+                samples.update(zip(children, measured))
             return list(zip(children, windings))
     if last_exc is None:
         last_exc = ContourError("split point exhausted the cell")
@@ -388,9 +434,10 @@ def _newton_refine(walker: _Walker, rect: Rectangle, cc: ContourConfig, scale: f
     return z, resid, steps
 
 
-def _boundary_scale(walker: _Walker, rect: Rectangle) -> float:
-    pts = walker.boundary_points(rect)
-    mags = sorted(abs(walker(z)) for z in pts[:-1])
+def _boundary_scale(walker: _Walker, rect: Rectangle, known: dict | None = None) -> float:
+    """Median |F| over the contour samples of rect; ``known`` values are reused."""
+    pts = walker.boundary_points(rect)[:-1]
+    mags = sorted(abs(v) for v in walker.sample(pts, known))
     return mags[len(mags) // 2]
 
 
@@ -398,9 +445,9 @@ def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig):
     """Fully resolve one pole-free cell of known winding."""
     records: list[ZeroRecord] = []
     unresolved: list[UnresolvedCell] = []
-    stack = [(rect, w)]
+    stack = [(rect, w, None)]
     while stack:
-        cell, wc = stack.pop()
+        cell, wc, known = stack.pop()
         walker = _Walker(fn, cc)      # the evaluation budget is per cell
         if wc == 0:
             continue
@@ -409,7 +456,7 @@ def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig):
             continue
         size = max(cell.width, cell.height)
         if wc == 1:
-            scale = _boundary_scale(walker, cell)
+            scale = _boundary_scale(walker, cell, known)
             hit = _newton_refine(walker, cell, cc, scale)
             if hit is not None:
                 z, resid, steps = hit
@@ -426,10 +473,11 @@ def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig):
                 residual=resid, winding_mult=wc, rect=cell, refine_steps=0,
             ))
             continue
+        samples: dict = {}
         try:
-            for child, w_child in _split_cell(walker, cell, wc, cc):
+            for child, w_child in _split_cell(walker, cell, wc, cc, samples):
                 if w_child != 0:
-                    stack.append((child, w_child))
+                    stack.append((child, w_child, samples[child]))
         except (NearZeroOnContour, ContourError, DepthExceeded) as exc:
             unresolved.append(UnresolvedCell(cell, wc, f"{type(exc).__name__}: {exc}"))
     return records, unresolved

@@ -14,6 +14,11 @@ evaluate this one formula at their own a.  The reported abs_err is twice the
 magnitude of the first omitted correction term plus a rounding-noise
 allowance for the prefix sum; the allowance is calibrated, not proven, and
 misses on a small share of points (ROADMAP item 4).
+
+hurwitz_batch evaluates the same formula at an array of s in one numpy pass.
+Every point keeps its own cutoff N, and its prefix row is zero-padded to a
+length that depends on N alone before the pairwise sum, so a value never
+depends on which other points share the batch.
 """
 
 from __future__ import annotations
@@ -51,25 +56,28 @@ def _em_cutoff(s: complex) -> int:
 
 def _hurwitz_em(s: complex, a: float, n_cut: int, order: int) -> ComplexValue:
     """Fixed-parameter Euler-Maclaurin evaluation; no adaptivity, no pole guard."""
-    logs = _log_grid(a, n_cut)
-    terms = np.exp(-s * logs)
-    prefix = complex(terms.sum())
-    prefix_mass = float(np.abs(terms).sum())
-
+    terms = np.exp(-s * _log_grid(a, n_cut))
     x = n_cut + a
-    logx = math.log(x)
-    xs = cmath.exp(-s * logx)                # x^{-s}
-    val = prefix + xs * x / (s - 1) + 0.5 * xs
+    xs = cmath.exp(-s * math.log(x))        # x^{-s}
+    val, err = _em_tail(s, x, xs, complex(terms.sum()), float(np.abs(terms).sum()),
+                        math.log2(max(n_cut, 2)), order)
+    return ComplexValue.of(val, err)
 
+
+def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order):
+    """Value and abs_err from the prefix sum over n < N, x = N + a, xs = x^{-s}
+    and log2n = log2(max(N, 2)).  Written with operators only, so that it
+    evaluates scalars and numpy arrays alike."""
+    val = prefix + xs * x / (s - 1) + 0.5 * xs
     bfac = bernoulli_over_factorial()
     poch = s                                 # (s)_1
     xp = xs / (x * x) * x                    # x^{-s-1}
     corr = 0j
     for k in range(1, order + 1):
-        corr += bfac[2 * k] * poch * xp
-        poch *= (s + 2 * k - 1) * (s + 2 * k)
-        xp /= x * x
-    val += corr
+        corr = corr + bfac[2 * k] * poch * xp
+        poch = poch * ((s + 2 * k - 1) * (s + 2 * k))
+        xp = xp / (x * x)
+    val = val + corr
 
     # poch is now (s)_{2M+1}, xp is x^{-s-2M-1}: exactly the first omitted term.
     tail_bound = 2.0 * abs(bfac[2 * order + 2] * poch * xp)
@@ -77,10 +85,10 @@ def _hurwitz_em(s: complex, a: float, n_cut: int, order: int) -> ComplexValue:
     # which surfaces as a relative error per term; calibrated against
     # high-precision references over -2 <= Re(s) <= 4, |Im(s)| <= 500.
     per_term = 4e-16 + 4e-17 * abs(s.imag)
-    noise = per_term * (1.0 + math.log2(max(n_cut, 2)) / 8.0) * (
+    noise = per_term * (1.0 + log2n / 8.0) * (
         prefix_mass + abs(val) + abs(xs * x / (s - 1))
     )
-    return ComplexValue.of(val, tail_bound + noise)
+    return val, tail_bound + noise
 
 
 def _choose_cutoff(s: complex, a: float, cfg: EvalConfig) -> int:
@@ -115,14 +123,77 @@ def _choose_cutoff(s: complex, a: float, cfg: EvalConfig) -> int:
     )
 
 
+def _pole_error(s: complex, a: float) -> PoleProximity:
+    return PoleProximity(
+        f"s={s:.6g} within pole_guard of the pole at s=1", location=1.0 + 0j,
+        source=f"hurwitz({a})",
+    )
+
+
 def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> ComplexValue:
     """Pole guard, cutoff, Euler-Maclaurin: the body shared by every a > 0."""
     if abs(s - 1) < cfg.pole_guard:
-        raise PoleProximity(
-            f"s={s:.6g} within pole_guard of the pole at s=1", location=1.0 + 0j,
-            source=f"hurwitz({a})",
-        )
+        raise _pole_error(s, a)
     return _hurwitz_em(s, a, _choose_cutoff(s, a, cfg), cfg.em_order)
+
+
+PREFIX_BLOCK = 1 << 13   # most prefix-matrix entries hurwitz_batch holds at once
+_ROW_PAD = 64            # prefix rows are zero-padded to a multiple of this
+
+
+def _batch_cutoffs(s: np.ndarray, a: float, cfg: EvalConfig) -> np.ndarray:
+    """Per-point N as _hurwitz chooses it.  The _em_cutoff fast path and its
+    first-term check are vectorised; points near the pole or needing more go
+    through _pole_error and _choose_cutoff in input order, so the first
+    failing point raises exactly what _hurwitz raises for it.  The two
+    formulas repeat those of _em_cutoff and _choose_cutoff and must match them."""
+    n_cut = np.maximum(20, np.ceil(1.3 * np.abs(s.imag)) + 10)
+    order = cfg.em_order
+    poch = np.ones(s.shape)
+    for j in range(2 * order + 1):
+        poch = poch * np.abs(s + j)
+    factor = 2.0 * abs(bernoulli_over_factorial()[2 * order + 2]) * poch
+    fast = (n_cut <= cfg.max_terms) & (
+        factor * (n_cut + a) ** -(s.real + 2 * order + 1) <= cfg.target_abs_err)
+    near = np.abs(s - 1) < cfg.pole_guard
+    n_cut = n_cut.astype(np.int64)
+    for i in np.flatnonzero(near | ~fast):
+        z = complex(s[i])
+        if near[i]:
+            raise _pole_error(z, a)
+        n_cut[i] = _choose_cutoff(z, a, cfg)
+    return n_cut
+
+
+def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
+    """zeta(s, a) at every point of the 1-D array s: (values, abs_errs).
+
+    The same formula, cutoff and abs_err as hurwitz_zeta_shifted, agreeing
+    with it to rounding; no range check on a > 0.  Prefix rows are grouped by
+    padded length and summed in blocks of at most PREFIX_BLOCK entries; a row
+    longer than that is evaluated on its own by _hurwitz_em.
+    """
+    s = np.asarray(s, dtype=complex)
+    n_cut = _batch_cutoffs(s, a, cfg)
+    width = -(-n_cut // _ROW_PAD) * _ROW_PAD
+    prefix = np.zeros(s.shape, dtype=complex)
+    mass = np.zeros(s.shape)
+    for w in np.unique(width[width <= PREFIX_BLOCK]).tolist():
+        rows = np.flatnonzero(width == w)
+        logs = _log_grid(a, w)
+        for lo in range(0, len(rows), PREFIX_BLOCK // w):
+            r = rows[lo:lo + PREFIX_BLOCK // w]
+            terms = np.exp(-s[r, None] * logs, out=np.zeros((len(r), w), dtype=complex),
+                           where=np.arange(w) < n_cut[r, None])
+            prefix[r] = terms.sum(axis=1)
+            mass[r] = np.abs(terms).sum(axis=1)
+    x = n_cut + a
+    val, err = _em_tail(s, x, np.exp(-s * np.log(x)), prefix, mass,
+                        np.log2(np.maximum(n_cut, 2)), cfg.em_order)
+    for i in np.flatnonzero(width > PREFIX_BLOCK):
+        v = _hurwitz_em(complex(s[i]), a, int(n_cut[i]), cfg.em_order)
+        val[i], err[i] = v.z, v.abs_err
+    return val, err
 
 
 def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:

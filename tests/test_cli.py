@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zetazeros
 from zetazeros.cli import main
 
 
@@ -35,10 +40,14 @@ def test_eval_syntax_exit_2(capsys):
         assert run("eval", text, "--at", "2.3") == 2, text
 
 
-def test_usage_error_exit_2():
+def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run("density", "zeta(s)", "--sigma0", "0.55", "--T", "")
     assert exc.value.code == 2
+    for value in ("-1", "0"):
+        assert run("zeros", "zeta(s)", "--rect", "0.4,0.6,14,15",
+                   "--zero-tol", value) == 2, value
+    assert "zero_tol must be > 0" in capsys.readouterr().err
 
 
 def test_zeros_json_schema(tmp_path, capsys):
@@ -132,3 +141,13 @@ def test_eval_json_output(tmp_path, capsys):
     assert payload["expr"] == "zeta(s)"
     assert abs(payload["values"][0]["re"] - math.pi**2 / 6) < 1e-10
     assert "manifest" in payload
+
+
+def test_module_entry_point():
+    src = str(Path(zetazeros.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "zetazeros", "eval", "zeta(s)", "--at", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "1.6449340668" in done.stdout

@@ -6,7 +6,13 @@ import pytest
 
 import zetazeros.expr as X
 from zetazeros.config import EvalConfig
-from zetazeros.errors import ArityError, ExprSyntaxError, PoleProximity, UnknownFamily
+from zetazeros.errors import (
+    ArityError,
+    BudgetExceeded,
+    ExprSyntaxError,
+    PoleProximity,
+    UnknownFamily,
+)
 from zetazeros.expr import (
     ATOMS,
     Add,
@@ -17,6 +23,7 @@ from zetazeros.expr import (
     Neg,
     Pow,
     ZetaAtom,
+    eval_batch,
     eval_expr,
     parse_expr,
     pole_set,
@@ -191,6 +198,7 @@ FAMILY_FUNCTIONS = {
 
 def test_registry_cases_cover_every_atom():
     assert {parse_expr(text).kind for text in REGISTRY_CASES} == set(ATOMS)
+    assert set(ATOMS) <= {getattr(parse_expr(text), "kind", None) for text in BATCH_CASES}
 
 
 @pytest.mark.parametrize("text", REGISTRY_CASES)
@@ -220,3 +228,77 @@ def test_eval_looks_up_atom_functions_at_call_time(monkeypatch):
         monkeypatch.setattr(X, name, counted)
     assert eval_expr(e, 3.0) == first
     assert calls == ["riemann_zeta", "ez_diagonal"]
+
+
+# eval_batch against eval_expr.  On atoms at s itself with t <= 400 the two
+# sums agree to 1e-14; scaled arguments reach t = 1200 and Re = -3.5, where
+# the batch's padded pairwise sum moves the rounding by more than that, but
+# by far less than abs_err.
+BATCH_CASES = [
+    "zeta(s)", "hurwitz(s,1/2)", "hurwitz(s,1/10)", "xi(s)", "ezd(2)",
+    "barnes(2,1/3)", "sphere(2)", "symmat(3,Ln,+1,+1)",
+    "dirichlet[(1,0),(-1,0.6931471805599453)]", "7", "zeta(s)^3", "-hurwitz(s,1/3)",
+]
+LOOPED_ATOMS = {"xi", "ezd", "barnes", "sphere", "symmat"}   # no batch evaluator
+
+
+def _batch_points(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    t = np.repeat([0.0, 100.0, 400.0], 4) + rng.uniform(-0.5, 0.5, 12)
+    return rng.uniform(-0.5, 3.0, 12) + 1j * t
+
+
+@pytest.mark.parametrize("text", BATCH_CASES)
+def test_eval_batch_agrees_with_eval_expr(text):
+    zs = _batch_points(11)
+    e = parse_expr(text)
+    values, errs = eval_batch(e, zs)
+    assert values.shape == errs.shape == zs.shape
+    for z, v, err in zip(zs, values, errs):
+        ref = eval_expr(e, complex(z))
+        if getattr(e, "kind", None) in LOOPED_ATOMS:
+            assert (v, err) == (ref.z, ref.abs_err)
+        else:
+            assert abs(v - ref.z) <= 1e-14 * max(1.0, abs(ref))
+            assert abs(err - ref.abs_err) <= 1e-12 * ref.abs_err
+
+
+@pytest.mark.parametrize("text", [c for c in REGISTRY_CASES
+                                  if parse_expr(c).kind not in LOOPED_ATOMS]
+                         + ["zeta(s)^2-zeta(2*s)", "2*zeta(s)*hurwitz(s+1,1/2) + 1"])
+def test_eval_batch_scaled_arguments_within_abs_err(text):
+    zs = _batch_points(12)
+    e = parse_expr(text)
+    values, errs = eval_batch(e, zs)
+    for z, v, err in zip(zs, values, errs):
+        ref = eval_expr(e, complex(z))
+        assert abs(v - ref.z) <= 0.25 * ref.abs_err
+        assert abs(err - ref.abs_err) <= 1e-12 * ref.abs_err
+
+
+def test_eval_batch_pole_guard_names_first_point():
+    guard = EvalConfig().pole_guard
+    for text, points, first in [
+        ("zeta(s) + zeta(2*s)", [2.0, 3 + 1j, 0.5 + guard / 10, 1 + guard / 10], 2),
+        # inside zeta's own guard at its argument s/3 = 1, outside eval_expr's
+        ("zeta(s/3) + 1", [2.0, 3 + 2 * guard, 3 + 1.5 * guard], 1),
+    ]:
+        e = parse_expr(text)
+        for z in points[:first]:
+            eval_expr(e, z)
+        with pytest.raises(PoleProximity) as want:
+            eval_expr(e, points[first])
+        with pytest.raises(PoleProximity) as got:
+            eval_batch(e, points)
+        assert str(got.value) == str(want.value)
+        assert (got.value.location, got.value.source) == (want.value.location, want.value.source)
+
+
+def test_eval_batch_budget_exceeded_matches_eval_expr():
+    cfg = EvalConfig(em_order=1, max_terms=100)
+    e = parse_expr("zeta(s)")
+    with pytest.raises(BudgetExceeded) as want:
+        eval_expr(e, 2.0, cfg)
+    with pytest.raises(BudgetExceeded) as got:
+        eval_batch(e, [2.0, 2.5], cfg)
+    assert str(got.value) == str(want.value)

@@ -1,15 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
 from zetazeros.config import EvalConfig, DEFAULT_CONFIG
 from zetazeros.errors import NearZeroOnContour, PoleProximity
-from zetazeros.expr import parse_expr
+from zetazeros.expr import eval_batch, parse_expr
 from zetazeros.zeros import (
     ContourConfig,
     DEFAULT_CONTOUR,
     Rectangle,
+    _boundary_scale,
     _split_cell,
+    _tightened,
     _Walker,
     critical_line_check,
     density_scan,
@@ -183,3 +186,45 @@ def test_near_zero_error_carries_point():
     walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
     with pytest.raises(NearZeroOnContour):
         walker.winding(Rectangle(0.0, 1.0, -1.0, 1.0))
+
+
+def test_contour_config_rejects_nonpositive_tolerances():
+    for kwargs in ({"zero_tol": -1.0}, {"zero_tol": 0.0}, {"zero_tol": math.nan},
+                   {"jitter": 0.0}, {"jitter": -1e-7}, {"min_cell": 0.0},
+                   {"min_cell": -1e-9}, {"max_depth": 0}):
+        with pytest.raises(ValueError):
+            ContourConfig(**kwargs)
+    ContourConfig(zero_tol=1e-12, jitter=1e-9, min_cell=1e-12, max_depth=1)
+
+
+def test_eval_batch_split_invariance():
+    # The distinct contour samples of the c12 root rectangle at all four
+    # tightening levels: a value must not depend on the order or grouping of
+    # the batch it is evaluated in.
+    e = parse_expr("zeta(s)^2-zeta(2*s)")
+    rect = Rectangle(0.55, 2.0, 1e-3, 100.0)
+    zs = np.array(list(dict.fromkeys(
+        z for k in range(4)
+        for z in _Walker(None, _tightened(DEFAULT_CONTOUR, 2**k)).boundary_points(rect))))
+    values, errs = eval_batch(e, zs)
+    rev_values, rev_errs = eval_batch(e, zs[::-1])
+    assert rev_values[::-1].tobytes() == values.tobytes()
+    assert rev_errs[::-1].tobytes() == errs.tobytes()
+    for size in (1, 7, 64):
+        parts = [eval_batch(e, zs[i:i + size]) for i in range(0, len(zs), size)]
+        assert np.concatenate([v for v, _ in parts]).tobytes() == values.tobytes()
+        assert np.concatenate([r for _, r in parts]).tobytes() == errs.tobytes()
+
+
+def test_split_cell_hands_children_their_samples():
+    fn = expression_fn(parse_expr("zeta(s)^2-zeta(2*s)"), DEFAULT_CONFIG)
+    rect = Rectangle(0.55, 2.0, 30.0, 60.0)
+    walker = _Walker(fn, DEFAULT_CONTOUR)
+    samples = {}
+    kids = _split_cell(walker, rect, walker.winding(rect), DEFAULT_CONTOUR, samples)
+    assert set(samples) == {child for child, _ in kids}
+    for child, _ in kids:
+        reused = _Walker(fn, DEFAULT_CONTOUR)
+        scale = _boundary_scale(reused, child, samples[child])
+        assert reused.evals == 0
+        assert scale == _boundary_scale(_Walker(fn, DEFAULT_CONTOUR), child)

@@ -13,7 +13,7 @@ from zetazeros import (
     riemann_zeta,
 )
 from zetazeros.errors import BudgetExceeded, PoleProximity
-from zetazeros.zeta import _hurwitz_em, _em_cutoff, rpow
+from zetazeros.zeta import PREFIX_BLOCK, _em_cutoff, _hurwitz_em, hurwitz_batch, rpow
 
 
 def test_zeta_two():
@@ -180,3 +180,22 @@ def test_completed_zeta_poles():
     for p in (0.0, 1.0):
         with pytest.raises(PoleProximity):
             completed_zeta(p + 1e-10)
+
+
+def test_hurwitz_batch_matches_scalar():
+    # Fast-path cutoffs, doubled cutoffs (em_order=4, tight target) and rows
+    # wider than one prefix block (t ~ 7000), at several shifts.
+    rng = np.random.default_rng(5)
+    t = np.concatenate([rng.uniform(-1, 1, 6), rng.uniform(99, 101, 6),
+                        rng.uniform(399, 401, 6), [7000.5, -7001.25]])
+    s = rng.uniform(-0.5, 3.0, t.size) + 1j * t
+    assert _em_cutoff(complex(s[-1])) > PREFIX_BLOCK
+    for cfg in (EvalConfig(), EvalConfig(em_order=4, target_abs_err=1e-15)):
+        for a in (1.0, 0.5, 0.1, 2.5):
+            values, errs = hurwitz_batch(s, a, cfg)
+            for z, v, err in zip(s, values, errs):
+                ref = hurwitz_zeta_shifted(complex(z), a, cfg)
+                if _em_cutoff(complex(z)) > PREFIX_BLOCK:
+                    assert (v, err) == (ref.z, ref.abs_err)      # summed on its own
+                assert abs(v - ref.z) <= 0.25 * ref.abs_err
+                assert abs(err - ref.abs_err) <= 1e-12 * ref.abs_err
