@@ -57,6 +57,11 @@ def _parse_point(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse complex point {text!r}")
 
 
+def _parse_tuple(text: str) -> tuple[str, tuple[complex, ...]]:
+    """An --at-tuple value: its text and the points it lists."""
+    return text, tuple(_parse_point(p) for p in text.split(";"))
+
+
 def _parse_rect(text: str) -> Rectangle:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
@@ -115,13 +120,11 @@ def _write_json(path: str, payload: dict) -> None:
 
 def cmd_eval(args) -> int:
     cfg = _eval_config(args)
-    points = [(_parse_point(p) if isinstance(p, str) else p) for p in args.at]
     results = []
     if args.config:
         with open(args.config) as fh:
             spec = linear_form_from_config(fh.read())
-        for raw in args.at_tuple or []:
-            svals = tuple(_parse_point(p) for p in raw.split(";"))
+        for raw, svals in args.at_tuple:
             v = linear_form_eval(spec, svals, cfg)
             results.append({"s": [ [c.real, c.imag] for c in svals ],
                             "re": v.re, "im": v.im, "abs_err": v.abs_err})
@@ -135,7 +138,7 @@ def cmd_eval(args) -> int:
         from .expr import eval_expr
         expr = parse_expr(args.expr)
         expr_text = to_text(expr)
-        for s in points:
+        for s in args.at:
             v = eval_expr(expr, s, cfg)
             results.append({"s": [s.real, s.imag],
                             "re": v.re, "im": v.im, "abs_err": v.abs_err})
@@ -258,6 +261,10 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+_TOL_HELP = ("target absolute error per evaluation (default 1e-12); it sets the "
+             "Euler-Maclaurin cutoff, so a looser target does less work")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="zetazeros",
@@ -268,13 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate an expression at points")
     p.add_argument("expr", nargs="?", default=None, help="expression text")
-    p.add_argument("--at", action="append", default=[], metavar="S",
+    p.add_argument("--at", type=_parse_point, action="append", default=[], metavar="S",
                    help="complex point, e.g. 2 or 0.5+14.1i (repeatable)")
-    p.add_argument("--at-tuple", action="append", default=[], metavar="S1;S2;...",
+    p.add_argument("--at-tuple", type=_parse_tuple, action="append", default=[],
+                   metavar="S1;S2;...",
                    help="exponent tuple for --config evaluation (repeatable)")
     p.add_argument("--config", help="linear-form family config file")
     p.add_argument("--json", help="write results as JSON to this path")
-    p.add_argument("--tol", type=float, help="target absolute error")
+    p.add_argument("--tol", type=float, help=_TOL_HELP)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("zeros", help="locate zeros in a rectangle")
@@ -286,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 4 if any cell is unresolved")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
-    p.add_argument("--tol", type=float, help="target absolute error")
+    p.add_argument("--tol", type=float, help=_TOL_HELP)
     p.add_argument("--zero-tol", type=float, help="zero residual tolerance")
     p.set_defaults(fn=cmd_zeros)
 
@@ -299,12 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility; has no effect")
-    p.add_argument("--tol", type=float, help="target absolute error")
+    p.add_argument("--tol", type=float, help=_TOL_HELP)
     p.set_defaults(fn=cmd_density)
 
     p = sub.add_parser("verify", help="run identity/oracle/symmetry suites")
     p.add_argument("suite", choices=["identities", "oracles", "symmetry", "all"])
-    p.add_argument("--tol", type=float, help="target absolute error")
+    p.add_argument("--tol", type=float, help=_TOL_HELP)
     p.set_defaults(fn=cmd_verify)
     return ap
 

@@ -38,7 +38,10 @@ class ComplexValue:
 class EvalConfig:
     """Truncation/order/tolerance parameters governing every series evaluation.
 
-    target_abs_err: requested absolute error per evaluation.
+    target_abs_err: requested absolute error per evaluation.  Euler-Maclaurin
+        sums take the smallest cutoff N whose truncation term meets it, so it
+        sets the work done, and a value carries a truncation error near the
+        target rather than far below it.
     em_order: number of Bernoulli correction terms in Euler-Maclaurin sums.
     max_terms: hard cap on direct-sum terms.
     pole_guard: minimum allowed distance to a known pole.

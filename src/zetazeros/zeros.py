@@ -7,8 +7,9 @@ total is 2*pi*(zeros - poles) counted with multiplicity.  Zero localization
 quadrisects until each cell holds winding 1, then polishes with Newton using
 a central-difference derivative.
 
-A contour's samples are evaluated in one eval_batch call; a cell split hands
-each child the values on its boundary, which the child's Newton start-up
+A contour's samples are evaluated in one eval_batch call, and the near-zero
+check and phase increments run over the sample array at once; a cell split
+hands each child the values on its boundary, which the child's Newton start-up
 reuses.  Phase bisection and Newton are sequential and evaluate single points
 through eval_expr.
 
@@ -26,6 +27,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG
 from .errors import (
@@ -219,10 +222,11 @@ class _Walker:
         pts.append(corners[0])
         return pts
 
-    def _near_zero_floor(self, neighbour_mag: float) -> float:
+    def _near_zero_floor(self, neighbour_mag):
         # Relative to the local magnitude so that exponentially small but
         # smooth stretches of |F| (completed-zeta combinations) do not trip.
-        return 10.0 * self.cc.zero_tol * min(1.0, neighbour_mag)
+        # neighbour_mag may be a float or an array.
+        return 10.0 * self.cc.zero_tol * np.minimum(1.0, neighbour_mag)
 
     def winding(self, rect: Rectangle) -> int:
         return self.wind(rect, *self.boundary(rect))
@@ -233,22 +237,24 @@ class _Walker:
         return pts, self.sample(pts)
 
     def wind(self, rect: Rectangle, pts: list[complex], vals: list[complex]) -> int:
-        """Winding number of F around rect from its contour samples."""
-        m = len(pts) - 1          # pts[m] == pts[0]
-        for i in range(m):
-            local = max(abs(vals[(i - 1) % m]), abs(vals[(i + 1) % m]))
-            if abs(vals[i]) <= self._near_zero_floor(local):
-                raise NearZeroOnContour(
-                    f"|F|={abs(vals[i]):.3g} at {pts[i]:.8g}", point=pts[i]
-                )
+        """Winding number of F around rect from its contour samples.
 
+        The near-zero check and the principal phase increments are computed
+        over the whole sample array; only the segments whose increment exceeds
+        the step are bisected, in contour order."""
+        v = np.asarray(vals)
+        mag = np.abs(v[:-1])          # pts[-1] == pts[0]
+        local = np.maximum(np.roll(mag, 1), np.roll(mag, -1))
+        for i in np.flatnonzero(mag <= self._near_zero_floor(local))[:1]:
+            raise NearZeroOnContour(f"|F|={abs(vals[i]):.3g} at {pts[i]:.8g}", point=pts[i])
+
+        dphi = np.angle(v[1:] / v[:-1])
         step = self.cc.max_phase_step
         for attempt in range(3):
-            total = 0.0
-            for i in range(len(pts) - 1):
-                total += self._segment_phase(
-                    pts[i], vals[i], pts[i + 1], vals[i + 1], step, 0
-                )
+            phase = dphi.copy()
+            for i in np.flatnonzero(np.abs(dphi) > step).tolist():
+                phase[i] = self._segment_phase(pts[i], vals[i], pts[i + 1], vals[i + 1], step, 0)
+            total = float(phase.sum())
             n = round(total / TWO_PI)
             if abs(total - TWO_PI * n) <= 0.01:
                 return int(n)

@@ -7,13 +7,18 @@ The workhorse is Euler-Maclaurin summation:
                + sum_{k=1}^{M} B_{2k}/(2k)! * (s)_{2k-1} * (N+a)^{-s-2k+1}
                + R_M(N),
 
-valid for every s != 1 and every shift a > 0 once N is large enough that the
-correction terms decrease.  (s)_m denotes the rising factorial
+valid for every s != 1 and every shift a > 0 once N + a is large enough that
+the correction terms decrease.  (s)_m denotes the rising factorial
 s(s+1)...(s+m-1).  hurwitz_zeta, hurwitz_zeta_shifted and riemann_zeta all
-evaluate this one formula at their own a.  The reported abs_err is twice the
-magnitude of the first omitted correction term plus a rounding-noise
-allowance for the prefix sum; the allowance is calibrated, not proven, and
-misses on a small share of points (ROADMAP item 4).
+evaluate this one formula at their own a.
+
+The cutoff N is chosen from the error target: it is the smallest N at which
+twice the first omitted correction term is at most EvalConfig.target_abs_err
+(and N + a >= |s+2M|/pi).  The target therefore sets the work done, and a
+value carries a truncation error near the target rather than far below it.
+The reported abs_err is that truncation term plus a rounding-noise allowance
+for the prefix sum; the allowance is calibrated, not proven, and misses on a
+small share of points (ROADMAP item 2).
 
 hurwitz_batch evaluates the same formula at an array of s in one numpy pass.
 Every point keeps its own cutoff N, and its prefix row is zero-padded to a
@@ -30,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG
-from .errors import BudgetExceeded, PoleProximity
+from .errors import BudgetExceeded, PoleProximity, ZetaError
 from .tables import bernoulli_over_factorial
 
 LOG_GAMMA_SHIFT = 12.0   # recurrence target for Re(s) before the Stirling series
@@ -49,14 +54,13 @@ def _log_grid(a: float, n: int) -> np.ndarray:
     return arr
 
 
-def _em_cutoff(s: complex) -> int:
-    # Keeps the asymptotic correction series decreasing for em_order <= 16.
-    return max(20, math.ceil(1.3 * abs(s.imag)) + 10)
-
-
 def _hurwitz_em(s: complex, a: float, n_cut: int, order: int) -> ComplexValue:
-    """Fixed-parameter Euler-Maclaurin evaluation; no adaptivity, no pole guard."""
-    terms = np.exp(-s * _log_grid(a, n_cut))
+    """Fixed-parameter Euler-Maclaurin evaluation; no adaptivity, no pole guard.
+    The prefix row is zero-padded as in hurwitz_batch, from the same log grid,
+    so that both sum the same terms in the same order."""
+    w = -(-n_cut // _ROW_PAD) * _ROW_PAD
+    terms = np.zeros(w, dtype=complex)
+    terms[:n_cut] = np.exp(-s * _log_grid(a, w)[:n_cut])
     x = n_cut + a
     xs = cmath.exp(-s * math.log(x))        # x^{-s}
     val, err = _em_tail(s, x, xs, complex(terms.sum()), float(np.abs(terms).sum()),
@@ -91,78 +95,64 @@ def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order):
     return val, tail_bound + noise
 
 
-def _choose_cutoff(s: complex, a: float, cfg: EvalConfig) -> int:
-    """Smallest admissible N: _em_cutoff(s), doubled until twice the first
-    omitted term 2|B_{2M+2}/(2M+2)! (s)_{2M+1}| (N+a)^{-Re(s)-2M-1} meets the
-    target.  At Re(s) < 0 the prefix terms grow, so a larger N than needed
-    only inflates rounding noise."""
-    n_cut = _em_cutoff(s)
-    if n_cut > cfg.max_terms:
-        raise BudgetExceeded(
-            f"Euler-Maclaurin cutoff {n_cut} exceeds max_terms={cfg.max_terms} "
-            f"at s={s:.6g}"
-        )
+def _em_cutoff(s, a: float, cfg: EvalConfig):
+    """Smallest N at which twice the first omitted term meets the target,
+    2|B_{2M+2}/(2M+2)! (s)_{2M+1}| (N+a)^{-Re(s)-2M-1} <= target_abs_err,
+    solved for N + a in closed form and checked once, since rounding can leave
+    the root one short.  N + a is held at least |s+2M|/pi, which keeps each
+    correction term at most a quarter of the one before, and N at least 1.
+    Returns N as a float; _cutoff_ok says where it is usable.  Written with
+    operators and np.ceil only, so that s may be a complex or an array
+    (np.maximum would cost more than the rest on a scalar)."""
     order = cfg.em_order
-    poch = 1.0
-    for j in range(2 * order + 1):
-        poch *= abs(s + j)
-    factor = 2.0 * abs(bernoulli_over_factorial()[2 * order + 2]) * poch
-    decay = -(s.real + 2 * order + 1)
-    if factor * (n_cut + a) ** decay <= cfg.target_abs_err:
-        return n_cut
-    # Doubling only helps while Re(s) + 2M + 1 > 0; otherwise no N converges.
-    if -decay <= 0.5:
-        raise BudgetExceeded(f"em_order={order} too small for Re(s)={s.real:.3g}")
-    while 2 * n_cut <= cfg.max_terms:
-        n_cut *= 2
-        if factor * (n_cut + a) ** decay <= cfg.target_abs_err:
-            return n_cut
-    raise BudgetExceeded(
+    poch = s
+    for j in range(1, 2 * order + 1):
+        poch = poch * (s + j)
+    factor = 2.0 * abs(bernoulli_over_factorial()[2 * order + 2] * poch)
+    # 1 where the order cannot converge, so that the closed form neither
+    # divides by 0 nor overflows at points _cutoff_ok rejects.
+    decay = s.real + 2 * order + 1
+    decay = (decay > 0.5) * decay + (decay <= 0.5)
+    root = (factor / cfg.target_abs_err) ** (1.0 / decay)
+    x_min = abs(s + 2 * order) / math.pi
+    n = np.ceil(root * (root >= x_min) + x_min * (root < x_min) - a)
+    n = n * (n >= 1) + (n < 1)
+    return n + (factor * (n + a) ** -decay > cfg.target_abs_err)
+
+
+def _cutoff_ok(s, n_cut, cfg: EvalConfig):
+    """Where Euler-Maclaurin may run with cutoff n_cut = _em_cutoff(s, ...):
+    outside the pole guard, at an order that converges, within max_terms.
+    Operators only, like _em_cutoff."""
+    return ((abs(s - 1) >= cfg.pole_guard) & (s.real + 2 * cfg.em_order + 1 > 0.5)
+            & (n_cut <= cfg.max_terms))
+
+
+def _cutoff_error(s: complex, a: float, cfg: EvalConfig) -> ZetaError:
+    """The error for a point that _cutoff_ok rejects."""
+    if abs(s - 1) < cfg.pole_guard:
+        return PoleProximity(
+            f"s={s:.6g} within pole_guard of the pole at s=1", location=1.0 + 0j,
+            source=f"hurwitz({a})",
+        )
+    if s.real + 2 * cfg.em_order + 1 <= 0.5:
+        return BudgetExceeded(f"em_order={cfg.em_order} too small for Re(s)={s.real:.3g}")
+    return BudgetExceeded(
         f"error target {cfg.target_abs_err:g} unreachable within "
         f"max_terms={cfg.max_terms} at s={s:.6g}"
     )
 
 
-def _pole_error(s: complex, a: float) -> PoleProximity:
-    return PoleProximity(
-        f"s={s:.6g} within pole_guard of the pole at s=1", location=1.0 + 0j,
-        source=f"hurwitz({a})",
-    )
-
-
 def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> ComplexValue:
     """Pole guard, cutoff, Euler-Maclaurin: the body shared by every a > 0."""
-    if abs(s - 1) < cfg.pole_guard:
-        raise _pole_error(s, a)
-    return _hurwitz_em(s, a, _choose_cutoff(s, a, cfg), cfg.em_order)
+    n_cut = _em_cutoff(s, a, cfg)
+    if not _cutoff_ok(s, n_cut, cfg):
+        raise _cutoff_error(s, a, cfg)
+    return _hurwitz_em(s, a, int(n_cut), cfg.em_order)
 
 
 PREFIX_BLOCK = 1 << 13   # most prefix-matrix entries hurwitz_batch holds at once
 _ROW_PAD = 64            # prefix rows are zero-padded to a multiple of this
-
-
-def _batch_cutoffs(s: np.ndarray, a: float, cfg: EvalConfig) -> np.ndarray:
-    """Per-point N as _hurwitz chooses it.  The _em_cutoff fast path and its
-    first-term check are vectorised; points near the pole or needing more go
-    through _pole_error and _choose_cutoff in input order, so the first
-    failing point raises exactly what _hurwitz raises for it.  The two
-    formulas repeat those of _em_cutoff and _choose_cutoff and must match them."""
-    n_cut = np.maximum(20, np.ceil(1.3 * np.abs(s.imag)) + 10)
-    order = cfg.em_order
-    poch = np.ones(s.shape)
-    for j in range(2 * order + 1):
-        poch = poch * np.abs(s + j)
-    factor = 2.0 * abs(bernoulli_over_factorial()[2 * order + 2]) * poch
-    fast = (n_cut <= cfg.max_terms) & (
-        factor * (n_cut + a) ** -(s.real + 2 * order + 1) <= cfg.target_abs_err)
-    near = np.abs(s - 1) < cfg.pole_guard
-    n_cut = n_cut.astype(np.int64)
-    for i in np.flatnonzero(near | ~fast):
-        z = complex(s[i])
-        if near[i]:
-            raise _pole_error(z, a)
-        n_cut[i] = _choose_cutoff(z, a, cfg)
-    return n_cut
 
 
 def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +164,10 @@ def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.nda
     longer than that is evaluated on its own by _hurwitz_em.
     """
     s = np.asarray(s, dtype=complex)
-    n_cut = _batch_cutoffs(s, a, cfg)
+    n_cut = _em_cutoff(s, a, cfg)
+    for i in np.flatnonzero(~_cutoff_ok(s, n_cut, cfg))[:1]:
+        raise _cutoff_error(complex(s[i]), a, cfg)
+    n_cut = n_cut.astype(np.int64)
     width = -(-n_cut // _ROW_PAD) * _ROW_PAD
     prefix = np.zeros(s.shape, dtype=complex)
     mass = np.zeros(s.shape)

@@ -40,10 +40,15 @@ def test_eval_syntax_exit_2(capsys):
         assert run("eval", text, "--at", "2.3") == 2, text
 
 
-def test_usage_error_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run("density", "zeta(s)", "--sigma0", "0.55", "--T", "")
-    assert exc.value.code == 2
+def test_usage_error_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "mordell.cfg"
+    cfg.write_text("r = 2\nm = 3\nlambda = 1 0  0 1  1 1\nshifts = 0 0\noffset = from_one\n")
+    for argv in (("density", "zeta(s)", "--sigma0", "0.55", "--T", ""),
+                 ("eval", "zeta(s)", "--at", "foo"),
+                 ("eval", "--config", str(cfg), "--at-tuple", "2;x")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2, argv
     for value in ("-1", "0"):
         assert run("zeros", "zeta(s)", "--rect", "0.4,0.6,14,15",
                    "--zero-tol", value) == 2, value

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -186,6 +187,24 @@ def test_near_zero_error_carries_point():
     walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
     with pytest.raises(NearZeroOnContour):
         walker.winding(Rectangle(0.0, 1.0, -1.0, 1.0))
+
+
+def test_wind_names_first_near_zero_and_bisects_wide_segments():
+    walker = _Walker(lambda z: z, DEFAULT_CONTOUR)
+    rect = Rectangle(-1.0, 1.0, -1.0, 1.0)
+    # F(z) = z on a triangle around 0: every increment is 2pi/3, above the
+    # pi/2 step, so each segment is bisected with fresh evaluations.
+    pts = [cmath.exp(2j * math.pi * k / 3) for k in (0, 1, 2, 0)]
+    assert walker.wind(rect, pts, pts) == 1
+    assert walker.evals >= 3
+    # Two samples below the near-zero floor: the error names the first in
+    # contour order, not the smaller one.
+    pts = walker.boundary_points(rect)
+    vals = [1 + 0j] * len(pts)
+    vals[9], vals[5] = 1e-15, 1e-12
+    with pytest.raises(NearZeroOnContour) as exc:
+        walker.wind(rect, pts, vals)
+    assert exc.value.point == pts[5]
 
 
 def test_contour_config_rejects_nonpositive_tolerances():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zetazeros import (
     EvalConfig,
@@ -12,7 +13,8 @@ from zetazeros import (
     log_gamma,
     riemann_zeta,
 )
-from zetazeros.errors import BudgetExceeded, PoleProximity
+from zetazeros.errors import BudgetExceeded, PoleProximity, ZetaError
+from zetazeros.tables import bernoulli_over_factorial
 from zetazeros.zeta import PREFIX_BLOCK, _em_cutoff, _hurwitz_em, hurwitz_batch, rpow
 
 
@@ -82,7 +84,7 @@ def test_abs_err_honesty_two_settings():
         if abs(s - 1) < 0.1:
             continue
         a = float(rng.choice([1.0, 0.5, 0.25, 0.8]))
-        n_cut = _em_cutoff(s)
+        n_cut = int(_em_cutoff(s, a, EvalConfig()))
         v1 = _hurwitz_em(s, a, n_cut, 12)
         v2 = _hurwitz_em(s, a, 2 * n_cut, 16)
         assert abs(v1.z - v2.z) <= max(v1.abs_err, v2.abs_err)
@@ -131,7 +133,7 @@ def test_budget_exceeded_unreachable_order():
         riemann_zeta(-30.0 + 2j, EvalConfig(em_order=2))
     with pytest.raises(BudgetExceeded):
         riemann_zeta(0.5 + 50j, EvalConfig(target_abs_err=1e-12, max_terms=16))
-    # The target needs N = 160 here, above max_terms: no cutoff past the cap.
+    # The target needs N = 146 here, above max_terms: no cutoff past the cap.
     with pytest.raises(BudgetExceeded):
         riemann_zeta(2.0, EvalConfig(em_order=1, max_terms=100))
 
@@ -183,19 +185,73 @@ def test_completed_zeta_poles():
 
 
 def test_hurwitz_batch_matches_scalar():
-    # Fast-path cutoffs, doubled cutoffs (em_order=4, tight target) and rows
-    # wider than one prefix block (t ~ 7000), at several shifts.
+    # Default and tight (em_order=4, target 1e-15) cutoffs, at several shifts.
+    # Rows at t ~ 30000 are wider than one prefix block at every setting, so
+    # they are summed on their own; at em_order=4 so are those at t ~ 7000.
     rng = np.random.default_rng(5)
     t = np.concatenate([rng.uniform(-1, 1, 6), rng.uniform(99, 101, 6),
-                        rng.uniform(399, 401, 6), [7000.5, -7001.25]])
+                        rng.uniform(399, 401, 6), [7000.5, -7001.25, 30000.5, -30001.25]])
     s = rng.uniform(-0.5, 3.0, t.size) + 1j * t
-    assert _em_cutoff(complex(s[-1])) > PREFIX_BLOCK
     for cfg in (EvalConfig(), EvalConfig(em_order=4, target_abs_err=1e-15)):
         for a in (1.0, 0.5, 0.1, 2.5):
+            wide = _em_cutoff(s, a, cfg) > PREFIX_BLOCK
+            assert wide[-2:].all()
             values, errs = hurwitz_batch(s, a, cfg)
-            for z, v, err in zip(s, values, errs):
+            for z, v, err, alone in zip(s, values, errs, wide):
                 ref = hurwitz_zeta_shifted(complex(z), a, cfg)
-                if _em_cutoff(complex(z)) > PREFIX_BLOCK:
+                if alone:
                     assert (v, err) == (ref.z, ref.abs_err)      # summed on its own
                 assert abs(v - ref.z) <= 0.25 * ref.abs_err
                 assert abs(err - ref.abs_err) <= 1e-12 * ref.abs_err
+
+
+SHIFTS = (1.0, 0.5, 0.1, 2.5, 8.5)
+POINTS = st.builds(complex, st.floats(-15.0, 4.0), st.floats(-800.0, 800.0))
+
+
+def _truncation_term(z, a, n, cfg):
+    """2|B_{2M+2}/(2M+2)! (s)_{2M+1}| (N+a)^{-Re(s)-2M-1}, written out."""
+    m = cfg.em_order
+    factor = 2.0 * abs(bernoulli_over_factorial()[2 * m + 2])
+    for j in range(2 * m + 1):
+        factor *= abs(z + j)
+    return factor * (n + a) ** -(z.real + 2 * m + 1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=st.sampled_from(SHIFTS), zs=st.lists(POINTS, min_size=1, max_size=6))
+def test_cutoff_is_smallest_meeting_target(a, zs):
+    cfg = EvalConfig()
+    batch = _em_cutoff(np.array(zs), a, cfg)
+    for z, n in zip(zs, batch):
+        assert _em_cutoff(z, a, cfg) == n
+        floor = max(math.ceil(abs(z + 2 * cfg.em_order) / math.pi - a), 1)
+        assert n >= floor
+        assert _truncation_term(z, a, n, cfg) <= cfg.target_abs_err
+        assert n == floor or _truncation_term(z, a, n - 1, cfg) > cfg.target_abs_err
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=st.sampled_from(SHIFTS),
+       zs=st.lists(st.one_of(POINTS, st.sampled_from([1 + 0j, 1 + 1e-9j])), min_size=1, max_size=6))
+@example(a=1.0, zs=[4 + 0j, -3 + 1j, 0.5 + 700j])       # order too small first
+@example(a=0.5, zs=[4 + 0j, 1 + 1e-9j, -3 + 1j])        # pole guard first
+@example(a=8.5, zs=[4 + 0j, 0.5 + 700j, -3 + 1j])       # max_terms first
+def test_cutoff_errors_match_scalar(a, zs):
+    # em_order=1: Re(s) <= -2.5 is too low for the order, and large |t| needs
+    # more than max_terms.  The batch raises the scalar error of its first
+    # failing point, in input order.
+    cfg = EvalConfig(em_order=1, max_terms=100)
+    want = None
+    for z in zs:
+        try:
+            hurwitz_zeta_shifted(z, a, cfg)
+        except ZetaError as exc:
+            want = exc
+            break
+    if want is None:
+        hurwitz_batch(np.array(zs), a, cfg)
+        return
+    with pytest.raises(type(want)) as got:
+        hurwitz_batch(np.array(zs), a, cfg)
+    assert str(got.value) == str(want)
