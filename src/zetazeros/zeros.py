@@ -7,11 +7,21 @@ total is 2*pi*(zeros - poles) counted with multiplicity.  Zero localization
 quadrisects until each cell holds winding 1, then polishes with Newton using
 a central-difference derivative.
 
+Newton starts at the argument-principle estimate of the cell's one zero,
+z_start - (1/2 pi i) * contour integral of log F dz, taken by the trapezoid
+rule over the contour samples that also give the cell's |F| scale (for a
+child, the values its split handed down), so the start costs no evaluation.
+It starts at the cell centre instead when the principal phase increments of
+those samples do not sum to 2*pi, or when the estimate falls outside the
+cell.
+
 A contour's samples are evaluated in one eval_batch call, and the near-zero
-check and phase increments run over the sample array at once; a cell split
-hands each child the values on its boundary, which the child's Newton start-up
-reuses.  Phase bisection and Newton are sequential and evaluate single points
-through eval_expr.
+check and phase increments run over the sample array at once.  A split
+evaluates all four children's contours in one batch: each edge's points are
+generated from its lower end, so children that share an edge share its
+points, and the batch evaluates each of them once.  Each child is handed the
+values on its boundary.  Phase bisection and Newton are sequential and
+evaluate single points through eval_expr.
 
 Near-zero boundary samples trigger a deterministic outward jitter; the
 near-zero threshold is 10 * zero_tol, scaled down by the magnitude of the
@@ -46,6 +56,7 @@ _TILE_HEIGHT = 25.0          # density-scan strip height
 _NEWTON_MAX_STEPS = 60
 _JITTER_RETRIES = 8
 _CELL_EVAL_BUDGET = 4_000_000
+_PHASE_SLACK = 0.01          # a closed contour's phase total within this of 2*pi*n
 
 
 @dataclass(frozen=True)
@@ -210,15 +221,21 @@ class _Walker:
         return [values[z] for z in pts]
 
     def boundary_points(self, rect: Rectangle) -> list[complex]:
+        """Counter-clockwise contour samples from the lower-left corner, closed
+        by repeating it.  Each edge's points are generated from its lower end
+        (left to right, bottom to top) whichever way the walk runs it, so cells
+        that share an edge sample bitwise-identical points on it; corners are
+        exact."""
         pts: list[complex] = []
         corners = rect.corners()
         for i in range(4):
             z0, z1 = corners[i], corners[(i + 1) % 4]
-            length = abs(z1 - z0)
+            lo, hi = (z0, z1) if i < 2 else (z1, z0)
             n = max(self.cc.init_samples_per_edge,
-                    int(math.ceil(length * _SAMPLES_PER_UNIT)))
-            for k in range(n):
-                pts.append(z0 + (z1 - z0) * (k / n))
+                    int(math.ceil(abs(hi - lo) * _SAMPLES_PER_UNIT)))
+            inner = [lo + (hi - lo) * (k / n) for k in range(1, n)]
+            pts.append(z0)
+            pts.extend(inner if i < 2 else reversed(inner))
         pts.append(corners[0])
         return pts
 
@@ -231,10 +248,12 @@ class _Walker:
     def winding(self, rect: Rectangle) -> int:
         return self.wind(rect, *self.boundary(rect))
 
-    def boundary(self, rect: Rectangle) -> tuple[list[complex], list[complex]]:
-        """The contour samples of rect and F at each of them."""
+    def boundary(self, rect: Rectangle, known: dict | None = None
+                 ) -> tuple[list[complex], list[complex]]:
+        """The contour samples of rect and F at each of them; ``known`` values
+        are reused."""
         pts = self.boundary_points(rect)
-        return pts, self.sample(pts)
+        return pts, self.sample(pts, known)
 
     def wind(self, rect: Rectangle, pts: list[complex], vals: list[complex]) -> int:
         """Winding number of F around rect from its contour samples.
@@ -256,7 +275,7 @@ class _Walker:
                 phase[i] = self._segment_phase(pts[i], vals[i], pts[i + 1], vals[i + 1], step, 0)
             total = float(phase.sum())
             n = round(total / TWO_PI)
-            if abs(total - TWO_PI * n) <= 0.01:
+            if abs(total - TWO_PI * n) <= _PHASE_SLACK:
                 return int(n)
             step *= 0.5     # refine instead of rounding silently
         raise ContourError(
@@ -361,12 +380,16 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConf
 
     The split sits at the golden-ratio point rather than the center so that
     zeros on natural symmetry lines (e.g. Re = 1/2) stay strictly inside one
-    child.  Children windings must conserve the parent's; near-zero hits shift
-    the split point, and a conservation failure (a zero close enough to an
-    edge to alias the phase samples) re-measures parent and children with
-    progressively denser sampling before giving up.  Returns (child, winding)
+    child.  Each attempt samples the four children's contours in one batch;
+    children that share an edge sample the same points on it, which the batch
+    evaluates once.  Children windings must conserve the parent's; near-zero
+    hits shift the split point, and a conservation failure (a zero close
+    enough to an edge to alias the phase samples) re-measures parent and
+    children with progressively denser sampling before giving up.  No values
+    are carried from one density to the next.  Returns (child, winding)
     pairs; ``samples``, when given, receives {child: {z: F(z)}} for the
-    contour samples of each returned child.
+    contour samples of each returned child, from which the child's scale and
+    Newton start point are computed.
     """
     jit = max(_effective_jitter(rect, cc), 1e-12 * max(rect.width, rect.height))
     cx = rect.sigma_lo + _SPLIT_FRAC * rect.width
@@ -390,12 +413,15 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConf
                 Rectangle(sx, rect.sigma_hi, sy, rect.t_hi),
                 Rectangle(rect.sigma_lo, sx, sy, rect.t_hi),
             ]
-            windings, measured = [], []
+            contours = [wk.boundary_points(c) for c in children]
+            vals = wk.sample([z for pts in contours for z in pts])
+            windings, measured, k = [], [], 0
             try:
-                for c in children:
-                    pts, vals = wk.boundary(c)
-                    windings.append(wk.wind(c, pts, vals))
-                    measured.append(dict(zip(pts, vals)))
+                for c, pts in zip(children, contours):
+                    v = vals[k:k + len(pts)]
+                    k += len(pts)
+                    windings.append(wk.wind(c, pts, v))
+                    measured.append(dict(zip(pts, v)))
             except (NearZeroOnContour, ContourError) as exc:
                 last_exc = exc
                 continue
@@ -412,10 +438,18 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConf
     raise last_exc
 
 
-def _newton_refine(walker: _Walker, rect: Rectangle, cc: ContourConfig, scale: float):
+def _newton_refine(walker: _Walker, rect: Rectangle, cc: ContourConfig, scale: float,
+                   z: complex):
+    """Newton from z with a central-difference derivative.
+
+    z is the cell's start point: the argument-principle estimate of its zero
+    from _start_point, or the centre where that estimate is not usable.
+    Returns (zero, residual, steps), or None when a step leaves the expanded
+    cell, the derivative is flat, or the result is outside rect or has a
+    residual above the tolerance scaled by the contour magnitude ``scale``.
+    """
     size = max(rect.width, rect.height)
     h = 1e-6 * size
-    z = rect.center
     tol_resid = cc.zero_tol * min(1.0, max(scale, 1e-300))
     steps = 0
     try:
@@ -440,11 +474,34 @@ def _newton_refine(walker: _Walker, rect: Rectangle, cc: ContourConfig, scale: f
     return z, resid, steps
 
 
-def _boundary_scale(walker: _Walker, rect: Rectangle, known: dict | None = None) -> float:
-    """Median |F| over the contour samples of rect; ``known`` values are reused."""
-    pts = walker.boundary_points(rect)[:-1]
-    mags = sorted(abs(v) for v in walker.sample(pts, known))
+def _boundary_scale(vals: list[complex]) -> float:
+    """Median |F| over a closed contour's samples (the closing repeat left out)."""
+    mags = sorted(abs(v) for v in vals[:-1])
     return mags[len(mags) // 2]
+
+
+def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex]) -> complex:
+    """Argument-principle estimate of the one zero of F inside rect.
+
+    Integrating the moment (1/2 pi i) * contour integral of z F'/F dz by parts
+    gives the zero as z_start - (1/2 pi i) * contour integral of log F dz,
+    with log F continued along the contour from z_start = pts[0] (Delves &
+    Lyness, Math. Comp. 21, 1967).  The integral is the trapezoid rule over
+    the closed contour samples, with log F = log|F| + i * (phase unwrapped
+    from the principal increments), so it costs no evaluation.  The centre is
+    returned instead when the increments do not sum to 2*pi within
+    _PHASE_SLACK (the samples do not resolve one winding) or the estimate
+    falls outside rect.
+    """
+    z = np.asarray(pts)
+    v = np.asarray(vals)
+    dphi = np.angle(v[1:] / v[:-1])
+    if not abs(dphi.sum() - TWO_PI) <= _PHASE_SLACK:
+        return rect.center
+    log_f = np.log(np.abs(v)) + 1j * np.concatenate(([0.0], np.cumsum(dphi)))
+    moment = complex(np.sum(0.5 * (log_f[1:] + log_f[:-1]) * np.diff(z)))
+    z0 = pts[0] - moment / (2j * math.pi)
+    return z0 if rect.contains(z0) else rect.center
 
 
 def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig):
@@ -462,8 +519,9 @@ def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig):
             continue
         size = max(cell.width, cell.height)
         if wc == 1:
-            scale = _boundary_scale(walker, cell, known)
-            hit = _newton_refine(walker, cell, cc, scale)
+            pts, vals = walker.boundary(cell, known)
+            hit = _newton_refine(walker, cell, cc, _boundary_scale(vals),
+                                 _start_point(cell, pts, vals))
             if hit is not None:
                 z, resid, steps = hit
                 records.append(ZeroRecord(

@@ -47,11 +47,25 @@ def rpow(x: float, w: complex) -> complex:
     return cmath.exp(w * math.log(x))
 
 
-@lru_cache(maxsize=128)
-def _log_grid(a: float, n: int) -> np.ndarray:
-    arr = np.log(np.arange(n, dtype=np.float64) + a)
+PREFIX_BLOCK = 1 << 13   # most prefix-matrix entries hurwitz_batch holds at once
+_ROW_PAD = 64            # prefix rows are zero-padded to a multiple of this
+
+
+@lru_cache(maxsize=32)
+def _log_block(a: float) -> np.ndarray:
+    arr = np.log(np.arange(PREFIX_BLOCK, dtype=np.float64) + a)
     arr.setflags(write=False)
     return arr
+
+
+def _log_grid(a: float, n: int) -> np.ndarray:
+    """log(k + a) for k < n.  A row that fits in a prefix block is a slice of
+    the one cached block for shift a (np.log gives the same bits either way);
+    a wider row is computed and not kept, since very negative Re(s) needs
+    N in the hundreds of thousands."""
+    if n <= PREFIX_BLOCK:
+        return _log_block(a)[:n]
+    return np.log(np.arange(n, dtype=np.float64) + a)
 
 
 def _hurwitz_em(s: complex, a: float, n_cut: int, order: int) -> ComplexValue:
@@ -149,10 +163,6 @@ def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> ComplexValue:
     if not _cutoff_ok(s, n_cut, cfg):
         raise _cutoff_error(s, a, cfg)
     return _hurwitz_em(s, a, int(n_cut), cfg.em_order)
-
-
-PREFIX_BLOCK = 1 << 13   # most prefix-matrix entries hurwitz_batch holds at once
-_ROW_PAD = 64            # prefix rows are zero-padded to a multiple of this
 
 
 def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from zetazeros import (
 )
 from zetazeros.errors import BudgetExceeded, PoleProximity, ZetaError
 from zetazeros.tables import bernoulli_over_factorial
-from zetazeros.zeta import PREFIX_BLOCK, _em_cutoff, _hurwitz_em, hurwitz_batch, rpow
+from zetazeros.zeta import (
+    PREFIX_BLOCK, _em_cutoff, _hurwitz_em, _log_grid, hurwitz_batch, rpow,
+)
 
 
 def test_zeta_two():
@@ -203,6 +207,25 @@ def test_hurwitz_batch_matches_scalar():
                     assert (v, err) == (ref.z, ref.abs_err)      # summed on its own
                 assert abs(v - ref.z) <= 0.25 * ref.abs_err
                 assert abs(err - ref.abs_err) <= 1e-12 * ref.abs_err
+
+
+def test_log_grid_keeps_no_row_wider_than_a_block():
+    # At Re(s) = -14 and t ~ 400 the cutoff is about 150,000 terms.  The
+    # cache holds one PREFIX_BLOCK-long grid per shift, so these evaluations
+    # may leave at most that behind, not one wide grid per distinct cutoff.
+    for w in (1, 63, 64, 1000, PREFIX_BLOCK - 1, PREFIX_BLOCK, PREFIX_BLOCK + 64):
+        assert _log_grid(1.0, w).tobytes() == np.log(np.arange(w, dtype=float) + 1.0).tobytes()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for t in range(400, 430):
+            hurwitz_zeta_shifted(complex(-14.0, t), 1.0)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert _em_cutoff(complex(-14.0, 400.0), 1.0, EvalConfig()) > 10 * PREFIX_BLOCK
+    assert kept <= 2 * 8 * PREFIX_BLOCK
 
 
 SHIFTS = (1.0, 0.5, 0.1, 2.5, 8.5)
