@@ -10,10 +10,11 @@ a central-difference derivative.
 Newton starts at the argument-principle estimate of the cell's one zero,
 z_start - (1/2 pi i) * contour integral of log F dz, taken by the trapezoid
 rule over the contour samples that also give the cell's |F| scale (for a
-child, the values its split handed down), so the start costs no evaluation.
-It starts at the cell centre instead when the principal phase increments of
-those samples do not sum to 2*pi, or when the estimate falls outside the
-cell.
+child, the values its split handed down), with the phase continued along
+the phase increments that winding uses, bisected where a segment's
+principal increment exceeds the step, so that a zero close to an edge is
+resolved.  It starts at the cell centre instead when those increments do
+not sum to 2*pi, or when the estimate falls outside the cell.
 
 A contour's samples are evaluated in one eval_batch call, and the near-zero
 check and phase increments run over the sample array at once.  A split
@@ -23,10 +24,23 @@ points, and the batch evaluates each of them once.  Each child is handed the
 values on its boundary.  Phase bisection and Newton are sequential and
 evaluate single points through eval_expr.
 
-Near-zero boundary samples trigger a deterministic outward jitter; the
-near-zero threshold is 10 * zero_tol, scaled down by the magnitude of the
-neighbouring samples when those sit below 1, so that exponentially small
-functions (completed-zeta combinations at height t) remain scannable.
+A winding is accepted once two consecutive sampling densities (levels)
+agree.  Within that one decision each level reuses the values of the level
+below, so no contour point is evaluated twice, and the values are dropped
+when the decision is made; on long edges the levels sample the same points
+(see _stable_winding).  The split of the scanned rectangle starts at the
+coarser of its two agreeing levels, with the accepted winding; every other
+split starts at level 0.  A split whose children fail to conserve the
+parent's winding goes on to the next denser level; only a near-zero hit on
+a child contour moves the split point for another attempt at the same
+level.  Every evaluation a split makes counts against its cell's evaluation
+budget.
+
+Near-zero samples on the outer boundary of a scan trigger a deterministic
+outward jitter; the near-zero threshold is 10 * zero_tol, scaled down by the
+magnitude of the neighbouring samples when those sit below 1, so that
+exponentially small functions (completed-zeta combinations at height t)
+remain scannable.
 
 Scans run in the calling thread.  The ``threads`` keyword of the scan
 functions is accepted for compatibility and has no effect.
@@ -193,15 +207,20 @@ class _Walker:
     """Boundary phase tracker for one function; counts evaluations.
 
     ``fn`` comes from expression_fn: fn(z) evaluates one point (bisection
-    midpoints, Newton), fn.batch(zs) a point list (contour samples).
+    midpoints, Newton), fn.batch(zs) a point list (contour samples).  A walker
+    made with ``owner`` (a split's denser sampling) also counts every
+    evaluation against the owner's budget.
     """
 
-    def __init__(self, fn, cc: ContourConfig):
+    def __init__(self, fn, cc: ContourConfig, owner: "_Walker | None" = None):
         self.fn = fn
         self.cc = cc
+        self.owner = owner
         self.evals = 0
 
     def _count(self, n: int) -> None:
+        if self.owner is not None:
+            self.owner._count(n)
         self.evals += n
         if self.evals > _CELL_EVAL_BUDGET:
             raise DepthExceeded("per-cell evaluation budget exhausted")
@@ -256,11 +275,18 @@ class _Walker:
         return pts, self.sample(pts, known)
 
     def wind(self, rect: Rectangle, pts: list[complex], vals: list[complex]) -> int:
-        """Winding number of F around rect from its contour samples.
+        """Winding number of F around rect from its contour samples."""
+        return round(float(self.increments(rect, pts, vals).sum()) / TWO_PI)
+
+    def increments(self, rect: Rectangle, pts: list[complex],
+                   vals: list[complex]) -> np.ndarray:
+        """Phase increments of F along the contour samples, summing to 2*pi
+        times the winding number.
 
         The near-zero check and the principal phase increments are computed
         over the whole sample array; only the segments whose increment exceeds
-        the step are bisected, in contour order."""
+        the step are bisected, in contour order, and their increments are the
+        bisected sums."""
         v = np.asarray(vals)
         mag = np.abs(v[:-1])          # pts[-1] == pts[0]
         local = np.maximum(np.roll(mag, 1), np.roll(mag, -1))
@@ -274,9 +300,8 @@ class _Walker:
             for i in np.flatnonzero(np.abs(dphi) > step).tolist():
                 phase[i] = self._segment_phase(pts[i], vals[i], pts[i + 1], vals[i + 1], step, 0)
             total = float(phase.sum())
-            n = round(total / TWO_PI)
-            if abs(total - TWO_PI * n) <= _PHASE_SLACK:
-                return int(n)
+            if abs(total - TWO_PI * round(total / TWO_PI)) <= _PHASE_SLACK:
+                return phase
             step *= 0.5     # refine instead of rounding silently
         raise ContourError(
             f"phase accumulator {total:.6f} not near a multiple of 2*pi on {rect}"
@@ -305,18 +330,29 @@ def expression_fn(e, cfg: EvalConfig):
     return fn
 
 
-def _stable_winding(fn, rect: Rectangle, cc: ContourConfig) -> int:
+def _stable_winding(fn, rect: Rectangle, cc: ContourConfig) -> tuple[int, int]:
     """Winding accepted only once two consecutive sampling densities agree.
 
     Guards against phase aliasing from zeros hugging the contour from either
-    side; each densification doubles the samples and halves the phase step.
+    side; each densification (level) doubles init_samples_per_edge and halves
+    the phase step.  Each level is handed the previous level's values, so a
+    point the coarser level sampled is not evaluated again; the values live
+    for this call only.  An edge longer than init_samples_per_edge /
+    _SAMPLES_PER_UNIT gets ceil(length * _SAMPLES_PER_UNIT) samples at every
+    level whose own count is below that, so those levels sample the same
+    points there and the second density checks nothing new on that edge (the
+    100-unit edges of the c12 rectangle get 800 samples at levels 0 to 3).
+    Returns (winding, level), level being the coarser of the two agreeing
+    levels.
     """
-    prev = None
-    for round_ in range(4):
-        w = _Walker(fn, _tightened(cc, 2**round_)).winding(rect)
-        if prev is not None and w == prev:
-            return w
-        prev = w
+    prev, known = None, None
+    for level in range(4):
+        wk = _Walker(fn, _tightened(cc, 2**level))
+        pts, vals = wk.boundary(rect, known)
+        w = wk.wind(rect, pts, vals)
+        if w == prev:
+            return w, level - 1
+        prev, known = w, dict(zip(pts, vals))
     raise ContourError(f"winding did not stabilize under refinement on {rect}")
 
 
@@ -333,7 +369,7 @@ def winding_number(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
                 f"pole candidate {cand.location:.6g} within jitter of the contour",
                 location=cand.location, source=cand.source,
             )
-    return _stable_winding(expression_fn(e, cfg), rect, cc)
+    return _stable_winding(expression_fn(e, cfg), rect, cc)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +381,13 @@ def _effective_jitter(rect: Rectangle, cc: ContourConfig) -> float:
 
 
 def _winding_with_expansion(fn, rect: Rectangle, cc: ContourConfig):
-    """Stable winding with the outer boundary pushed outward on near-zero hits."""
+    """Stable winding with the outer boundary pushed outward on near-zero hits:
+    (winding, level, rectangle), level as from _stable_winding."""
     jit = _effective_jitter(rect, cc)
     cur = rect
     for attempt in range(_JITTER_RETRIES + 1):
         try:
-            return _stable_winding(fn, cur, cc), cur
+            return (*_stable_winding(fn, cur, cc), cur)
         except NearZeroOnContour:
             if attempt == _JITTER_RETRIES:
                 raise
@@ -375,33 +412,43 @@ def _tightened(cc: ContourConfig, factor: int) -> ContourConfig:
 
 
 def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConfig,
-                samples: dict | None = None):
+                samples: dict | None = None, level: int = 0, known: dict | None = None):
     """Quadrisect with a deterministically jittered, asymmetric split point.
 
     The split sits at the golden-ratio point rather than the center so that
     zeros on natural symmetry lines (e.g. Re = 1/2) stay strictly inside one
     child.  Each attempt samples the four children's contours in one batch;
     children that share an edge sample the same points on it, which the batch
-    evaluates once.  Children windings must conserve the parent's; near-zero
-    hits shift the split point, and a conservation failure (a zero close
-    enough to an edge to alias the phase samples) re-measures parent and
-    children with progressively denser sampling before giving up.  No values
-    are carried from one density to the next.  Returns (child, winding)
-    pairs; ``samples``, when given, receives {child: {z: F(z)}} for the
-    contour samples of each returned child, from which the child's scale and
-    Newton start point are computed.
+    evaluates once.  Children windings must conserve the parent's.  Only a
+    near-zero hit on a child contour moves the split point (by the jitter) for
+    another attempt at the same density; a child's ContourError or a
+    conservation failure (a zero close enough to an edge to alias the phase
+    samples, which a jitter-sized move cannot repair on the outer edges) ends
+    the round, and the next round re-measures parent and children at the next
+    denser level (as in _stable_winding) before giving up after three.  The
+    first round samples at ``level`` and takes w_parent as measured there;
+    each parent re-measure reuses the values of the parent contour from the
+    round before (``known`` for the first re-measure).  Every evaluation counts
+    against ``walker``'s budget.  Returns (child, winding) pairs;
+    ``samples``, when given, receives {child: {z: F(z)}} for the contour
+    samples of each returned child, from which the child's scale and Newton
+    start point are computed.
     """
     jit = max(_effective_jitter(rect, cc), 1e-12 * max(rect.width, rect.height))
     cx = rect.sigma_lo + _SPLIT_FRAC * rect.width
     cy = rect.t_lo + _SPLIT_FRAC * rect.height
     last_exc: Exception | None = None
-    for round_ in range(3):
-        wk = _Walker(walker.fn, _tightened(cc, 2**round_))
-        try:
-            w_par = w_parent if round_ == 0 else wk.winding(rect)
-        except (NearZeroOnContour, ContourError, DepthExceeded) as exc:
-            last_exc = exc
-            continue
+    w_par = w_parent
+    for lvl in range(level, level + 3):
+        wk = _Walker(walker.fn, _tightened(cc, 2**lvl), walker)
+        if lvl > level:
+            try:
+                pts, vals = wk.boundary(rect, known)
+                known = dict(zip(pts, vals))
+                w_par = wk.wind(rect, pts, vals)
+            except (NearZeroOnContour, ContourError, DepthExceeded) as exc:
+                last_exc = exc
+                continue
         for attempt in range(_JITTER_RETRIES + 1):
             sx = cx + jit * attempt
             sy = cy + jit * attempt
@@ -422,14 +469,17 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConf
                     k += len(pts)
                     windings.append(wk.wind(c, pts, v))
                     measured.append(dict(zip(pts, v)))
-            except (NearZeroOnContour, ContourError) as exc:
+            except NearZeroOnContour as exc:
                 last_exc = exc
                 continue
+            except ContourError as exc:
+                last_exc = exc
+                break
             if sum(windings) != w_par:
                 last_exc = ContourError(
                     f"child windings {windings} do not conserve parent {w_par}"
                 )
-                continue
+                break
             if samples is not None:
                 samples.update(zip(children, measured))
             return list(zip(children, windings))
@@ -480,7 +530,8 @@ def _boundary_scale(vals: list[complex]) -> float:
     return mags[len(mags) // 2]
 
 
-def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex]) -> complex:
+def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex],
+                 dphi=None) -> complex:
     """Argument-principle estimate of the one zero of F inside rect.
 
     Integrating the moment (1/2 pi i) * contour integral of z F'/F dz by parts
@@ -488,14 +539,16 @@ def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex]) -> co
     with log F continued along the contour from z_start = pts[0] (Delves &
     Lyness, Math. Comp. 21, 1967).  The integral is the trapezoid rule over
     the closed contour samples, with log F = log|F| + i * (phase unwrapped
-    from the principal increments), so it costs no evaluation.  The centre is
-    returned instead when the increments do not sum to 2*pi within
-    _PHASE_SLACK (the samples do not resolve one winding) or the estimate
-    falls outside rect.
+    from the increments ``dphi``: _Walker.increments, whose bisected segments
+    resolve a zero close to an edge, or else the principal increments of
+    vals), so it costs no evaluation.  The centre is returned instead when the
+    increments do not sum to 2*pi within _PHASE_SLACK (the samples do not
+    resolve one winding) or the estimate falls outside rect.
     """
     z = np.asarray(pts)
     v = np.asarray(vals)
-    dphi = np.angle(v[1:] / v[:-1])
+    if dphi is None:
+        dphi = np.angle(v[1:] / v[:-1])
     if not abs(dphi.sum() - TWO_PI) <= _PHASE_SLACK:
         return rect.center
     log_f = np.log(np.abs(v)) + 1j * np.concatenate(([0.0], np.cumsum(dphi)))
@@ -504,13 +557,14 @@ def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex]) -> co
     return z0 if rect.contains(z0) else rect.center
 
 
-def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig):
-    """Fully resolve one pole-free cell of known winding."""
+def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig, level: int = 0):
+    """Fully resolve one pole-free cell of known winding; a split of rect
+    itself starts at sampling ``level``, a split of any child at level 0."""
     records: list[ZeroRecord] = []
     unresolved: list[UnresolvedCell] = []
-    stack = [(rect, w, None)]
+    stack = [(rect, w, None, level)]
     while stack:
-        cell, wc, known = stack.pop()
+        cell, wc, known, lvl = stack.pop()
         walker = _Walker(fn, cc)      # the evaluation budget is per cell
         if wc == 0:
             continue
@@ -520,8 +574,12 @@ def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig):
         size = max(cell.width, cell.height)
         if wc == 1:
             pts, vals = walker.boundary(cell, known)
+            try:
+                dphi = walker.increments(cell, pts, vals)
+            except (NearZeroOnContour, ContourError, DepthExceeded):
+                dphi = None
             hit = _newton_refine(walker, cell, cc, _boundary_scale(vals),
-                                 _start_point(cell, pts, vals))
+                                 _start_point(cell, pts, vals, dphi))
             if hit is not None:
                 z, resid, steps = hit
                 records.append(ZeroRecord(
@@ -539,9 +597,9 @@ def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig):
             continue
         samples: dict = {}
         try:
-            for child, w_child in _split_cell(walker, cell, wc, cc, samples):
+            for child, w_child in _split_cell(walker, cell, wc, cc, samples, lvl, known):
                 if w_child != 0:
-                    stack.append((child, w_child, samples[child]))
+                    stack.append((child, w_child, samples[child], 0))
         except (NearZeroOnContour, ContourError, DepthExceeded) as exc:
             unresolved.append(UnresolvedCell(cell, wc, f"{type(exc).__name__}: {exc}"))
     return records, unresolved
@@ -567,8 +625,8 @@ def localize_zeros(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
     """
     _assert_pole_free(e, rect)
     fn = expression_fn(e, cfg)
-    w_root, root = _winding_with_expansion(fn, rect, cc)
-    records, unresolved = _resolve_cell(fn, root, w_root, cc)
+    w_root, level, root = _winding_with_expansion(fn, rect, cc)
+    records, unresolved = _resolve_cell(fn, root, w_root, cc, level)
     records.sort(key=lambda r: (r.location.im, r.location.re, r.winding_mult))
     unresolved.sort(key=lambda u: (u.rect.t_lo, u.rect.sigma_lo))
     return LocalizeResult(tuple(records), tuple(unresolved))
@@ -637,7 +695,7 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
             tiles = [Rectangle(lo, hi, cuts[i], cuts[i + 1])
                      for i in range(len(cuts) - 1)]
             try:
-                tile_w = [_stable_winding(fn, r, cc) for r in tiles]
+                tile_w = [_stable_winding(fn, r, cc)[0] for r in tiles]
             except NearZeroOnContour:
                 if attempt == _JITTER_RETRIES:
                     complete = False

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zetazeros.config import EvalConfig, DEFAULT_CONFIG
-from zetazeros.errors import NearZeroOnContour, PoleProximity
+from zetazeros.errors import DepthExceeded, NearZeroOnContour, PoleProximity
 from zetazeros.expr import eval_batch, eval_expr, parse_expr
 import zetazeros.zeros as zeros
 from zetazeros.zeros import (
@@ -14,6 +14,7 @@ from zetazeros.zeros import (
     Rectangle,
     _boundary_scale,
     _split_cell,
+    _stable_winding,
     _start_point,
     _tightened,
     _Walker,
@@ -296,9 +297,12 @@ def test_start_point_falls_back_to_centre():
 
 def test_c12_evaluation_counts(monkeypatch):
     # Deterministic work counts of the c12 localisation, so that a lost saving
-    # shows without timing.  Measured: 46,813 batched points and 658 scalar
-    # evaluations (82,260 and 1,574 before Newton started at the
-    # argument-principle estimate and splits were sampled in one batch).
+    # shows without timing.  Measured: 13,461 batched points and 412 scalar
+    # evaluations (46,813 and 658 while each winding level, split round and
+    # jitter attempt evaluated its contours afresh, the root split started at
+    # level 0 and the start point used the principal increments; 82,260 and
+    # 1,574 before Newton started at the argument-principle estimate and
+    # splits were sampled in one batch).
     counts = {"batched": 0, "scalar": 0}
 
     def eval_batch_counted(e, zs, cfg):
@@ -313,5 +317,93 @@ def test_c12_evaluation_counts(monkeypatch):
     monkeypatch.setattr(zeros, "eval_expr", eval_expr_counted)
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), Rectangle(0.55, 2.0, 1e-3, 100.0))
     assert len(res.records) == 13 and not res.unresolved
-    assert counts["batched"] <= int(1.1 * 46_813)
-    assert counts["scalar"] <= int(1.1 * 658)
+    assert counts["batched"] <= int(1.1 * 13_461)
+    assert counts["scalar"] <= int(1.1 * 412)
+
+
+def test_start_point_from_bisected_increments():
+    # A zero 0.004 above the bottom edge, midway between two samples, times a
+    # phase ramp exp(64iz): that segment's increment exceeds pi, so the
+    # principal increments sum to 0, while wind's bisected ones resolve it.
+    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
+    z0 = complex(20.5 / 64, 0.004)
+    walker = _Walker(lambda z: (z - z0) * cmath.exp(64j * z), DEFAULT_CONTOUR)
+    pts = walker.boundary_points(rect)
+    vals = [walker.fn(z) for z in pts]
+    assert _start_point(rect, pts, vals) == rect.center
+    start = _start_point(rect, pts, vals, walker.increments(rect, pts, vals))
+    assert rect.contains(start) and abs(start - z0) < 1e-3
+
+
+def test_stable_winding_evaluates_each_distinct_point_once(monkeypatch):
+    # The c12 root contour: each level is handed the values of the level
+    # below, so the levels together evaluate only their distinct points, and
+    # the winding equals that of fresh walkers at every level.
+    e = parse_expr("zeta(s)^2-zeta(2*s)")
+    rect = Rectangle(0.55, 2.0, 1e-3, 100.0)
+    fn = expression_fn(e, DEFAULT_CONFIG)
+    batched = []
+    monkeypatch.setattr(zeros, "eval_batch",
+                        lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
+    w, level = _stable_winding(fn, rect, DEFAULT_CONTOUR)
+    walkers = [_Walker(fn, _tightened(DEFAULT_CONTOUR, 2**k)) for k in range(level + 2)]
+    distinct = set().union(*(wk.boundary_points(rect) for wk in walkers))
+    assert len(batched) == len(distinct) == 2_112
+    assert [wk.winding(rect) for wk in walkers][-2:] == [w, w]
+
+
+def _linear_fn(z0):
+    fn = lambda z: z - z0
+    fn.batch = lambda zs: [z - z0 for z in zs]
+    return fn
+
+
+def test_split_near_zero_hit_moves_the_split_point():
+    # F = z - z0 with z0 where the golden-ratio cut lines cross: every child
+    # contour passes through the zero, so the split moves by one jitter step.
+    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
+    cx = cy = zeros._SPLIT_FRAC
+    z0 = complex(cx, cy)
+    kids = _split_cell(_Walker(_linear_fn(z0), DEFAULT_CONTOUR), rect, 1, DEFAULT_CONTOUR)
+    assert kids[0][0].sigma_hi == cx + DEFAULT_CONTOUR.jitter
+    assert kids[0][0].t_hi == cy + DEFAULT_CONTOUR.jitter
+    assert [w for _, w in kids] == [1, 0, 0, 0]
+
+
+def test_split_conservation_failure_densifies_at_once():
+    # A parent winding of 2 that the children (one zero) cannot conserve: the
+    # round ends after one attempt, and the next re-measures the parent at
+    # the denser level and splits at the same point without jitter.
+    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
+    fn = _linear_fn(0.3 + 0.3j)
+    batches = []
+    batch = fn.batch
+    fn.batch = lambda zs: batches.append(len(zs)) or batch(zs)
+    kids = _split_cell(_Walker(fn, DEFAULT_CONTOUR), rect, 2, DEFAULT_CONTOUR)
+    assert len(batches) == 3        # children, then parent and children denser
+    assert kids[0][0].sigma_hi == rect.sigma_lo + zeros._SPLIT_FRAC * rect.width
+    assert [w for _, w in kids] == [1, 0, 0, 0]
+
+
+def test_split_counts_against_the_cell_budget(monkeypatch):
+    fn = expression_fn(parse_expr("zeta(s)^2-zeta(2*s)"), DEFAULT_CONFIG)
+    rect = Rectangle(0.55, 2.0, 30.0, 60.0)
+    walker = _Walker(fn, DEFAULT_CONTOUR)
+    w = walker.winding(rect)
+    before = walker.evals
+    samples = {}
+    _split_cell(walker, rect, w, DEFAULT_CONTOUR, samples)
+    split_evals = walker.evals - before
+    assert split_evals >= len(set().union(*samples.values()))
+    # The split alone fits this budget, but not on top of the cell's contour.
+    monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", walker.evals - 1)
+    walker = _Walker(fn, DEFAULT_CONTOUR)
+    walker.winding(rect)
+    with pytest.raises(DepthExceeded, match="budget"):
+        _split_cell(walker, rect, w, DEFAULT_CONTOUR)
+    # A cell whose split exhausts the budget is reported, with the reason.
+    monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", split_evals - 1)
+    records, unresolved = zeros._resolve_cell(fn, rect, w, DEFAULT_CONTOUR)
+    assert not records
+    assert [(u.rect, u.winding) for u in unresolved] == [(rect, w)]
+    assert unresolved[0].reason == "DepthExceeded: per-cell evaluation budget exhausted"
