@@ -112,6 +112,13 @@ def ez_diagonal_poles(r: int) -> tuple[tuple[float, str], ...]:
     return tuple(_factor_pole(k, 0) for k in range(1, r + 1))
 
 
+@lru_cache(maxsize=None)
+def _hoffman_float_terms(r: int) -> tuple[tuple[tuple[int, ...], complex], ...]:
+    """(block sizes, coefficient as a complex) per term of hoffman_diagonal_coeffs(r)."""
+    return tuple((t.block_sizes, complex(float(t.coefficient)))
+                 for t in hoffman_diagonal_coeffs(r))
+
+
 def ez_diagonal(r: int, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta_r(s, ..., s) evaluated through the Hoffman reduction."""
     s = complex(s)
@@ -120,11 +127,11 @@ def ez_diagonal(r: int, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> Complex
     for k in range(1, r + 1):
         atoms[k] = riemann_zeta(k * s, cfg)
     total = ComplexValue.of(0j, 0.0)
-    for term in hoffman_diagonal_coeffs(r):
+    for block_sizes, coefficient in _hoffman_float_terms(r):
         prod = ComplexValue.of(complex(1.0), 0.0)
-        for b in term.block_sizes:
+        for b in block_sizes:
             prod = cv_mul(prod, atoms[b])
-        total = cv_add(total, cv_scale(complex(float(term.coefficient)), prod))
+        total = cv_add(total, cv_scale(coefficient, prod))
     return total
 
 
@@ -291,7 +298,8 @@ def _barnes_weight_polys(r: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(polys)
 
 
-def barnes_weights(r: int, a: float) -> list[float]:
+@lru_cache(maxsize=64)
+def barnes_weights(r: int, a: float) -> tuple[float, ...]:
     """Evaluate p_{rj}(a) for j = 0..r-1."""
     vals = []
     for coeffs in _barnes_weight_polys(r):
@@ -299,7 +307,7 @@ def barnes_weights(r: int, a: float) -> list[float]:
         for c in reversed(coeffs):
             acc = acc * a + float(c)
         vals.append(acc)
-    return vals
+    return tuple(vals)
 
 
 @lru_cache(maxsize=None)
@@ -501,18 +509,22 @@ def symmat_pole_candidates(n: int) -> list[float]:
     return sorted({loc for loc, _ in symmat_poles(n)})
 
 
+@lru_cache(maxsize=64)
+def _symmat_constants(p: SymMatrixParams) -> tuple[complex, complex]:
+    """b_n = |prod_{k<=(n-1)/2} B_{2k}| / (2^(n-1) ((n-1)/2)!) and sign_factor, as complexes."""
+    b_num = Fraction(1)
+    for k in range(1, p.n // 2 + 1):
+        b_num *= get_tables().bern(2 * k)
+    b_const = abs(b_num) / (2 ** (p.n - 1) * math.factorial((p.n - 1) // 2))
+    return complex(float(b_const)), complex(p.sign_factor())
+
+
 def symmat_zeta(p: SymMatrixParams, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """b_n(s;L) * ( A_n(s;L) zeta(s-(n-1)/2) + B_n(s) ) for odd n >= 3."""
     s = complex(s)
     _guard_poles(symmat_poles(p.n), s, cfg)
     n, h = p.n, p.n // 2
-
-    tabs = get_tables()
-    b_num = Fraction(1)
-    for k in range(1, h + 1):
-        b_num *= tabs.bern(2 * k)
-    b_const = abs(b_num) / (2 ** (n - 1) * math.factorial((n - 1) // 2))
-    b_val = complex(float(b_const))
+    b_val, sign = _symmat_constants(p)
     if p.lattice == "Ln*":
         b_val *= rpow(2.0, (n - 1) * s)
 
@@ -521,7 +533,7 @@ def symmat_zeta(p: SymMatrixParams, s: complex, cfg: EvalConfig = DEFAULT_CONFIG
         a_part = cv_mul(a_part, riemann_zeta(2 * s - (2 * k - 1), cfg))
     main = cv_mul(a_part, riemann_zeta(s - (n - 1) // 2, cfg))
 
-    b_part = ComplexValue.of(complex(p.sign_factor()), 0.0)
+    b_part = ComplexValue.of(sign, 0.0)
     b_part = cv_mul(b_part, riemann_zeta(s, cfg))
     for k in range(1, h + 1):
         b_part = cv_mul(b_part, riemann_zeta(2 * s - 2 * k, cfg))

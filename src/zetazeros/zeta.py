@@ -18,7 +18,8 @@ twice the first omitted correction term is at most EvalConfig.target_abs_err
 value carries a truncation error near the target rather than far below it.
 The reported abs_err is that truncation term plus a rounding-noise allowance
 for the prefix sum; the allowance is calibrated, not proven, and misses on a
-small share of points (ROADMAP item 2).
+small share of points (ROADMAP item 2).  One chain of rising factorials
+per point serves the cutoff and the corrections, summed in Horner form.
 
 hurwitz_batch evaluates the same formula at an array of s in one numpy pass.
 Every point keeps its own cutoff N, and its prefix row is zero-padded to a
@@ -36,7 +37,7 @@ import numpy as np
 
 from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG
 from .errors import BudgetExceeded, PoleProximity, ZetaError
-from .tables import bernoulli_over_factorial
+from .tables import bernoulli_over_factorial, get_tables
 
 LOG_GAMMA_SHIFT = 12.0   # recurrence target for Re(s) before the Stirling series
 LOG_GAMMA_TERMS = 10
@@ -59,69 +60,72 @@ def _log_block(a: float) -> np.ndarray:
 
 
 def _log_grid(a: float, n: int) -> np.ndarray:
-    """log(k + a) for k < n.  A row that fits in a prefix block is a slice of
-    the one cached block for shift a (np.log gives the same bits either way);
-    a wider row is computed and not kept, since very negative Re(s) needs
-    N in the hundreds of thousands."""
+    """log(k + a) for k < n: a slice of the one cached block for shift a (np.log
+    gives the same bits either way), or for a wider row computed and not kept,
+    since very negative Re(s) needs N in the hundreds of thousands."""
     if n <= PREFIX_BLOCK:
         return _log_block(a)[:n]
     return np.log(np.arange(n, dtype=np.float64) + a)
 
 
-def _hurwitz_em(s: complex, a: float, n_cut: int, order: int) -> ComplexValue:
+def _hurwitz_em(s: complex, a: float, n_cut: int, order: int, chain=None) -> ComplexValue:
     """Fixed-parameter Euler-Maclaurin evaluation; no adaptivity, no pole guard.
     The prefix row is zero-padded as in hurwitz_batch, from the same log grid,
-    so that both sum the same terms in the same order."""
-    w = -(-n_cut // _ROW_PAD) * _ROW_PAD
-    terms = np.zeros(w, dtype=complex)
-    terms[:n_cut] = np.exp(-s * _log_grid(a, w)[:n_cut])
+    so that both sum the same terms in the same order.  chain defaults to
+    _pochhammer_chain(s, order)."""
+    terms = np.zeros(-(-n_cut // _ROW_PAD) * _ROW_PAD, dtype=complex)
+    np.exp(-s * _log_grid(a, n_cut), out=terms[:n_cut])
     x = n_cut + a
-    xs = cmath.exp(-s * math.log(x))        # x^{-s}
-    val, err = _em_tail(s, x, xs, complex(terms.sum()), float(np.abs(terms).sum()),
-                        math.log2(max(n_cut, 2)), order)
-    return ComplexValue.of(val, err)
+    val, err = _em_tail(s, x, cmath.exp(-s * math.log(x)), complex(np.add.reduce(terms)),
+                        float(np.add.reduce(np.abs(terms))), math.log2(max(n_cut, 2)), order,
+                        _pochhammer_chain(s, order) if chain is None else chain)
+    return ComplexValue(val.real, val.imag, err)
 
 
-def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order):
-    """Value and abs_err from the prefix sum over n < N, x = N + a, xs = x^{-s}
-    and log2n = log2(max(N, 2)).  Written with operators only, so that it
-    evaluates scalars and numpy arrays alike."""
-    val = prefix + xs * x / (s - 1) + 0.5 * xs
+def _pochhammer_chain(s, order: int) -> list:
+    """[(s)_1, (s)_3, ..., (s)_{2M+1}] for M = order, each entry the one before
+    times (s+2k-1), then times (s+2k).  Operators only, like _em_tail."""
+    chain = [s]
+    for j in range(1, 2 * order, 2):
+        chain.append(chain[-1] * (s + j) * (s + j + 1))
+    return chain
+
+
+def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order, chain):
+    """Value and abs_err from the prefix sum over n < N, x = N + a, xs = x^{-s},
+    log2n = log2(max(N, 2)) and chain = _pochhammer_chain(s, order).  The M
+    corrections are x^{-s-1} times a polynomial in y = x^{-2}, summed in Horner
+    form (Johansson, arXiv:1309.2877, section 2); the truncation term, twice
+    the first omitted one, takes the chain's last entry.  Operators only, so
+    that it evaluates scalars and numpy arrays alike."""
     bfac = bernoulli_over_factorial()
-    poch = s                                 # (s)_1
-    xp = xs / (x * x) * x                    # x^{-s-1}
-    corr = 0j
-    for k in range(1, order + 1):
-        corr = corr + bfac[2 * k] * poch * xp
-        poch = poch * ((s + 2 * k - 1) * (s + 2 * k))
-        xp = xp / (x * x)
-    val = val + corr
-
-    # poch is now (s)_{2M+1}, xp is x^{-s-2M-1}: exactly the first omitted term.
-    tail_bound = 2.0 * abs(bfac[2 * order + 2] * poch * xp)
+    y = 1.0 / (x * x)
+    corr = bfac[2 * order] * chain[order - 1]
+    for k in range(order - 1, 0, -1):
+        corr = corr * y + bfac[2 * k] * chain[k - 1]
+    xs1 = xs / x                                 # x^{-s-1}
+    pole = xs * x / (s - 1)
+    val = prefix + pole + 0.5 * xs + corr * xs1
+    tail_bound = 2.0 * abs(bfac[2 * order + 2] * chain[order] * xs1) * y**order
     # Rounding model: the angle t*log(n+a) carries absolute error eps*|angle|,
     # which surfaces as a relative error per term; calibrated against
     # high-precision references over -2 <= Re(s) <= 4, |Im(s)| <= 500.
     per_term = 4e-16 + 4e-17 * abs(s.imag)
-    noise = per_term * (1.0 + log2n / 8.0) * (
-        prefix_mass + abs(val) + abs(xs * x / (s - 1))
-    )
+    noise = per_term * (1.0 + log2n / 8.0) * (prefix_mass + abs(val) + abs(pole))
     return val, tail_bound + noise
 
 
-def _em_cutoff(s, a: float, cfg: EvalConfig):
+def _em_cutoff(s, a: float, cfg: EvalConfig, chain=None):
     """Smallest N at which twice the first omitted term meets the target,
     2|B_{2M+2}/(2M+2)! (s)_{2M+1}| (N+a)^{-Re(s)-2M-1} <= target_abs_err,
     solved for N + a in closed form and checked once, since rounding can leave
     the root one short.  N + a is held at least |s+2M|/pi, which keeps each
     correction term at most a quarter of the one before, and N at least 1.
-    Returns N as a float; _cutoff_ok says where it is usable.  Written with
-    operators and np.ceil only, so that s may be a complex or an array
-    (np.maximum would cost more than the rest on a scalar)."""
+    (s)_{2M+1} is the last entry of chain (default _pochhammer_chain(s, M)).
+    Returns N as a float, usable where _cutoff_ok says.  Operators only, the
+    ceiling too, so that s may be an array or a complex (N a Python float)."""
     order = cfg.em_order
-    poch = s
-    for j in range(1, 2 * order + 1):
-        poch = poch * (s + j)
+    poch = (_pochhammer_chain(s, order) if chain is None else chain)[order]
     factor = 2.0 * abs(bernoulli_over_factorial()[2 * order + 2] * poch)
     # 1 where the order cannot converge, so that the closed form neither
     # divides by 0 nor overflows at points _cutoff_ok rejects.
@@ -129,15 +133,14 @@ def _em_cutoff(s, a: float, cfg: EvalConfig):
     decay = (decay > 0.5) * decay + (decay <= 0.5)
     root = (factor / cfg.target_abs_err) ** (1.0 / decay)
     x_min = abs(s + 2 * order) / math.pi
-    n = np.ceil(root * (root >= x_min) + x_min * (root < x_min) - a)
+    n = -((a - root * (root >= x_min) - x_min * (root < x_min)) // 1)      # ceiling
     n = n * (n >= 1) + (n < 1)
     return n + (factor * (n + a) ** -decay > cfg.target_abs_err)
 
 
 def _cutoff_ok(s, n_cut, cfg: EvalConfig):
-    """Where Euler-Maclaurin may run with cutoff n_cut = _em_cutoff(s, ...):
-    outside the pole guard, at an order that converges, within max_terms.
-    Operators only, like _em_cutoff."""
+    """Where Euler-Maclaurin may run with cutoff n_cut = _em_cutoff(s, ...): outside
+    the pole guard, at an order that converges, within max_terms.  Operators only."""
     return ((abs(s - 1) >= cfg.pole_guard) & (s.real + 2 * cfg.em_order + 1 > 0.5)
             & (n_cut <= cfg.max_terms))
 
@@ -145,24 +148,21 @@ def _cutoff_ok(s, n_cut, cfg: EvalConfig):
 def _cutoff_error(s: complex, a: float, cfg: EvalConfig) -> ZetaError:
     """The error for a point that _cutoff_ok rejects."""
     if abs(s - 1) < cfg.pole_guard:
-        return PoleProximity(
-            f"s={s:.6g} within pole_guard of the pole at s=1", location=1.0 + 0j,
-            source=f"hurwitz({a})",
-        )
+        return PoleProximity(f"s={s:.6g} within pole_guard of the pole at s=1",
+                             location=1.0 + 0j, source=f"hurwitz({a})")
     if s.real + 2 * cfg.em_order + 1 <= 0.5:
         return BudgetExceeded(f"em_order={cfg.em_order} too small for Re(s)={s.real:.3g}")
-    return BudgetExceeded(
-        f"error target {cfg.target_abs_err:g} unreachable within "
-        f"max_terms={cfg.max_terms} at s={s:.6g}"
-    )
+    return BudgetExceeded(f"error target {cfg.target_abs_err:g} unreachable within "
+                          f"max_terms={cfg.max_terms} at s={s:.6g}")
 
 
 def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> ComplexValue:
     """Pole guard, cutoff, Euler-Maclaurin: the body shared by every a > 0."""
-    n_cut = _em_cutoff(s, a, cfg)
+    chain = _pochhammer_chain(s, cfg.em_order)
+    n_cut = _em_cutoff(s, a, cfg, chain)
     if not _cutoff_ok(s, n_cut, cfg):
         raise _cutoff_error(s, a, cfg)
-    return _hurwitz_em(s, a, int(n_cut), cfg.em_order)
+    return _hurwitz_em(s, a, int(n_cut), cfg.em_order, chain)
 
 
 def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +174,8 @@ def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.nda
     longer than that is evaluated on its own by _hurwitz_em.
     """
     s = np.asarray(s, dtype=complex)
-    n_cut = _em_cutoff(s, a, cfg)
+    chain = _pochhammer_chain(s, cfg.em_order)
+    n_cut = _em_cutoff(s, a, cfg, chain)
     for i in np.flatnonzero(~_cutoff_ok(s, n_cut, cfg))[:1]:
         raise _cutoff_error(complex(s[i]), a, cfg)
     n_cut = n_cut.astype(np.int64)
@@ -192,7 +193,7 @@ def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.nda
             mass[r] = np.abs(terms).sum(axis=1)
     x = n_cut + a
     val, err = _em_tail(s, x, np.exp(-s * np.log(x)), prefix, mass,
-                        np.log2(np.maximum(n_cut, 2)), cfg.em_order)
+                        np.log2(np.maximum(n_cut, 2)), cfg.em_order, chain)
     for i in np.flatnonzero(width > PREFIX_BLOCK):
         v = _hurwitz_em(complex(s[i]), a, int(n_cut[i]), cfg.em_order)
         val[i], err[i] = v.z, v.abs_err
@@ -248,8 +249,6 @@ def log_gamma(s: complex, pole_guard: float = 1e-8) -> ComplexValue:
 
 @lru_cache(maxsize=1)
 def _stirling_coeffs() -> tuple[float, ...]:
-    from .tables import get_tables
-
     tabs = get_tables()
     return tuple(
         float(tabs.bern(2 * k)) / (2 * k * (2 * k - 1))
