@@ -9,12 +9,13 @@ a central-difference derivative.
 
 Newton starts at the argument-principle estimate of the cell's one zero,
 z_start - (1/2 pi i) * contour integral of log F dz, taken by the trapezoid
-rule over the contour samples that also give the cell's |F| scale (for a
-child, the values its split handed down), with the phase continued along
-the phase increments that winding uses, bisected where a segment's
-principal increment exceeds the step, so that a zero close to an edge is
-resolved.  It starts at the cell centre instead when those increments do
-not sum to 2*pi, or when the estimate falls outside the cell.
+rule over the contour samples that also give the cell's |F| scale, with the
+phase continued along the phase increments that winding uses, bisected
+where a segment's principal increment exceeds the step, so that a zero
+close to an edge is resolved.  A child takes the samples, values and
+increments its split computed, so its contour is neither evaluated nor
+bisected again.  Newton starts at the cell centre instead when those
+increments do not sum to 2*pi, or when the estimate falls outside the cell.
 
 A contour's samples are evaluated in one eval_batch call, and the near-zero
 check and phase increments run over the sample array at once.  A split
@@ -28,7 +29,8 @@ A winding is accepted once two consecutive sampling densities (levels)
 agree.  Within that one decision each level reuses the values of the level
 below, so no contour point is evaluated twice, and the values are dropped
 when the decision is made; on long edges the levels sample the same points
-(see _stable_winding).  The split of the scanned rectangle starts at the
+(see _stable_winding).  A density scan hands each tile the values on its
+bottom edge, which the tile below sampled as its top edge.  The split of the scanned rectangle starts at the
 coarser of its two agreeing levels, with the accepted winding; every other
 split starts at level 0.  A split whose children fail to conserve the
 parent's winding goes on to the next denser level; only a near-zero hit on
@@ -276,7 +278,7 @@ class _Walker:
 
     def wind(self, rect: Rectangle, pts: list[complex], vals: list[complex]) -> int:
         """Winding number of F around rect from its contour samples."""
-        return round(float(self.increments(rect, pts, vals).sum()) / TWO_PI)
+        return _turns(self.increments(rect, pts, vals))
 
     def increments(self, rect: Rectangle, pts: list[complex],
                    vals: list[complex]) -> np.ndarray:
@@ -321,6 +323,11 @@ class _Walker:
                 + self._segment_phase(zm, vm, z1, v1, step, depth + 1))
 
 
+def _turns(dphi: np.ndarray) -> int:
+    """The winding number whose phase increments are dphi."""
+    return round(float(dphi.sum()) / TWO_PI)
+
+
 def expression_fn(e, cfg: EvalConfig):
     """z -> F(z) through eval_expr; ``fn.batch`` maps a point list to its
     values through eval_batch."""
@@ -330,29 +337,32 @@ def expression_fn(e, cfg: EvalConfig):
     return fn
 
 
-def _stable_winding(fn, rect: Rectangle, cc: ContourConfig) -> tuple[int, int]:
+def _stable_winding(fn, rect: Rectangle, cc: ContourConfig,
+                    known: dict | None = None) -> tuple[int, int, dict]:
     """Winding accepted only once two consecutive sampling densities agree.
 
     Guards against phase aliasing from zeros hugging the contour from either
     side; each densification (level) doubles init_samples_per_edge and halves
-    the phase step.  Each level is handed the previous level's values, so a
-    point the coarser level sampled is not evaluated again; the values live
-    for this call only.  An edge longer than init_samples_per_edge /
+    the phase step.  Each level is handed the values of ``known`` (a shared
+    edge the caller has already evaluated) and of the levels before it, so no
+    point is evaluated twice.  An edge longer than init_samples_per_edge /
     _SAMPLES_PER_UNIT gets ceil(length * _SAMPLES_PER_UNIT) samples at every
     level whose own count is below that, so those levels sample the same
     points there and the second density checks nothing new on that edge (the
     100-unit edges of the c12 rectangle get 800 samples at levels 0 to 3).
-    Returns (winding, level), level being the coarser of the two agreeing
-    levels.
+    Returns (winding, level, values): level is the coarser of the two
+    agreeing levels, and values holds F at every point this call sampled,
+    plus ``known``.
     """
-    prev, known = None, None
+    prev, known = None, dict(known or {})
     for level in range(4):
         wk = _Walker(fn, _tightened(cc, 2**level))
         pts, vals = wk.boundary(rect, known)
         w = wk.wind(rect, pts, vals)
+        known.update(zip(pts, vals))
         if w == prev:
-            return w, level - 1
-        prev, known = w, dict(zip(pts, vals))
+            return w, level - 1, known
+        prev = w
     raise ContourError(f"winding did not stabilize under refinement on {rect}")
 
 
@@ -387,7 +397,8 @@ def _winding_with_expansion(fn, rect: Rectangle, cc: ContourConfig):
     cur = rect
     for attempt in range(_JITTER_RETRIES + 1):
         try:
-            return (*_stable_winding(fn, cur, cc), cur)
+            w, level, _ = _stable_winding(fn, cur, cc)
+            return w, level, cur
         except NearZeroOnContour:
             if attempt == _JITTER_RETRIES:
                 raise
@@ -430,9 +441,10 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConf
     each parent re-measure reuses the values of the parent contour from the
     round before (``known`` for the first re-measure).  Every evaluation counts
     against ``walker``'s budget.  Returns (child, winding) pairs;
-    ``samples``, when given, receives {child: {z: F(z)}} for the contour
-    samples of each returned child, from which the child's scale and Newton
-    start point are computed.
+    ``samples``, when given, receives {child: (pts, vals, dphi)} for each
+    returned child: its contour samples at the accepted level, F at each of
+    them and the bisected phase increments its winding came from.  The
+    child's scale, Newton start point and own split reuse them.
     """
     jit = max(_effective_jitter(rect, cc), 1e-12 * max(rect.width, rect.height))
     cx = rect.sigma_lo + _SPLIT_FRAC * rect.width
@@ -467,8 +479,9 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConf
                 for c, pts in zip(children, contours):
                     v = vals[k:k + len(pts)]
                     k += len(pts)
-                    windings.append(wk.wind(c, pts, v))
-                    measured.append(dict(zip(pts, v)))
+                    dphi = wk.increments(c, pts, v)
+                    windings.append(_turns(dphi))
+                    measured.append((pts, v, dphi))
             except NearZeroOnContour as exc:
                 last_exc = exc
                 continue
@@ -559,12 +572,14 @@ def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex],
 
 def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig, level: int = 0):
     """Fully resolve one pole-free cell of known winding; a split of rect
-    itself starts at sampling ``level``, a split of any child at level 0."""
+    itself starts at sampling ``level``, a split of any child at level 0.  A
+    child works from the contour samples and increments its split handed it;
+    only rect's own contour is sampled and bisected here."""
     records: list[ZeroRecord] = []
     unresolved: list[UnresolvedCell] = []
     stack = [(rect, w, None, level)]
     while stack:
-        cell, wc, known, lvl = stack.pop()
+        cell, wc, contour, lvl = stack.pop()
         walker = _Walker(fn, cc)      # the evaluation budget is per cell
         if wc == 0:
             continue
@@ -573,11 +588,13 @@ def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig, level: int = 0
             continue
         size = max(cell.width, cell.height)
         if wc == 1:
-            pts, vals = walker.boundary(cell, known)
-            try:
-                dphi = walker.increments(cell, pts, vals)
-            except (NearZeroOnContour, ContourError, DepthExceeded):
-                dphi = None
+            if contour is None:
+                pts, vals = walker.boundary(cell)
+                try:
+                    contour = pts, vals, walker.increments(cell, pts, vals)
+                except (NearZeroOnContour, ContourError, DepthExceeded):
+                    contour = pts, vals, None
+            pts, vals, dphi = contour
             hit = _newton_refine(walker, cell, cc, _boundary_scale(vals),
                                  _start_point(cell, pts, vals, dphi))
             if hit is not None:
@@ -596,6 +613,7 @@ def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig, level: int = 0
             ))
             continue
         samples: dict = {}
+        known = None if contour is None else dict(zip(contour[0], contour[1]))
         try:
             for child, w_child in _split_cell(walker, cell, wc, cc, samples, lvl, known):
                 if w_child != 0:
@@ -694,8 +712,12 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
                 cuts[-1] = t + shift           # land exactly on the cut
             tiles = [Rectangle(lo, hi, cuts[i], cuts[i + 1])
                      for i in range(len(cuts) - 1)]
+            tile_w, edge = [], {}
             try:
-                tile_w = [_stable_winding(fn, r, cc)[0] for r in tiles]
+                for r in tiles:     # a tile's top edge is the next one's bottom edge
+                    w, _, seen = _stable_winding(fn, r, cc, edge)
+                    tile_w.append(w)
+                    edge = {z: v for z, v in seen.items() if z.imag == r.t_hi}
             except NearZeroOnContour:
                 if attempt == _JITTER_RETRIES:
                     complete = False

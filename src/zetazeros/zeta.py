@@ -24,13 +24,15 @@ per point serves the cutoff and the corrections, summed in Horner form.
 hurwitz_batch evaluates the same formula at an array of s in one numpy pass.
 Every point keeps its own cutoff N, and its prefix row is zero-padded to a
 length that depends on N alone before the pairwise sum, so a value never
-depends on which other points share the batch.
+depends on which other points share the batch.  Its tail rounds each complex
+product and abs as the scalar path does (_arith), so the two agree bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -70,9 +72,8 @@ def _log_grid(a: float, n: int) -> np.ndarray:
 
 def _hurwitz_em(s: complex, a: float, n_cut: int, order: int, chain=None) -> ComplexValue:
     """Fixed-parameter Euler-Maclaurin evaluation; no adaptivity, no pole guard.
-    The prefix row is zero-padded as in hurwitz_batch, from the same log grid,
-    so that both sum the same terms in the same order.  chain defaults to
-    _pochhammer_chain(s, order)."""
+    The prefix row is zero-padded as in hurwitz_batch, from the same log grid, so
+    both sum the same terms in the same order.  chain: as for _em_cutoff."""
     terms = np.zeros(-(-n_cut // _ROW_PAD) * _ROW_PAD, dtype=complex)
     np.exp(-s * _log_grid(a, n_cut), out=terms[:n_cut])
     x = n_cut + a
@@ -82,36 +83,48 @@ def _hurwitz_em(s: complex, a: float, n_cut: int, order: int, chain=None) -> Com
     return ComplexValue(val.real, val.imag, err)
 
 
+def _arith(s):
+    """(product, abs) for complex operands of s's kind, rounded as Python rounds
+    them: for an array, products by reals and hypot, since numpy may fuse a
+    complex product's multiply-adds and computes abs its own way."""
+    if isinstance(s, np.ndarray):
+        return (lambda u, v: u * v.real + u * 1j * v.imag), (lambda z: np.hypot(z.real, z.imag))
+    return operator.mul, abs
+
+
 def _pochhammer_chain(s, order: int) -> list:
     """[(s)_1, (s)_3, ..., (s)_{2M+1}] for M = order, each entry the one before
-    times (s+2k-1), then times (s+2k).  Operators only, like _em_tail."""
+    times (s+2k-1), then times (s+2k), for a complex s or an array."""
+    mul = _arith(s)[0]
     chain = [s]
     for j in range(1, 2 * order, 2):
-        chain.append(chain[-1] * (s + j) * (s + j + 1))
+        chain.append(mul(mul(chain[-1], s + j), s + j + 1))
     return chain
 
 
 def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order, chain):
     """Value and abs_err from the prefix sum over n < N, x = N + a, xs = x^{-s},
-    log2n = log2(max(N, 2)) and chain = _pochhammer_chain(s, order).  The M
-    corrections are x^{-s-1} times a polynomial in y = x^{-2}, summed in Horner
-    form (Johansson, arXiv:1309.2877, section 2); the truncation term, twice
-    the first omitted one, takes the chain's last entry.  Operators only, so
-    that it evaluates scalars and numpy arrays alike."""
+    log2n = log2(max(N, 2)) and chain = _pochhammer_chain(s, order), for
+    scalars and arrays alike.  The M corrections are x^{-s-1} times a polynomial
+    in y = x^{-2}, summed in Horner form (Johansson, arXiv:1309.2877, section 2);
+    the truncation term, twice the first omitted one, takes the chain's last
+    entry.  Quotients are products by reciprocals, which numpy rounds as Python."""
+    mul, cabs = _arith(s)
     bfac = bernoulli_over_factorial()
-    y = 1.0 / (x * x)
+    y = yk = 1.0 / (x * x)
     corr = bfac[2 * order] * chain[order - 1]
     for k in range(order - 1, 0, -1):
         corr = corr * y + bfac[2 * k] * chain[k - 1]
-    xs1 = xs / x                                 # x^{-s-1}
-    pole = xs * x / (s - 1)
-    val = prefix + pole + 0.5 * xs + corr * xs1
-    tail_bound = 2.0 * abs(bfac[2 * order + 2] * chain[order] * xs1) * y**order
-    # Rounding model: the angle t*log(n+a) carries absolute error eps*|angle|,
-    # which surfaces as a relative error per term; calibrated against
-    # high-precision references over -2 <= Re(s) <= 4, |Im(s)| <= 500.
+        yk = yk * y                              # y^order once the loop ends
+    xs1 = xs * (1.0 / x)                         # x^{-s-1}
+    d = s - 1
+    pole = mul(xs * x, d.conjugate() * (1.0 / (d.real * d.real + d.imag * d.imag)))
+    val = prefix + pole + 0.5 * xs + mul(corr, xs1)
+    tail_bound = 2.0 * cabs(mul(bfac[2 * order + 2] * chain[order], xs1)) * yk
+    # Rounding model, calibrated over -2 <= Re(s) <= 4, |Im(s)| <= 500: the angle
+    # t*log(n+a) carries absolute error eps*|angle|, a relative error per term.
     per_term = 4e-16 + 4e-17 * abs(s.imag)
-    noise = per_term * (1.0 + log2n / 8.0) * (prefix_mass + abs(val) + abs(pole))
+    noise = per_term * (1.0 + log2n / 8.0) * (prefix_mass + cabs(val) + cabs(pole))
     return val, tail_bound + noise
 
 
@@ -166,13 +179,10 @@ def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> ComplexValue:
 
 
 def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(s, a) at every point of the 1-D array s: (values, abs_errs).
-
-    The same formula, cutoff and abs_err as hurwitz_zeta_shifted, agreeing
-    with it to rounding; no range check on a > 0.  Prefix rows are grouped by
-    padded length and summed in blocks of at most PREFIX_BLOCK entries; a row
-    longer than that is evaluated on its own by _hurwitz_em.
-    """
+    """zeta(s, a) at every point of the 1-D array s: (values, abs_errs), with the
+    formula, cutoff and roundings of hurwitz_zeta_shifted; no range check on
+    a > 0.  Prefix rows are grouped by padded length and summed in blocks of at
+    most PREFIX_BLOCK entries; a longer row is evaluated on its own by _hurwitz_em."""
     s = np.asarray(s, dtype=complex)
     chain = _pochhammer_chain(s, cfg.em_order)
     n_cut = _em_cutoff(s, a, cfg, chain)
@@ -220,25 +230,19 @@ def hurwitz_zeta_shifted(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG)
 
 
 def log_gamma(s: complex, pole_guard: float = 1e-8) -> ComplexValue:
-    """Principal branch of log Gamma(s), continuous off the ray (-inf, 0].
-
-    Upward recurrence to Re(s) > 12, then a 10-term Stirling series.
-    """
+    """Principal branch of log Gamma(s), continuous off the ray (-inf, 0]:
+    upward recurrence to Re(s) > 12, then a 10-term Stirling series."""
     s = complex(s)
     nearest = round(s.real)
     if nearest <= 0 and abs(s - nearest) < pole_guard:
-        raise PoleProximity(
-            f"log_gamma pole at non-positive integer {nearest}",
-            location=complex(nearest), source="log_gamma",
-        )
+        raise PoleProximity(f"log_gamma pole at non-positive integer {nearest}",
+                            location=complex(nearest), source="log_gamma")
     shift = max(0, math.ceil(LOG_GAMMA_SHIFT - s.real))
     w = s + shift
     # Stirling: (w - 1/2) log w - w + log(2 pi)/2 + sum B_{2k} / (2k(2k-1) w^{2k-1})
-    bfac_raw = _stirling_coeffs()
     res = (w - 0.5) * cmath.log(w) - w + 0.5 * math.log(2.0 * math.pi)
-    winv = 1.0 / w
-    wpow = winv
-    for c in bfac_raw:
+    wpow = winv = 1.0 / w
+    for c in _stirling_coeffs():
         res += c * wpow
         wpow *= winv * winv
     for j in range(shift):
@@ -249,11 +253,8 @@ def log_gamma(s: complex, pole_guard: float = 1e-8) -> ComplexValue:
 
 @lru_cache(maxsize=1)
 def _stirling_coeffs() -> tuple[float, ...]:
-    tabs = get_tables()
-    return tuple(
-        float(tabs.bern(2 * k)) / (2 * k * (2 * k - 1))
-        for k in range(1, LOG_GAMMA_TERMS + 1)
-    )
+    return tuple(float(get_tables().bern(2 * k)) / (2 * k * (2 * k - 1))
+                 for k in range(1, LOG_GAMMA_TERMS + 1))
 
 
 def completed_zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
@@ -261,9 +262,8 @@ def completed_zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue
     s = complex(s)
     for p in (0.0, 1.0):
         if abs(s - p) < cfg.pole_guard:
-            raise PoleProximity(
-                f"completed zeta pole at s={p:g}", location=complex(p), source="xi",
-            )
+            raise PoleProximity(f"completed zeta pole at s={p:g}", location=complex(p),
+                                source="xi")
     lg = log_gamma(s / 2, cfg.pole_guard)
     pref = rpow(math.pi, -s / 2) * cmath.exp(lg.z)
     zv = riemann_zeta(s, cfg)

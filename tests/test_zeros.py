@@ -147,6 +147,19 @@ def test_density_scan_basic():
     assert scan.fit_slope == pytest.approx((13 - 3) / 50.0)
 
 
+def test_density_scan_evaluates_each_point_once(monkeypatch):
+    # Each tile's top edge is the next tile's bottom edge; its values are
+    # handed on, so no point of the scan is evaluated twice (11,248 batched
+    # points for 9,313 distinct ones while each tile sampled its own edges).
+    batched = []
+    monkeypatch.setattr(zeros, "eval_batch",
+                        lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
+    scan = density_scan(parse_expr("zeta(s)^2-zeta(2*s)"), 0.55, (100.0, 200.0, 400.0),
+                        t_floor=1e-3)
+    assert scan.counts == (13, 34, 86)
+    assert len(batched) == len(set(batched)) == 9_313
+
+
 def test_density_scan_zeta_is_zero_free():
     scan = density_scan(ZETA, 0.55, (50.0,))
     assert scan.counts == (0,)
@@ -239,19 +252,22 @@ def test_eval_batch_split_invariance():
 
 
 def test_split_cell_hands_children_their_samples():
+    # Each child gets its contour samples, values and bisected increments,
+    # equal to a fresh evaluation and bisection of its contour.
     fn = expression_fn(parse_expr("zeta(s)^2-zeta(2*s)"), DEFAULT_CONFIG)
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(fn, DEFAULT_CONTOUR)
     samples = {}
     kids = _split_cell(walker, rect, walker.winding(rect), DEFAULT_CONTOUR, samples)
     assert set(samples) == {child for child, _ in kids}
-    for child, _ in kids:
-        reused = _Walker(fn, DEFAULT_CONTOUR)
-        pts, vals = reused.boundary(child, samples[child])
-        assert reused.evals == 0
-        fresh_pts, fresh_vals = _Walker(fn, DEFAULT_CONTOUR).boundary(child)
+    for child, w in kids:
+        pts, vals, dphi = samples[child]
+        fresh = _Walker(fn, DEFAULT_CONTOUR)
+        fresh_pts, fresh_vals = fresh.boundary(child)
         assert pts == fresh_pts
         assert vals == fresh_vals
+        assert dphi.tobytes() == fresh.increments(child, fresh_pts, fresh_vals).tobytes()
+        assert zeros._turns(dphi) == w
         assert _boundary_scale(vals) == _boundary_scale(fresh_vals)
 
 
@@ -265,13 +281,14 @@ def test_split_samples_children_in_one_batch_on_shared_edges(monkeypatch):
                         lambda e, zs, cfg: batches.append(len(zs)) or eval_batch(e, zs, cfg))
     samples = {}
     kids = [child for child, _ in _split_cell(walker, rect, w, DEFAULT_CONTOUR, samples)]
-    assert batches == [len(set().union(*samples.values()))]
+    measured = {child: dict(zip(pts, vals)) for child, (pts, vals, _) in samples.items()}
+    assert batches == [len(set().union(*measured.values()))]
     # Children 0|1 and 3|2 share part of the vertical cut, 0/3 and 1/2 part
     # of the horizontal one: both sides hold the same points and values there.
     for a, b in ((0, 1), (3, 2), (0, 3), (1, 2)):
-        shared = {z: v for z, v in samples[kids[a]].items() if kids[b].contains(z)}
+        shared = {z: v for z, v in measured[kids[a]].items() if kids[b].contains(z)}
         assert len(shared) > 2
-        assert shared == {z: v for z, v in samples[kids[b]].items() if kids[a].contains(z)}
+        assert shared == {z: v for z, v in measured[kids[b]].items() if kids[a].contains(z)}
 
 
 def test_start_point_of_linear_function():
@@ -297,12 +314,13 @@ def test_start_point_falls_back_to_centre():
 
 def test_c12_evaluation_counts(monkeypatch):
     # Deterministic work counts of the c12 localisation, so that a lost saving
-    # shows without timing.  Measured: 13,461 batched points and 412 scalar
-    # evaluations (46,813 and 658 while each winding level, split round and
-    # jitter attempt evaluated its contours afresh, the root split started at
-    # level 0 and the start point used the principal increments; 82,260 and
-    # 1,574 before Newton started at the argument-principle estimate and
-    # splits were sampled in one batch).
+    # shows without timing.  Measured: 13,461 batched points and 397 scalar
+    # evaluations (412 while a winding-1 cell bisected its contour again
+    # instead of taking its split's increments; 46,813 and 658 while each
+    # winding level, split round and jitter attempt evaluated its contours
+    # afresh, the root split started at level 0 and the start point used the
+    # principal increments; 82,260 and 1,574 before Newton started at the
+    # argument-principle estimate and splits were sampled in one batch).
     counts = {"batched": 0, "scalar": 0}
 
     def eval_batch_counted(e, zs, cfg):
@@ -318,7 +336,7 @@ def test_c12_evaluation_counts(monkeypatch):
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), Rectangle(0.55, 2.0, 1e-3, 100.0))
     assert len(res.records) == 13 and not res.unresolved
     assert counts["batched"] <= int(1.1 * 13_461)
-    assert counts["scalar"] <= int(1.1 * 412)
+    assert counts["scalar"] <= int(1.1 * 397)
 
 
 def test_start_point_from_bisected_increments():
@@ -345,10 +363,11 @@ def test_stable_winding_evaluates_each_distinct_point_once(monkeypatch):
     batched = []
     monkeypatch.setattr(zeros, "eval_batch",
                         lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
-    w, level = _stable_winding(fn, rect, DEFAULT_CONTOUR)
+    w, level, values = _stable_winding(fn, rect, DEFAULT_CONTOUR)
     walkers = [_Walker(fn, _tightened(DEFAULT_CONTOUR, 2**k)) for k in range(level + 2)]
     distinct = set().union(*(wk.boundary_points(rect) for wk in walkers))
     assert len(batched) == len(distinct) == 2_112
+    assert set(values) == distinct
     assert [wk.winding(rect) for wk in walkers][-2:] == [w, w]
 
 
@@ -385,6 +404,24 @@ def test_split_conservation_failure_densifies_at_once():
     assert [w for _, w in kids] == [1, 0, 0, 0]
 
 
+def test_resolve_cell_takes_the_split_increments(monkeypatch):
+    # Two zeros in opposite children: the split bisects the four child
+    # contours once, and each winding-1 child starts Newton from the handed
+    # increments instead of bisecting its contour again.
+    z1, z2 = 0.3 + 0.3j, 0.8 + 0.8j
+    fn = lambda z: (z - z1) * (z - z2)
+    fn.batch = lambda zs: [fn(z) for z in zs]
+    calls = []
+    increments = _Walker.increments
+    monkeypatch.setattr(_Walker, "increments",
+                        lambda self, *args: calls.append(args[0]) or increments(self, *args))
+    records, unresolved = zeros._resolve_cell(fn, Rectangle(0.0, 1.0, 0.0, 1.0), 2,
+                                              DEFAULT_CONTOUR)
+    assert not unresolved
+    assert sorted(abs(r.location.z - z1) < 1e-12 for r in records) == [False, True]
+    assert len(calls) == 4
+
+
 def test_split_counts_against_the_cell_budget(monkeypatch):
     fn = expression_fn(parse_expr("zeta(s)^2-zeta(2*s)"), DEFAULT_CONFIG)
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
@@ -394,7 +431,7 @@ def test_split_counts_against_the_cell_budget(monkeypatch):
     samples = {}
     _split_cell(walker, rect, w, DEFAULT_CONTOUR, samples)
     split_evals = walker.evals - before
-    assert split_evals >= len(set().union(*samples.values()))
+    assert split_evals >= len(set().union(*(pts for pts, _, _ in samples.values())))
     # The split alone fits this budget, but not on top of the cell's contour.
     monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", walker.evals - 1)
     walker = _Walker(fn, DEFAULT_CONTOUR)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zetazeros import (
     EvalConfig,
@@ -17,6 +17,7 @@ from zetazeros import (
 )
 from zetazeros.errors import BudgetExceeded, PoleProximity, ZetaError
 from zetazeros.tables import bernoulli_over_factorial
+import zetazeros.zeta as zeta
 from zetazeros.zeta import (
     PREFIX_BLOCK, _em_cutoff, _hurwitz_em, _log_grid, hurwitz_batch, rpow,
 )
@@ -278,3 +279,39 @@ def test_cutoff_errors_match_scalar(a, zs):
     with pytest.raises(type(want)) as got:
         hurwitz_batch(np.array(zs), a, cfg)
     assert str(got.value) == str(want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(a=st.sampled_from(SHIFTS), order=st.sampled_from([12, 4]),
+       zs=st.lists(POINTS, min_size=1, max_size=8))
+def test_batch_matches_scalar_everywhere(a, order, zs):
+    # max_terms keeps each draw fast; it still lets rows past PREFIX_BLOCK
+    # through, which the batch sums on their own.  Points the scalar path
+    # rejects are left out (test_cutoff_errors_match_scalar covers them).
+    cfg = EvalConfig(em_order=order, max_terms=4 * PREFIX_BLOCK)
+    refs = {}
+    for z in zs:
+        try:
+            refs[z] = hurwitz_zeta_shifted(z, a, cfg)
+        except ZetaError:
+            pass
+    assume(refs)
+    values, errs = hurwitz_batch(np.array(list(refs)), a, cfg)
+    for ref, v, err in zip(refs.values(), values, errs):
+        assert abs(v - ref.z) <= 0.25 * ref.abs_err
+        assert abs(err - ref.abs_err) <= 1e-12 * ref.abs_err
+
+
+def test_pochhammer_chain_built_once_per_call(monkeypatch):
+    # The cutoff and the tail share one chain, in the scalar path and in a
+    # batch; the scalar cutoff stays a Python float.
+    calls = []
+    chain = zeta._pochhammer_chain
+    monkeypatch.setattr(zeta, "_pochhammer_chain",
+                        lambda s, order: calls.append(order) or chain(s, order))
+    riemann_zeta(0.5 + 14j)
+    assert calls == [12]
+    calls.clear()
+    hurwitz_batch(np.array([0.5 + 14j, 2 - 100j, -1 + 400j]), 0.5, EvalConfig(em_order=4))
+    assert calls == [4]
+    assert type(_em_cutoff(0.5 + 14j, 1.0, EvalConfig(), chain(0.5 + 14j, 12))) is float
