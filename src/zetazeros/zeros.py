@@ -22,7 +22,7 @@ check and phase increments run over the sample array at once.  A split
 evaluates all four children's contours in one batch: each edge's points are
 generated from its lower end, so children that share an edge share its
 points, and the batch evaluates each of them once.  Each child is handed the
-values on its boundary.  Phase bisection and Newton are sequential and
+values and phase increments on its boundary.  Phase bisection and Newton are sequential and
 evaluate single points through eval_expr.
 
 A winding is accepted once two consecutive sampling densities (levels)
@@ -30,13 +30,13 @@ agree.  Within that one decision each level reuses the values of the level
 below, so no contour point is evaluated twice, and the values are dropped
 when the decision is made; on long edges the levels sample the same points
 (see _stable_winding).  A density scan hands each tile the values on its
-bottom edge, which the tile below sampled as its top edge.  The split of the scanned rectangle starts at the
-coarser of its two agreeing levels, with the accepted winding; every other
-split starts at level 0.  A split whose children fail to conserve the
-parent's winding goes on to the next denser level; only a near-zero hit on
-a child contour moves the split point for another attempt at the same
-level.  Every evaluation a split makes counts against its cell's evaluation
-budget.
+bottom edge, which the tile below sampled as its top edge.  The split of
+the scanned rectangle starts at the coarser of its two agreeing levels,
+with the accepted winding; every other split starts at level 0.  A split
+whose children fail to conserve the parent's winding goes on to the next
+denser level; only a near-zero hit on a child contour moves the split point
+for another attempt at the same level.  Every evaluation a split makes
+counts against its cell's evaluation budget.
 
 Near-zero samples on the outer boundary of a scan trigger a deterministic
 outward jitter; the near-zero threshold is 10 * zero_tol, scaled down by the

@@ -18,14 +18,14 @@ twice the first omitted correction term is at most EvalConfig.target_abs_err
 value carries a truncation error near the target rather than far below it.
 The reported abs_err is that truncation term plus a rounding-noise allowance
 for the prefix sum; the allowance is calibrated, not proven, and misses on a
-small share of points (ROADMAP item 2).  One chain of rising factorials
-per point serves the cutoff and the corrections, summed in Horner form.
+small share of points (ROADMAP item 2).  One chain of rising factorials per
+point serves the cutoff and the corrections, which are summed in Horner form.
 
 hurwitz_batch evaluates the same formula at an array of s in one numpy pass.
 Every point keeps its own cutoff N, and its prefix row is zero-padded to a
 length that depends on N alone before the pairwise sum, so a value never
-depends on which other points share the batch.  Its tail rounds each complex
-product and abs as the scalar path does (_arith), so the two agree bit for bit.
+depends on which other points share the batch; the tail rounds as the scalar
+path does (_arith), so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG
 from .errors import BudgetExceeded, PoleProximity, ZetaError
-from .tables import bernoulli_over_factorial, get_tables
+from .tables import bernoulli_over_factorial
 
 LOG_GAMMA_SHIFT = 12.0   # recurrence target for Re(s) before the Stirling series
 LOG_GAMMA_TERMS = 10
@@ -62,9 +62,10 @@ def _log_block(a: float) -> np.ndarray:
 
 
 def _log_grid(a: float, n: int) -> np.ndarray:
-    """log(k + a) for k < n: a slice of the one cached block for shift a (np.log
-    gives the same bits either way), or for a wider row computed and not kept,
-    since very negative Re(s) needs N in the hundreds of thousands."""
+    """log(k + a) for k < n.  A row that fits in a prefix block is a slice of
+    the one cached block for shift a (np.log gives the same bits either way);
+    a wider row is computed and not kept, since very negative Re(s) needs
+    N in the hundreds of thousands."""
     if n <= PREFIX_BLOCK:
         return _log_block(a)[:n]
     return np.log(np.arange(n, dtype=np.float64) + a)
@@ -104,11 +105,11 @@ def _pochhammer_chain(s, order: int) -> list:
 
 def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order, chain):
     """Value and abs_err from the prefix sum over n < N, x = N + a, xs = x^{-s},
-    log2n = log2(max(N, 2)) and chain = _pochhammer_chain(s, order), for
-    scalars and arrays alike.  The M corrections are x^{-s-1} times a polynomial
-    in y = x^{-2}, summed in Horner form (Johansson, arXiv:1309.2877, section 2);
-    the truncation term, twice the first omitted one, takes the chain's last
-    entry.  Quotients are products by reciprocals, which numpy rounds as Python."""
+    log2n = log2(max(N, 2)) and chain = _pochhammer_chain(s, order), for scalars
+    and arrays alike.  The corrections are x^{-s-1} times a polynomial in y = x^-2,
+    in Horner form (Johansson, arXiv:1309.2877, section 2); the truncation term
+    takes the chain's last entry.  Quotients are products by reciprocals, which
+    numpy rounds as Python does."""
     mul, cabs = _arith(s)
     bfac = bernoulli_over_factorial()
     y = yk = 1.0 / (x * x)
@@ -152,8 +153,9 @@ def _em_cutoff(s, a: float, cfg: EvalConfig, chain=None):
 
 
 def _cutoff_ok(s, n_cut, cfg: EvalConfig):
-    """Where Euler-Maclaurin may run with cutoff n_cut = _em_cutoff(s, ...): outside
-    the pole guard, at an order that converges, within max_terms.  Operators only."""
+    """Where Euler-Maclaurin may run with cutoff n_cut = _em_cutoff(s, ...):
+    outside the pole guard, at an order that converges, within max_terms.
+    Operators only, like _em_cutoff."""
     return ((abs(s - 1) >= cfg.pole_guard) & (s.real + 2 * cfg.em_order + 1 > 0.5)
             & (n_cut <= cfg.max_terms))
 
@@ -161,12 +163,16 @@ def _cutoff_ok(s, n_cut, cfg: EvalConfig):
 def _cutoff_error(s: complex, a: float, cfg: EvalConfig) -> ZetaError:
     """The error for a point that _cutoff_ok rejects."""
     if abs(s - 1) < cfg.pole_guard:
-        return PoleProximity(f"s={s:.6g} within pole_guard of the pole at s=1",
-                             location=1.0 + 0j, source=f"hurwitz({a})")
+        return PoleProximity(
+            f"s={s:.6g} within pole_guard of the pole at s=1", location=1.0 + 0j,
+            source=f"hurwitz({a})",
+        )
     if s.real + 2 * cfg.em_order + 1 <= 0.5:
         return BudgetExceeded(f"em_order={cfg.em_order} too small for Re(s)={s.real:.3g}")
-    return BudgetExceeded(f"error target {cfg.target_abs_err:g} unreachable within "
-                          f"max_terms={cfg.max_terms} at s={s:.6g}")
+    return BudgetExceeded(
+        f"error target {cfg.target_abs_err:g} unreachable within "
+        f"max_terms={cfg.max_terms} at s={s:.6g}"
+    )
 
 
 def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> ComplexValue:
@@ -230,19 +236,25 @@ def hurwitz_zeta_shifted(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG)
 
 
 def log_gamma(s: complex, pole_guard: float = 1e-8) -> ComplexValue:
-    """Principal branch of log Gamma(s), continuous off the ray (-inf, 0]:
-    upward recurrence to Re(s) > 12, then a 10-term Stirling series."""
+    """Principal branch of log Gamma(s), continuous off the ray (-inf, 0].
+
+    Upward recurrence to Re(s) > 12, then a 10-term Stirling series.
+    """
     s = complex(s)
     nearest = round(s.real)
     if nearest <= 0 and abs(s - nearest) < pole_guard:
-        raise PoleProximity(f"log_gamma pole at non-positive integer {nearest}",
-                            location=complex(nearest), source="log_gamma")
+        raise PoleProximity(
+            f"log_gamma pole at non-positive integer {nearest}",
+            location=complex(nearest), source="log_gamma",
+        )
     shift = max(0, math.ceil(LOG_GAMMA_SHIFT - s.real))
     w = s + shift
     # Stirling: (w - 1/2) log w - w + log(2 pi)/2 + sum B_{2k} / (2k(2k-1) w^{2k-1})
+    bfac_raw = _stirling_coeffs()
     res = (w - 0.5) * cmath.log(w) - w + 0.5 * math.log(2.0 * math.pi)
-    wpow = winv = 1.0 / w
-    for c in _stirling_coeffs():
+    winv = 1.0 / w
+    wpow = winv
+    for c in bfac_raw:
         res += c * wpow
         wpow *= winv * winv
     for j in range(shift):
@@ -253,8 +265,13 @@ def log_gamma(s: complex, pole_guard: float = 1e-8) -> ComplexValue:
 
 @lru_cache(maxsize=1)
 def _stirling_coeffs() -> tuple[float, ...]:
-    return tuple(float(get_tables().bern(2 * k)) / (2 * k * (2 * k - 1))
-                 for k in range(1, LOG_GAMMA_TERMS + 1))
+    from .tables import get_tables
+
+    tabs = get_tables()
+    return tuple(
+        float(tabs.bern(2 * k)) / (2 * k * (2 * k - 1))
+        for k in range(1, LOG_GAMMA_TERMS + 1)
+    )
 
 
 def completed_zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
@@ -262,8 +279,9 @@ def completed_zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue
     s = complex(s)
     for p in (0.0, 1.0):
         if abs(s - p) < cfg.pole_guard:
-            raise PoleProximity(f"completed zeta pole at s={p:g}", location=complex(p),
-                                source="xi")
+            raise PoleProximity(
+                f"completed zeta pole at s={p:g}", location=complex(p), source="xi",
+            )
     lg = log_gamma(s / 2, cfg.pole_guard)
     pref = rpow(math.pi, -s / 2) * cmath.exp(lg.z)
     zv = riemann_zeta(s, cfg)
