@@ -22,8 +22,8 @@ check and phase increments run over the sample array at once.  A split
 evaluates all four children's contours in one batch: each edge's points are
 generated from its lower end, so children that share an edge share its
 points, and the batch evaluates each of them once.  Each child is handed the
-values and phase increments on its boundary.  Phase bisection and Newton are sequential and
-evaluate single points through eval_expr.
+values and phase increments on its boundary.  Phase bisection and Newton
+are sequential and evaluate single points through eval_expr.
 
 A winding is accepted once two consecutive sampling densities (levels)
 agree.  Within that one decision each level reuses the values of the level
