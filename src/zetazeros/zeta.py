@@ -25,7 +25,7 @@ hurwitz_batch evaluates the same formula at an array of s in one numpy pass.
 Every point keeps its own cutoff N, and its prefix row is zero-padded to a
 length that depends on N alone before the pairwise sum, so a value never
 depends on which other points share the batch; the tail rounds as the scalar
-path does (_arith), so the two agree bit for bit.
+path does, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -84,22 +84,20 @@ def _hurwitz_em(s: complex, a: float, n_cut: int, order: int, chain=None) -> Com
     return ComplexValue(val.real, val.imag, err)
 
 
-def _arith(s):
-    """(product, abs) for complex operands of s's kind, rounded as Python rounds
-    them: for an array, products by reals and hypot, since numpy may fuse a
-    complex product's multiply-adds and computes abs its own way."""
-    if isinstance(s, np.ndarray):
-        return (lambda u, v: u * v.real + u * 1j * v.imag), (lambda z: np.hypot(z.real, z.imag))
-    return operator.mul, abs
-
-
 def _pochhammer_chain(s, order: int) -> list:
     """[(s)_1, (s)_3, ..., (s)_{2M+1}] for M = order, each entry the one before
-    times (s+2k-1), then times (s+2k), for a complex s or an array."""
-    mul = _arith(s)[0]
+    times (s+2k-1), then times (s+2k).  For an array, a product u*(s+j) is
+    taken as u*Re(s+j) + u*i*Im(s+j), which rounds as Python's complex product
+    does, where numpy's may fuse its multiply-adds (see _em_tail)."""
     chain = [s]
+    if isinstance(s, np.ndarray):
+        re, im = s.real + 0j, 1j * s.imag
+        for j in range(1, 2 * order, 2):
+            u = chain[-1] * (re + j) + chain[-1] * im
+            chain.append(u * (re + (j + 1)) + u * im)
+        return chain
     for j in range(1, 2 * order, 2):
-        chain.append(mul(mul(chain[-1], s + j), s + j + 1))
+        chain.append(chain[-1] * (s + j) * (s + j + 1))
     return chain
 
 
@@ -110,7 +108,10 @@ def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order, chain):
     in Horner form (Johansson, arXiv:1309.2877, section 2); the truncation term
     takes the chain's last entry.  Quotients are products by reciprocals, which
     numpy rounds as Python does."""
-    mul, cabs = _arith(s)
+    mul, cabs = operator.mul, abs
+    if isinstance(s, np.ndarray):       # Python's roundings, as in _pochhammer_chain
+        mul = lambda u, v: u * v.real + u * 1j * v.imag
+        cabs = lambda z: np.hypot(z.real, z.imag)       # np.abs rounds its own way
     bfac = bernoulli_over_factorial()
     y = yk = 1.0 / (x * x)
     corr = bfac[2 * order] * chain[order - 1]
