@@ -25,7 +25,7 @@ hurwitz_batch evaluates the same formula at an array of s in one numpy pass.
 Every point keeps its own cutoff N, and its prefix row is zero-padded to a
 length that depends on N alone before the pairwise sum, so a value never
 depends on which other points share the batch; the tail rounds as the scalar
-path does, so the two agree bit for bit.
+path does, so the two agree bit for bit wherever their cutoffs agree.
 """
 
 from __future__ import annotations
