@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -67,37 +70,57 @@ DEFAULT_CONFIG = EvalConfig()
 
 
 # First-order error propagation on (value, abs_err) pairs, where a value is a
-# complex or a numpy array of them: the expression evaluator applies these to
-# points and to batches alike, and the cv_* forms to ComplexValues serve the
-# family evaluators.
+# complex or a numpy array of them: the expression evaluator and the family
+# term lists apply these rules to points and to batches alike.  On arrays
+# every product, modulus and power rounds as Python's does on a complex, so
+# a batch value equals the point value bit for bit.
+
+def cmul(u, v):
+    """u * v; on arrays taken as u*Re(v) + u*i*Im(v), which rounds as Python's
+    complex product does, where numpy's may fuse its multiply-adds."""
+    if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+        return u * v.real + u * 1j * v.imag
+    return u * v
+
+
+def cabs(z):
+    """|z|; on arrays np.hypot, as Python's abs, where np.abs rounds its own way."""
+    if isinstance(z, np.ndarray):
+        return np.hypot(z.real, z.imag)
+    return abs(z)
+
+
+def _ipow(x, k: int, mul=cmul):
+    """x**k for an integer k >= 1 by binary powering, in the order of CPython's
+    integer power of a complex (exponents up to 100)."""
+    r = None
+    while True:
+        if k & 1:
+            r = x if r is None else mul(r, x)
+        k >>= 1
+        if not k:
+            return r
+        x = mul(x, x)
+
 
 def err_add(pairs) -> tuple:
     z, err = 0j, 0.0
     for v, ev in pairs:
         z, err = z + v, err + ev
-    return z, err + 1e-16 * abs(z)
+    return z, err + 1e-16 * cabs(z)
 
 
 def err_mul(a, ea, b, eb) -> tuple:
-    z = a * b
-    return z, abs(a) * eb + abs(b) * ea + ea * eb + 1e-16 * abs(z)
+    # On a point, Python's own product and abs, chosen once instead of per cmul/cabs call.
+    mul, mod = ((cmul, cabs) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+                else (operator.mul, abs))
+    z = mul(a, b)
+    return z, mod(a) * eb + mod(b) * ea + ea * eb + 1e-16 * mod(z)
 
 
 def err_pow(v, ev, k: int) -> tuple:
     if k < 1:
         raise ValueError("integer power must be >= 1")
-    z = v**k
-    err = k * abs(v) ** (k - 1) * ev if k > 1 else ev
-    return z, err + 1e-16 * abs(z)
-
-
-def cv_add(*vals: ComplexValue) -> ComplexValue:
-    return ComplexValue.of(*err_add((v.z, v.abs_err) for v in vals))
-
-
-def cv_mul(a: ComplexValue, b: ComplexValue) -> ComplexValue:
-    return ComplexValue.of(*err_mul(a.z, a.abs_err, b.z, b.abs_err))
-
-
-def cv_scale(c: complex, v: ComplexValue) -> ComplexValue:
-    return ComplexValue.of(c * v.z, abs(c) * v.abs_err)
+    z = _ipow(v, k)
+    err = k * _ipow(cabs(v), k - 1, operator.mul) * ev if k > 1 else ev
+    return z, err + 1e-16 * cabs(z)

@@ -12,12 +12,16 @@ Grammar (whitespace insensitive):
     pair   := "(" NUMBER "," NUMBER ")"        # (coefficient a_k, exponent l_k)
 
 ATOM is a name in the ATOMS registry, whose entry gives its argument readers
-(affine, INT, RATIONAL, "Ln"|"Ln*", SIGN), pole candidates and evaluators.
+(affine, INT, RATIONAL, "Ln"|"Ln*", SIGN), pole candidates and evaluator.
 Only integer powers >= 1 exist, matching polynomial combinations of the
-atoms; affine arguments are restricted to rational alpha*s + beta.
+atoms; affine arguments are restricted to rational alpha*s + beta.  The
+family atoms (ezd, barnes, sphere, symmat) parse and print as themselves and
+evaluate through their families' term lists, polynomials in Hurwitz zetas.
 
 eval_expr evaluates one point; eval_batch evaluates an array of points in one
-vectorised pass with the same error propagation.
+vectorised pass.  Both run the same compiled closure: every node, atom and
+error rule is written with operators only, so a point and an array go
+through the same code.
 """
 
 from __future__ import annotations
@@ -30,23 +34,21 @@ from typing import Callable
 
 import numpy as np
 
-from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, err_add, err_mul, err_pow
-from .errors import ArityError, ExprSyntaxError, OutOfRange, PoleProximity, UnknownFamily
+from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, cabs, err_add, err_mul, err_pow
+from .errors import (
+    ArityError, ExprSyntaxError, OutOfRange, PoleProximity, UnknownFamily, ZetaError,
+)
 from .families import (
     BarnesParams,
     SymMatrixParams,
-    barnes_poles,
-    barnes_zeta,
-    ez_diagonal,
-    ez_diagonal_poles,
+    barnes_poly,
+    ezd_poly,
     hoffman_diagonal_coeffs,
     sphere_mult_poly,
-    sphere_poles,
-    sphere_spectral,
-    symmat_poles,
-    symmat_zeta,
+    sphere_poly,
+    symmat_poly,
 )
-from .zeta import completed_zeta, hurwitz_batch, hurwitz_zeta, riemann_zeta
+from .zeta import completed_zeta_pair, hurwitz_pair
 
 
 # ---------------------------------------------------------------------------
@@ -55,22 +57,14 @@ from .zeta import completed_zeta, hurwitz_batch, hurwitz_zeta, riemann_zeta
 
 class _Node:
     """Base of the IR nodes.  Nodes are immutable, so the pole guard list and
-    the evaluation closures are built on first evaluation and kept on the
+    the evaluation closure are built on first evaluation and kept on the
     node: the per-point path neither hashes the tree nor converts Fractions
     again."""
 
     @cached_property
     def _plan(self):
-        """The pole guard list and a closure (s, cfg) -> ComplexValue."""
-        guard = tuple((c.location, c.source) for c in pole_set(self))
-        if isinstance(self, _Atom):          # its evaluator returns a ComplexValue
-            return guard, ATOMS[self.kind].evaluator(*self.args)
-        fn = _compile(self)
-        return guard, lambda s, cfg: ComplexValue.of(*fn(s, cfg))
-
-    @cached_property
-    def _batch_plan(self):
-        return _compile(self, batch=True)
+        """The pole guard list and the closure (s, cfg) -> (value, abs_err)."""
+        return tuple((c.location, c.source) for c in pole_set(self)), _compile(self)
 
 
 @dataclass(frozen=True)
@@ -445,23 +439,23 @@ def _paren_if(e, kinds: tuple) -> str:
 
 @dataclass(frozen=True)
 class AtomKind:
-    """One atom name: its argument readers, pole candidates and evaluators.
+    """One atom name: its argument readers, pole candidates and evaluator.
 
-    ``poles``, ``evaluator``, ``batch`` and ``check`` take the node's
-    arguments.  ``batch``, where given, returns a closure (s array, cfg) ->
-    (values, abs_errs); eval_batch loops ``evaluator`` over the points of
-    atoms without one.  The parser runs ``check``, the family's own parameter
-    validator, so that a structural parameter out of range is an ArityError at
-    parse time.  Evaluators look up the zeta and family functions in this
-    module's globals at call time, so rebinding those names (as tracing does)
-    takes effect.
+    ``poles``, ``evaluator`` and ``check`` take the node's arguments.
+    ``evaluator`` returns a closure (s, cfg) -> (value, abs_err) that takes a
+    point (a complex) or a 1-D array of points, with the same bits either way;
+    it does not guard poles, which eval_expr and eval_batch do from ``poles``.
+    The parser runs ``check``, the family's own parameter validator, so that a
+    structural parameter out of range is an ArityError at parse time.  The
+    closures look up their kernel entry (hurwitz_pair, completed_zeta_pair,
+    and families.hurwitz_pair for the family factors) in the module globals
+    at call time, so rebinding those names takes effect.
     """
 
     signature: tuple[Callable, ...]
     poles: Callable[..., list]
-    evaluator: Callable[..., Callable[[complex, EvalConfig], ComplexValue]]
+    evaluator: Callable[..., Callable]
     check: Callable[..., object] = lambda *args: None
-    batch: Callable[..., Callable] | None = None
 
 
 def _hurwitz_shift(ab, a) -> None:
@@ -488,50 +482,39 @@ def _at_affine(ab, f):
     return lambda s, cfg: f(alpha * s + beta, cfg)
 
 
-def _locations(poles) -> list[float]:
-    return [loc for loc, _ in poles]
+def _family(poly) -> dict:
+    """Pole candidates and evaluator of a family atom from its ZetaPoly, which
+    poly builds from the atom's arguments."""
+    return dict(poles=lambda *p: [loc for loc, _ in poly(*p).poles],
+                evaluator=lambda *p: poly(*p).pair)
 
 
 ATOMS: dict[str, AtomKind] = {
     "zeta": AtomKind(
         (_Parser.affine,),
         poles=lambda ab: [_arg_pole(ab)],
-        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: riemann_zeta(z, cfg)),
-        batch=lambda ab: _at_affine(ab, lambda z, cfg: hurwitz_batch(z, 1.0, cfg))),
+        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: hurwitz_pair(z, 1.0, cfg))),
     "hurwitz": AtomKind(
         (_Parser.affine, _Parser.rational),
         poles=lambda ab, a: [_arg_pole(ab)],
         evaluator=lambda ab, a: _at_affine(
-            ab, lambda z, cfg, a=float(a): hurwitz_zeta(z, a, cfg)),
-        check=_hurwitz_shift,
-        batch=lambda ab, a: _at_affine(
-            ab, lambda z, cfg, a=float(a): hurwitz_batch(z, a, cfg))),
+            ab, lambda z, cfg, a=float(a): hurwitz_pair(z, a, cfg)),
+        check=_hurwitz_shift),
     "xi": AtomKind(
         (_Parser.affine,),
         # Gamma-side pole where the argument is 0, next to zeta's at 1
         poles=lambda ab: [_arg_pole(ab), -float(ab[1]) / float(ab[0])],
-        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: completed_zeta(z, cfg))),
+        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: completed_zeta_pair(z, cfg))),
     "ezd": AtomKind(
-        (_Parser.integer,),
-        poles=lambda r: _locations(ez_diagonal_poles(r)),
-        evaluator=lambda r: lambda s, cfg: ez_diagonal(r, s, cfg),
-        check=hoffman_diagonal_coeffs),
+        (_Parser.integer,), check=hoffman_diagonal_coeffs, **_family(ezd_poly)),
     "barnes": AtomKind(
-        (_Parser.integer, _Parser.rational),
-        poles=lambda r, a: _locations(barnes_poles(r)),
-        evaluator=lambda r, a: (
-            lambda s, cfg, a=float(a): barnes_zeta(BarnesParams(r, a), s, cfg)),
-        check=lambda r, a: BarnesParams(r, float(a))),
+        (_Parser.integer, _Parser.rational), check=lambda r, a: BarnesParams(r, float(a)),
+        **_family(lambda r, a: barnes_poly(r, float(a)))),
     "sphere": AtomKind(
-        (_Parser.integer,),
-        poles=lambda n: _locations(sphere_poles(n)),
-        evaluator=lambda n: lambda s, cfg: sphere_spectral(n, s, cfg),
-        check=sphere_mult_poly),
+        (_Parser.integer,), check=sphere_mult_poly, **_family(sphere_poly)),
     "symmat": AtomKind(
-        (_Parser.integer, _Parser.lattice, _Parser.sign, _Parser.sign),
-        poles=lambda n, *_: _locations(symmat_poles(n)),
-        evaluator=lambda *p: lambda s, cfg: symmat_zeta(SymMatrixParams(*p), s, cfg),
-        check=SymMatrixParams),
+        (_Parser.integer, _Parser.lattice, _Parser.sign, _Parser.sign), check=SymMatrixParams,
+        **_family(lambda *p: symmat_poly(SymMatrixParams(*p)))),
 }
 
 
@@ -589,46 +572,31 @@ def pole_set(e) -> PoleSet:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _compile(e, batch: bool = False):
+def _compile(e):
     """Closure (s, cfg) -> (value, abs_err) evaluating the subtree e at the
-    point s, or with ``batch`` at every point of the array s.  Nodes combine
-    values and errors through the err_* propagation rules at a point and on
-    arrays alike; only atoms and exp differ between the two."""
+    point s, or at every point of the 1-D array s.  Nodes combine values and
+    errors through the err_* propagation rules, which round on arrays as on
+    a complex; atoms evaluate through their registry evaluators."""
     if isinstance(e, Const):
         return lambda s, cfg: (e.value, 0.0)
     if isinstance(e, DirichletPoly):
-        exp = np.exp if batch else cmath.exp
-
         def dirichlet(s, cfg):
+            exp = np.exp if isinstance(s, np.ndarray) else cmath.exp
             val = 0j
             mass = 0.0
             for a, lam in e.pairs:
                 term = a * exp(-lam * s)
                 val = val + term
-                mass = mass + abs(term)
+                mass = mass + cabs(term)
             return val, 4e-16 * mass
         return dirichlet
     if isinstance(e, _Atom):
-        kind = ATOMS[e.kind]
-        if batch and kind.batch is not None:
-            return kind.batch(*e.args)
-        f = kind.evaluator(*e.args)
-        if batch:
-            def each(s, cfg):
-                out = [f(z, cfg) for z in s.tolist()]
-                return (np.array([v.z for v in out], dtype=complex),
-                        np.array([v.abs_err for v in out], dtype=float))
-            return each
-
-        def atom(s, cfg):
-            v = f(s, cfg)
-            return v.z, v.abs_err
-        return atom
+        return ATOMS[e.kind].evaluator(*e.args)
     if isinstance(e, Add):
-        terms = [_compile(c, batch) for c in e.children]
+        terms = [_compile(c) for c in e.children]
         return lambda s, cfg: err_add(f(s, cfg) for f in terms)
     if isinstance(e, Mul):
-        first, *rest = [_compile(c, batch) for c in e.children]
+        first, *rest = [_compile(c) for c in e.children]
 
         def mul(s, cfg):
             z, err = first(s, cfg)
@@ -637,10 +605,10 @@ def _compile(e, batch: bool = False):
             return z, err
         return mul
     if isinstance(e, Pow):
-        base, k = _compile(e.base, batch), e.k
+        base, k = _compile(e.base), e.k
         return lambda s, cfg: err_pow(*base(s, cfg), k)
     if isinstance(e, Neg):
-        child = _compile(e.child, batch)
+        child = _compile(e.child)
 
         def neg(s, cfg):
             v, ev = child(s, cfg)
@@ -658,7 +626,8 @@ def eval_expr(e, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     for location, source in guard:
         if abs(s - location) < cfg.pole_guard:
             raise _guard_error(s, location, source)
-    return fn(s, cfg)
+    z, err = fn(s, cfg)
+    return ComplexValue(z.real, z.imag, err)
 
 
 def _guard_error(s: complex, location: complex, source: str) -> PoleProximity:
@@ -671,19 +640,22 @@ def _guard_error(s: complex, location: complex, source: str) -> PoleProximity:
 def eval_batch(e, zs, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """eval_expr at every point of the 1-D sequence zs: (values, abs_errs).
 
-    Values agree with eval_expr to rounding (bitwise for xi and the family
-    atoms, which are looped) and do not depend on the order of zs or on how a
-    list of points is split into batches.  The pole guard checks every point
-    before any is evaluated and raises eval_expr's PoleProximity for the first
-    offending one; an atom that fails raises, for its first failing point,
-    what eval_expr raises there; a non-finite abs_err raises ValueError.
+    The same closure runs on the array as eval_expr runs on a point, so values
+    agree with eval_expr to rounding: bit for bit for xi and the family atoms,
+    whose arithmetic rounds on arrays as on a complex, and within 1e-14 of
+    the value for the other atoms at t <= 400.  Values do not depend on the
+    order of zs or on how a list of points is split into batches.  The pole
+    guard checks every point before any is evaluated and raises eval_expr's
+    PoleProximity for the first offending one.  When evaluation fails, or a
+    point's abs_err is not finite, eval_batch raises what eval_expr raises at
+    the first point where it fails (ValueError for a non-finite abs_err).
     """
     if not isinstance(e, _Node):
         raise TypeError(f"not an expression node: {e!r}")
     s = np.asarray(zs, dtype=complex)
     if s.ndim != 1:
         raise ValueError(f"eval_batch takes a 1-D sequence of points, got shape {s.shape}")
-    guard, _ = e._plan
+    guard, fn = e._plan
     if guard and s.size:
         locations = np.array([loc for loc, _ in guard])
         near = np.abs(s[None, :] - locations[:, None]) < cfg.pole_guard
@@ -691,8 +663,13 @@ def eval_batch(e, zs, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.
         if hit.any():
             i = int(np.argmax(hit))
             raise _guard_error(complex(s[i]), *guard[int(np.argmax(near[:, i]))])
-    values, errs = (np.array(np.broadcast_to(x, s.shape)) for x in e._batch_plan(s, cfg))
-    bad = np.flatnonzero(~np.isfinite(errs))
-    if bad.size:      # raises the ValueError that ComplexValue gives eval_expr
-        ComplexValue.of(values[bad[0]], errs[bad[0]])
+    try:
+        values, errs = (np.array(np.broadcast_to(x, s.shape)) for x in fn(s, cfg))
+    except (ZetaError, ArithmeticError, ValueError):
+        for z in s.tolist():        # what eval_expr raises at the first failing point
+            eval_expr(e, z, cfg)
+        raise
+    for i in np.flatnonzero(~np.isfinite(errs))[:1]:
+        eval_expr(e, complex(s[i]), cfg)
+        ComplexValue.of(values[i], errs[i])         # the ValueError eval_expr gives
     return values, errs

@@ -1,16 +1,18 @@
-"""Closed-form reductions of the zeta families to Riemann/Hurwitz atoms,
+"""The zeta families as polynomials in Hurwitz zetas at affine arguments,
 plus direct-summation oracles valid in their absolute-convergence regions.
 
-Families covered: Euler-Zagier multiple zeta (diagonal via the Hoffman
-partition identity, plus nested direct sums), Barnes r-tuple zeta (Stirling
-re-centering and a composition-count direct sum), spectral zeta of the
-n-sphere, the symmetric-matrix zeta for odd n, and generic matrix-of-linear-
-forms multiple series (Shintani/Mordell/Euler-Zagier-Hurwitz/Witten
-instances).
+Each reduction is given once, as a ZetaPoly term list: the Euler-Zagier
+diagonal (Hoffman partition identity), the Barnes r-tuple zeta (Stirling
+re-centering), the n-sphere's spectral zeta and the symmetric-matrix zeta for
+odd n.  The expression atoms ezd, barnes, sphere and symmat evaluate through
+these term lists; ez_diagonal, barnes_zeta, sphere_spectral and symmat_zeta
+are their guarded point forms.  Generic matrix-of-linear-forms multiple series
+(Shintani/Mordell/Euler-Zagier-Hurwitz/Witten instances) are summed directly.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, cv_add, cv_mul, cv_scale
+from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, cabs, cmul, err_add, err_mul
 from .errors import (
     BudgetExceeded,
     NotInConvergenceRegion,
@@ -27,27 +29,69 @@ from .errors import (
     PoleProximity,
 )
 from .tables import get_tables, bernoulli_over_factorial
-from .zeta import hurwitz_zeta, hurwitz_zeta_shifted, riemann_zeta, rpow
+from .zeta import hurwitz_pair, hurwitz_zeta_shifted, rpow
 
 HOFFMAN_MAX_R = 12
 BARNES_MAX_R = 12
 SPHERE_MAX_N = 16
+_LOG2 = math.log(2.0)
+
+Factor = tuple[float, float, float]      # (alpha, beta, a): zeta(alpha*s + beta, a)
 
 
-# Each family lists the zeta factors that carry its poles; one guard reads the list.
+def _factor_pole(f: Factor) -> tuple[float, str]:
+    """The pole of the factor zeta(alpha*s + beta, a), at s = (1 - beta)/alpha,
+    and the factor's name."""
+    alpha, beta, a = f
+    arg = ("s" if alpha == 1 else f"{alpha:g}*s") + (f"{beta:+g}" if beta else "")
+    return (1.0 - beta) / alpha, f"zeta({arg}{'' if a == 1 else f',{a:g}'})"
 
-def _factor_pole(c: int, j: int, shift: str = "") -> tuple[float, str]:
-    """The pole of the factor zeta(c*s - j[, shift]), at s = (j + 1) / c."""
-    arg = ("s" if c == 1 else f"{c}*s") + (f"-{j}" if j else "")
-    return (j + 1) / c, f"zeta({arg}{shift})"
 
+class ZetaPoly:
+    """scale * 2^{exp2*s} * sum over terms of c * prod zeta(alpha*s + beta, a).
 
-def _guard_poles(poles, s: complex, cfg: EvalConfig) -> None:
-    for loc, factor in poles:
-        if abs(s - loc) < cfg.pole_guard:
-            raise PoleProximity(
-                f"{factor} has a pole at s={loc:g}", location=complex(loc), source=factor,
-            )
+    terms holds every term of a family's reduction as (c, factors), also those
+    whose coefficient vanishes: they are not evaluated, but their factors stay
+    pole candidates, as the family's pole list has always been conservative.
+    """
+
+    def __init__(self, terms, scale: float = 1.0, exp2: float = 0.0):
+        self.terms = tuple(terms)
+        self.scale, self.exp2 = scale, exp2
+        live = [(c, fs) for c, fs in self.terms if c != 0]
+        self.factors = tuple(dict.fromkeys(f for _, fs in live for f in fs))
+        index = {f: i for i, f in enumerate(self.factors)}
+        self._live = tuple((c, tuple(index[f] for f in fs)) for c, fs in live)
+        self.poles = tuple(dict.fromkeys(_factor_pole(f) for _, fs in self.terms for f in fs))
+
+    def pair(self, s, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
+        """(value, abs_err) at a point s (a complex) or at every point of a 1-D
+        array s, bit for bit the same either way; no pole guard.  Each distinct
+        factor is evaluated once."""
+        vals = [hurwitz_pair(alpha * s + beta, a, cfg) for alpha, beta, a in self.factors]
+        parts = []
+        for c, idx in self._live:
+            z, err = vals[idx[0]]
+            for i in idx[1:]:
+                z, err = err_mul(z, err, *vals[i])
+            parts.append((c * z, abs(c) * err))
+        z, err = err_add(parts)
+        if self.exp2:
+            exp = np.exp if isinstance(s, np.ndarray) else cmath.exp
+            w = self.scale * exp(self.exp2 * s * _LOG2)
+            return cmul(w, z), cabs(w) * err
+        return self.scale * z, abs(self.scale) * err
+
+    def value(self, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
+        """The polynomial at the point s; a point within cfg.pole_guard of a
+        factor's pole raises PoleProximity naming the factor."""
+        s = complex(s)
+        for loc, factor in self.poles:
+            if abs(s - loc) < cfg.pole_guard:
+                raise PoleProximity(
+                    f"{factor} has a pole at s={loc:g}", location=complex(loc), source=factor,
+                )
+        return ComplexValue.of(*self.pair(s, cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -107,32 +151,15 @@ def hoffman_diagonal_coeffs(r: int) -> tuple[PartitionTerm, ...]:
 
 
 @lru_cache(maxsize=None)
-def ez_diagonal_poles(r: int) -> tuple[tuple[float, str], ...]:
-    """(location, factor) for the poles of zeta_r(s, ..., s): zeta(k*s), k = 1..r."""
-    return tuple(_factor_pole(k, 0) for k in range(1, r + 1))
-
-
-@lru_cache(maxsize=None)
-def _hoffman_float_terms(r: int) -> tuple[tuple[tuple[int, ...], complex], ...]:
-    """(block sizes, coefficient as a complex) per term of hoffman_diagonal_coeffs(r)."""
-    return tuple((t.block_sizes, complex(float(t.coefficient)))
-                 for t in hoffman_diagonal_coeffs(r))
+def ezd_poly(r: int) -> ZetaPoly:
+    """zeta_r(s, ..., s) = sum over partitions of c * prod_b zeta(b*s)."""
+    return ZetaPoly((float(t.coefficient), tuple((float(b), 0.0, 1.0) for b in t.block_sizes))
+                    for t in hoffman_diagonal_coeffs(r))
 
 
 def ez_diagonal(r: int, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta_r(s, ..., s) evaluated through the Hoffman reduction."""
-    s = complex(s)
-    _guard_poles(ez_diagonal_poles(r), s, cfg)
-    atoms = {}
-    for k in range(1, r + 1):
-        atoms[k] = riemann_zeta(k * s, cfg)
-    total = ComplexValue.of(0j, 0.0)
-    for block_sizes, coefficient in _hoffman_float_terms(r):
-        prod = ComplexValue.of(complex(1.0), 0.0)
-        for b in block_sizes:
-            prod = cv_mul(prod, atoms[b])
-        total = cv_add(total, cv_scale(coefficient, prod))
-    return total
+    return ezd_poly(r).value(s, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +325,6 @@ def _barnes_weight_polys(r: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(polys)
 
 
-@lru_cache(maxsize=64)
 def barnes_weights(r: int, a: float) -> tuple[float, ...]:
     """Evaluate p_{rj}(a) for j = 0..r-1."""
     vals = []
@@ -310,24 +336,15 @@ def barnes_weights(r: int, a: float) -> tuple[float, ...]:
     return tuple(vals)
 
 
-@lru_cache(maxsize=None)
-def barnes_poles(r: int) -> tuple[tuple[float, str], ...]:
-    """(location, factor) for the poles of zeta_r(s, a): zeta(s - j, a), j = 0..r-1."""
-    return tuple(_factor_pole(1, j, ",a") for j in range(r))
+@lru_cache(maxsize=64)
+def barnes_poly(r: int, a: float) -> ZetaPoly:
+    """zeta_r(s, a) = sum_j p_{rj}(a) zeta(s - j, a), j = 0..r-1."""
+    return ZetaPoly((w, ((1.0, float(-j), a),)) for j, w in enumerate(barnes_weights(r, a)))
 
 
 def barnes_zeta(p: BarnesParams, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta_r(s, a) = sum_j p_{rj}(a) zeta(s - j, a), valid on the continued domain."""
-    s = complex(s)
-    _guard_poles(barnes_poles(p.r), s, cfg)
-    weights = barnes_weights(p.r, p.a)
-    total = ComplexValue.of(0j, 0.0)
-    for j, wgt in enumerate(weights):
-        if wgt == 0.0:
-            continue
-        zv = hurwitz_zeta_shifted(s - j, p.a, cfg)
-        total = cv_add(total, cv_scale(wgt, zv))
-    return total
+    return barnes_poly(p.r, p.a).value(s, cfg)
 
 
 def barnes_direct(p: BarnesParams, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
@@ -449,24 +466,16 @@ def sphere_mult_poly(n: int) -> SphereParams:
 
 
 @lru_cache(maxsize=None)
-def sphere_poles(n: int) -> tuple[tuple[float, str], ...]:
-    """(location, factor) for the poles of Z_{S^n}: zeta(2s - j, (n+1)/2), j = 0..n-1."""
-    return tuple(_factor_pole(2, j, f",{(n + 1) / 2:g}") for j in range(n))
+def sphere_poly(n: int) -> ZetaPoly:
+    """Z_{S^n}(s) = sum_j c_j zeta(2s - j, (n+1)/2), j = 0..n-1."""
+    a = (n + 1) / 2.0
+    return ZetaPoly((float(c), ((2.0, float(-j), a),))
+                    for j, c in enumerate(sphere_mult_poly(n).mult_poly))
 
 
 def sphere_spectral(n: int, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """Z_{S^n}(s) = sum_j c_j zeta(2s - j, (n+1)/2) over the shifted eigenvalues."""
-    s = complex(s)
-    params = sphere_mult_poly(n)
-    _guard_poles(sphere_poles(n), s, cfg)
-    a = (n + 1) / 2.0
-    total = ComplexValue.of(0j, 0.0)
-    for j, c in enumerate(params.mult_poly):
-        if c == 0:
-            continue
-        zv = hurwitz_zeta_shifted(2 * s - j, a, cfg)
-        total = cv_add(total, cv_scale(float(c), zv))
-    return total
+    return sphere_poly(n).value(s, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -496,49 +505,32 @@ class SymMatrixParams:
         return val
 
 
-@lru_cache(maxsize=None)
-def symmat_poles(n: int) -> tuple[tuple[float, str], ...]:
-    """(location, factor) for symmat_zeta: zeta(s-(n-1)/2), zeta(2s-j) for j = 1..n-1, zeta(s)."""
-    h = n // 2
-    return ((_factor_pole(1, h),) + tuple(_factor_pole(2, j) for j in range(1, n))
-            + (_factor_pole(1, 0),))
+@lru_cache(maxsize=64)
+def symmat_poly(p: SymMatrixParams) -> ZetaPoly:
+    """b_n(s;L) * ( A_n(s;L) zeta(s-(n-1)/2) + B_n(s) ), h = (n-1)/2:
+    A_n = 2^h prod_{k<=h} zeta(2s-2k+1) on Ln, the bare product on Ln*;
+    B_n = sign_factor * zeta(s) prod_{k<=h} zeta(2s-2k);
+    b_n = |prod_{k<=h} B_2k| / (2^(n-1) h!), times 2^{(n-1)s} on Ln*."""
+    n, h = p.n, p.n // 2
+    b_num = Fraction(1)
+    for k in range(1, h + 1):
+        b_num *= get_tables().bern(2 * k)
+    b_n = float(abs(b_num) / (2 ** (n - 1) * math.factorial(h)))
+    a_part = (2.0 ** h if p.lattice == "Ln" else 1.0,
+              tuple((2.0, float(1 - 2 * k), 1.0) for k in range(1, h + 1)) + ((1.0, float(-h), 1.0),))
+    b_part = (float(p.sign_factor()),
+              ((1.0, 0.0, 1.0),) + tuple((2.0, float(-2 * k), 1.0) for k in range(1, h + 1)))
+    return ZetaPoly((a_part, b_part), scale=b_n, exp2=float(n - 1) if p.lattice == "Ln*" else 0.0)
 
 
 def symmat_pole_candidates(n: int) -> list[float]:
     """Sorted distinct pole locations of symmat_zeta."""
-    return sorted({loc for loc, _ in symmat_poles(n)})
-
-
-@lru_cache(maxsize=64)
-def _symmat_constants(p: SymMatrixParams) -> tuple[complex, complex]:
-    """b_n = |prod_{k<=(n-1)/2} B_{2k}| / (2^(n-1) ((n-1)/2)!) and sign_factor, as complexes."""
-    b_num = Fraction(1)
-    for k in range(1, p.n // 2 + 1):
-        b_num *= get_tables().bern(2 * k)
-    b_const = abs(b_num) / (2 ** (p.n - 1) * math.factorial((p.n - 1) // 2))
-    return complex(float(b_const)), complex(p.sign_factor())
+    return sorted({loc for loc, _ in symmat_poly(SymMatrixParams(n, "Ln", 1, 1)).poles})
 
 
 def symmat_zeta(p: SymMatrixParams, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """b_n(s;L) * ( A_n(s;L) zeta(s-(n-1)/2) + B_n(s) ) for odd n >= 3."""
-    s = complex(s)
-    _guard_poles(symmat_poles(p.n), s, cfg)
-    n, h = p.n, p.n // 2
-    b_val, sign = _symmat_constants(p)
-    if p.lattice == "Ln*":
-        b_val *= rpow(2.0, (n - 1) * s)
-
-    a_part = ComplexValue.of(complex(2 ** ((n - 1) // 2)) if p.lattice == "Ln" else 1.0 + 0j, 0.0)
-    for k in range(1, h + 1):
-        a_part = cv_mul(a_part, riemann_zeta(2 * s - (2 * k - 1), cfg))
-    main = cv_mul(a_part, riemann_zeta(s - (n - 1) // 2, cfg))
-
-    b_part = ComplexValue.of(sign, 0.0)
-    b_part = cv_mul(b_part, riemann_zeta(s, cfg))
-    for k in range(1, h + 1):
-        b_part = cv_mul(b_part, riemann_zeta(2 * s - 2 * k, cfg))
-
-    return cv_scale(b_val, cv_add(main, b_part))
+    return symmat_poly(p).value(s, cfg)
 
 
 # ---------------------------------------------------------------------------

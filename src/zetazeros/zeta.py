@@ -9,8 +9,10 @@ The workhorse is Euler-Maclaurin summation:
 
 valid for every s != 1 and every shift a > 0 once N + a is large enough that
 the correction terms decrease.  (s)_m denotes the rising factorial
-s(s+1)...(s+m-1).  hurwitz_zeta, hurwitz_zeta_shifted and riemann_zeta all
-evaluate this one formula at their own a.
+s(s+1)...(s+m-1).  hurwitz_pair evaluates this one formula, as a (value,
+abs_err) pair, at a point or at an array of points; hurwitz_zeta,
+hurwitz_zeta_shifted and riemann_zeta wrap its point form in a ComplexValue.
+completed_zeta_pair does the same for pi^{-s/2} Gamma(s/2) zeta(s).
 
 The cutoff N is chosen from the error target: it is the smallest N at which
 twice the first omitted correction term is at most EvalConfig.target_abs_err
@@ -37,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG
+from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, cabs, cmul
 from .errors import BudgetExceeded, PoleProximity, ZetaError
 from .tables import bernoulli_over_factorial
 
@@ -71,24 +73,24 @@ def _log_grid(a: float, n: int) -> np.ndarray:
     return np.log(np.arange(n, dtype=np.float64) + a)
 
 
-def _hurwitz_em(s: complex, a: float, n_cut: int, order: int, chain=None) -> ComplexValue:
-    """Fixed-parameter Euler-Maclaurin evaluation; no adaptivity, no pole guard.
-    The prefix row is zero-padded as in hurwitz_batch, from the same log grid, so
-    both sum the same terms in the same order.  chain: as for _em_cutoff."""
+def _hurwitz_em(s: complex, a: float, n_cut: int, order: int, chain=None) -> tuple:
+    """Fixed-parameter Euler-Maclaurin evaluation, (value, abs_err); no
+    adaptivity, no pole guard.  The prefix row is zero-padded as in
+    hurwitz_batch, from the same log grid, so both sum the same terms in the
+    same order.  chain: as for _em_cutoff."""
     terms = np.zeros(-(-n_cut // _ROW_PAD) * _ROW_PAD, dtype=complex)
     np.exp(-s * _log_grid(a, n_cut), out=terms[:n_cut])
     x = n_cut + a
-    val, err = _em_tail(s, x, cmath.exp(-s * math.log(x)), complex(np.add.reduce(terms)),
-                        float(np.add.reduce(np.abs(terms))), math.log2(max(n_cut, 2)), order,
-                        _pochhammer_chain(s, order) if chain is None else chain)
-    return ComplexValue(val.real, val.imag, err)
+    return _em_tail(s, x, cmath.exp(-s * math.log(x)), complex(np.add.reduce(terms)),
+                    float(np.add.reduce(np.abs(terms))), math.log2(max(n_cut, 2)), order,
+                    _pochhammer_chain(s, order) if chain is None else chain)
 
 
 def _pochhammer_chain(s, order: int) -> list:
     """[(s)_1, (s)_3, ..., (s)_{2M+1}] for M = order, each entry the one before
     times (s+2k-1), then times (s+2k).  For an array, a product u*(s+j) is
     taken as u*Re(s+j) + u*i*Im(s+j), which rounds as Python's complex product
-    does, where numpy's may fuse its multiply-adds (see _em_tail)."""
+    does, where numpy's may fuse its multiply-adds (see config.cmul)."""
     chain = [s]
     if isinstance(s, np.ndarray):
         re, im = s.real + 0j, 1j * s.imag
@@ -106,12 +108,10 @@ def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order, chain):
     log2n = log2(max(N, 2)) and chain = _pochhammer_chain(s, order), for scalars
     and arrays alike.  The corrections are x^{-s-1} times a polynomial in y = x^-2,
     in Horner form (Johansson, arXiv:1309.2877, section 2); the truncation term
-    takes the chain's last entry.  Quotients are products by reciprocals, which
-    numpy rounds as Python does."""
-    mul, cabs = operator.mul, abs
-    if isinstance(s, np.ndarray):       # Python's roundings, as in _pochhammer_chain
-        mul = lambda u, v: u * v.real + u * 1j * v.imag
-        cabs = lambda z: np.hypot(z.real, z.imag)       # np.abs rounds its own way
+    takes the chain's last entry.  Quotients are products by reciprocals, and
+    on arrays products and moduli are config.cmul and config.cabs, which round
+    as Python's do on a complex."""
+    mul, mod = (cmul, cabs) if isinstance(s, np.ndarray) else (operator.mul, abs)
     bfac = bernoulli_over_factorial()
     y = yk = 1.0 / (x * x)
     corr = bfac[2 * order] * chain[order - 1]
@@ -122,11 +122,11 @@ def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order, chain):
     d = s - 1
     pole = mul(xs * x, d.conjugate() * (1.0 / (d.real * d.real + d.imag * d.imag)))
     val = prefix + pole + 0.5 * xs + mul(corr, xs1)
-    tail_bound = 2.0 * cabs(mul(bfac[2 * order + 2] * chain[order], xs1)) * yk
+    tail_bound = 2.0 * mod(mul(bfac[2 * order + 2] * chain[order], xs1)) * yk
     # Rounding model, calibrated over -2 <= Re(s) <= 4, |Im(s)| <= 500: the angle
     # t*log(n+a) carries absolute error eps*|angle|, a relative error per term.
     per_term = 4e-16 + 4e-17 * abs(s.imag)
-    noise = per_term * (1.0 + log2n / 8.0) * (prefix_mass + cabs(val) + cabs(pole))
+    noise = per_term * (1.0 + log2n / 8.0) * (prefix_mass + mod(val) + mod(pole))
     return val, tail_bound + noise
 
 
@@ -176,8 +176,9 @@ def _cutoff_error(s: complex, a: float, cfg: EvalConfig) -> ZetaError:
     )
 
 
-def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> ComplexValue:
-    """Pole guard, cutoff, Euler-Maclaurin: the body shared by every a > 0."""
+def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> tuple:
+    """Pole guard, cutoff, Euler-Maclaurin: (value, abs_err) at the point s, for
+    every a > 0."""
     chain = _pochhammer_chain(s, cfg.em_order)
     n_cut = _em_cutoff(s, a, cfg, chain)
     if not _cutoff_ok(s, n_cut, cfg):
@@ -212,56 +213,80 @@ def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.nda
     val, err = _em_tail(s, x, np.exp(-s * np.log(x)), prefix, mass,
                         np.log2(np.maximum(n_cut, 2)), cfg.em_order, chain)
     for i in np.flatnonzero(width > PREFIX_BLOCK):
-        v = _hurwitz_em(complex(s[i]), a, int(n_cut[i]), cfg.em_order)
-        val[i], err[i] = v.z, v.abs_err
+        val[i], err[i] = _hurwitz_em(complex(s[i]), a, int(n_cut[i]), cfg.em_order)
     return val, err
+
+
+def hurwitz_pair(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
+    """(value, abs_err) of zeta(s, a), a > 0, at a point s (a complex) or at
+    every point of a 1-D array s (hurwitz_batch); no range check on a.  The
+    expression atoms and the family term lists evaluate through this entry."""
+    if isinstance(s, np.ndarray):
+        return hurwitz_batch(s, a, cfg)
+    return _hurwitz(s, a, cfg)
 
 
 def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta(s, a) = sum_{n>=0} (n+a)^{-s} continued to all s != 1; 0 < a <= 1."""
     if not 0.0 < a <= 1.0:
         raise ValueError(f"hurwitz_zeta requires 0 < a <= 1, got a={a}")
-    return _hurwitz(complex(s), a, cfg)
+    return ComplexValue.of(*_hurwitz(complex(s), a, cfg))
 
 
 def riemann_zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta(s) = sum_{n>=1} n^{-s}, continued to all s != 1."""
-    return _hurwitz(complex(s), 1.0, cfg)
+    return ComplexValue.of(*_hurwitz(complex(s), 1.0, cfg))
 
 
 def hurwitz_zeta_shifted(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta(s, a) for any a > 0, summed directly at a (no reduction to (0, 1])."""
     if a <= 0:
         raise ValueError(f"requires a > 0, got {a}")
-    return _hurwitz(complex(s), a, cfg)
+    return ComplexValue.of(*_hurwitz(complex(s), a, cfg))
 
 
 def log_gamma(s: complex, pole_guard: float = 1e-8) -> ComplexValue:
     """Principal branch of log Gamma(s), continuous off the ray (-inf, 0].
 
-    Upward recurrence to Re(s) > 12, then a 10-term Stirling series.
+    Upward recurrence to Re(s) >= 12, then a 10-term Stirling series.
     """
     s = complex(s)
     nearest = round(s.real)
     if nearest <= 0 and abs(s - nearest) < pole_guard:
-        raise PoleProximity(
-            f"log_gamma pole at non-positive integer {nearest}",
-            location=complex(nearest), source="log_gamma",
-        )
+        raise _gamma_pole(nearest)
     shift = max(0, math.ceil(LOG_GAMMA_SHIFT - s.real))
-    w = s + shift
-    # Stirling: (w - 1/2) log w - w + log(2 pi)/2 + sum B_{2k} / (2k(2k-1) w^{2k-1})
-    bfac_raw = _stirling_coeffs()
-    res = (w - 0.5) * cmath.log(w) - w + 0.5 * math.log(2.0 * math.pi)
-    winv = 1.0 / w
-    wpow = winv
-    for c in bfac_raw:
-        res += c * wpow
-        wpow *= winv * winv
+    res = _stirling(s + shift)
     for j in range(shift):
         res -= cmath.log(s + j)
     err = 1e-14 * (1.0 + abs(res)) + (shift + 1) * 3e-16 * (1.0 + abs(res))
     return ComplexValue.of(res, err)
+
+
+def _gamma_pole(nearest) -> PoleProximity:
+    return PoleProximity(
+        f"log_gamma pole at non-positive integer {nearest}",
+        location=complex(nearest), source="log_gamma",
+    )
+
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
+
+
+def _stirling(w):
+    """(w - 1/2) log w - w + log(2 pi)/2 + sum_k B_2k / (2k(2k-1) w^{2k-1}), the
+    Stirling series of log Gamma(w) for Re(w) >= LOG_GAMMA_SHIFT, in Horner
+    form in 1/w^2.  w is a complex or an array; np.log of a complex array
+    agrees with cmath.log bit for bit at |w| >= 12 (not near |w| = 1)."""
+    arr = isinstance(w, np.ndarray)
+    log, mul = (np.log, cmul) if arr else (cmath.log, operator.mul)
+    winv = w.conjugate() * (1.0 / (w.real * w.real + w.imag * w.imag))
+    y = mul(winv, winv)
+    coeffs = _stirling_coeffs()
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = mul(acc, y) + c
+    return mul(w - 0.5, log(w)) - w + _HALF_LOG_2PI + mul(acc, winv)
 
 
 @lru_cache(maxsize=1)
@@ -275,17 +300,53 @@ def _stirling_coeffs() -> tuple[float, ...]:
     )
 
 
+def completed_zeta_pair(s, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
+    """(value, abs_err) of pi^{-s/2} Gamma(s/2) zeta(s) at a point s (a complex)
+    or at every point of a 1-D array s, bit for bit the same either way.
+
+    Gamma(s/2) = exp(Stirling(w)) / prod_{j < shift} (s/2 + j), w = s/2 + shift,
+    with the recurrence taken as one product, not as a sum of logs: numpy's
+    complex log rounds as cmath.log only away from |z| = 1, and the factors
+    s/2 + j come near it.  On an array each point keeps its own shift, and the
+    product runs up to the largest shift with the others masked.  A point at a
+    pole of Gamma(s/2) or of the completed zeta raises, for an array the
+    scalar error of its first such point.
+    """
+    arr = isinstance(s, np.ndarray)
+    guard = cfg.pole_guard
+    h = 0.5 * s
+    nearest = np.round(h.real) if arr else round(h.real)
+    bad = ((cabs(s) < guard) | (cabs(s - 1) < guard)
+           | ((nearest <= 0) & (cabs(h - nearest) < guard)))
+    if arr:
+        for i in np.flatnonzero(bad)[:1]:
+            completed_zeta_pair(complex(s[i]), cfg)          # raises
+        shift = np.maximum(0.0, np.ceil(LOG_GAMMA_SHIFT - h.real))
+        steps = int(shift.max(initial=0))
+    elif bad:
+        for p in (0.0, 1.0):
+            if abs(s - p) < guard:
+                raise PoleProximity(f"completed zeta pole at s={p:g}",
+                                    location=complex(p), source="xi")
+        raise _gamma_pole(nearest)
+    else:
+        shift = steps = max(0, math.ceil(LOG_GAMMA_SHIFT - h.real))
+    x = _stirling(h + shift) - h * _LOG_PI
+    prod = 1 + 0j
+    if arr:
+        for j in range(steps):
+            prod = np.where(j < shift, cmul(prod, h + j), prod)
+    else:
+        for j in range(steps):
+            prod = prod * (h + j)
+    q = 1.0 / cabs(prod)
+    pref = cmul(np.exp(x) if arr else cmath.exp(x), prod.conjugate() * q * q)
+    zv, zerr = hurwitz_pair(s, 1.0, cfg)
+    val = cmul(pref, zv)
+    gamma_err = (1e-14 + (shift + 1) * 3e-16) * (1.0 + cabs(x))
+    return val, cabs(pref) * zerr + cabs(val) * (gamma_err + 5e-16)
+
+
 def completed_zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """pi^{-s/2} Gamma(s/2) zeta(s); simple poles at s = 0 and s = 1."""
-    s = complex(s)
-    for p in (0.0, 1.0):
-        if abs(s - p) < cfg.pole_guard:
-            raise PoleProximity(
-                f"completed zeta pole at s={p:g}", location=complex(p), source="xi",
-            )
-    lg = log_gamma(s / 2, cfg.pole_guard)
-    pref = rpow(math.pi, -s / 2) * cmath.exp(lg.z)
-    zv = riemann_zeta(s, cfg)
-    val = pref * zv.z
-    err = abs(pref) * zv.abs_err + abs(val) * (lg.abs_err + 5e-16)
-    return ComplexValue.of(val, err)
+    return ComplexValue.of(*completed_zeta_pair(complex(s), cfg))

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import zetazeros.expr as X
+import zetazeros.families as F
+import zetazeros.zeta as zeta
 from zetazeros.config import EvalConfig
 from zetazeros.errors import (
     ArityError,
@@ -218,28 +220,31 @@ def test_registry_round_trip_and_poles(text):
 
 
 def test_eval_looks_up_atom_functions_at_call_time(monkeypatch):
+    # zeta(2*s) calls the kernel entry through this module; ezd(2) is lowered
+    # to its factors zeta(2*s) and zeta(s), which call it through families.
     e = parse_expr("zeta(2*s) + ezd(2)")
     first = eval_expr(e, 3.0)
     calls = []
-    for name in ("riemann_zeta", "ez_diagonal"):
-        def counted(*args, inner=getattr(X, name), name=name):
+    for mod in (X, F):
+        def counted(*args, inner=mod.hurwitz_pair, name=mod.__name__):
             calls.append(name)
             return inner(*args)
-        monkeypatch.setattr(X, name, counted)
+        monkeypatch.setattr(mod, "hurwitz_pair", counted)
     assert eval_expr(e, 3.0) == first
-    assert calls == ["riemann_zeta", "ez_diagonal"]
+    assert calls == ["zetazeros.expr", "zetazeros.families", "zetazeros.families"]
 
 
 # eval_batch against eval_expr.  On atoms at s itself with t <= 400 the two
 # sums agree to 1e-14; scaled arguments reach t = 1200 and Re = -3.5, where
 # the batch's padded pairwise sum moves the rounding by more than that, but
-# by far less than abs_err.
+# by far less than abs_err.  xi and the family atoms agree bit for bit.
 BATCH_CASES = [
     "zeta(s)", "hurwitz(s,1/2)", "hurwitz(s,1/10)", "xi(s)", "ezd(2)",
     "barnes(2,1/3)", "sphere(2)", "symmat(3,Ln,+1,+1)",
+    "sphere(16)", "barnes(3,5/2)", "symmat(3,Ln*,-1,+1)",
     "dirichlet[(1,0),(-1,0.6931471805599453)]", "7", "zeta(s)^3", "-hurwitz(s,1/3)",
 ]
-LOOPED_ATOMS = {"xi", "ezd", "barnes", "sphere", "symmat"}   # no batch evaluator
+BITWISE_ATOMS = {"xi", "ezd", "barnes", "sphere", "symmat"}
 
 
 def _batch_points(seed: int) -> np.ndarray:
@@ -256,15 +261,14 @@ def test_eval_batch_agrees_with_eval_expr(text):
     assert values.shape == errs.shape == zs.shape
     for z, v, err in zip(zs, values, errs):
         ref = eval_expr(e, complex(z))
-        if getattr(e, "kind", None) in LOOPED_ATOMS:
+        if getattr(e, "kind", None) in BITWISE_ATOMS:
             assert (v, err) == (ref.z, ref.abs_err)
         else:
             assert abs(v - ref.z) <= 1e-14 * max(1.0, abs(ref))
             assert abs(err - ref.abs_err) <= 1e-12 * ref.abs_err
 
 
-@pytest.mark.parametrize("text", [c for c in REGISTRY_CASES
-                                  if parse_expr(c).kind not in LOOPED_ATOMS]
+@pytest.mark.parametrize("text", REGISTRY_CASES
                          + ["zeta(s)^2-zeta(2*s)", "2*zeta(s)*hurwitz(s+1,1/2) + 1"])
 def test_eval_batch_scaled_arguments_within_abs_err(text):
     zs = _batch_points(12)
@@ -302,3 +306,58 @@ def test_eval_batch_budget_exceeded_matches_eval_expr():
     with pytest.raises(BudgetExceeded) as got:
         eval_batch(e, [2.0, 2.5], cfg)
     assert str(got.value) == str(want.value)
+
+
+# The pole candidates of each family, written out from its reduction.
+FAMILY_POLES = {
+    "ezd": lambda r: {1 / k for k in range(1, r + 1)},                       # zeta(k*s)
+    "barnes": lambda r, a: {1.0 + j for j in range(r)},                      # zeta(s-j, a)
+    "sphere": lambda n: {(j + 1) / 2 for j in range(n)},                     # zeta(2s-j, (n+1)/2)
+    "symmat": lambda n, *_: ({n // 2 + 1.0, 1.0}                             # zeta(s-(n-1)/2), zeta(s)
+                             | {(j + 1) / 2 for j in range(1, n)}),          # zeta(2s-j)
+}
+FAMILY_POLY = {"ezd": F.ezd_poly, "barnes": lambda r, a: F.barnes_poly(r, float(a)),
+               "sphere": F.sphere_poly, "symmat": lambda *p: F.symmat_poly(SymMatrixParams(*p))}
+
+
+@pytest.mark.parametrize("text", [c for c in REGISTRY_CASES if parse_expr(c).kind in FAMILY_POLES]
+                         + ["sphere(16)", "barnes(3,5/2)"])
+def test_family_pole_set_is_its_factor_poles(text):
+    e = parse_expr(text)
+    poly = FAMILY_POLY[e.kind](*e.params)
+    factor_poles = sorted({(1 - beta) / alpha for _, fs in poly.terms for alpha, beta, _ in fs})
+    assert sorted(z.real for z in pole_set(e).locations()) == factor_poles
+    assert factor_poles == pytest.approx(sorted(FAMILY_POLES[e.kind](*e.params)), rel=1e-15)
+    factors = dict.fromkeys(f for _, fs in poly.terms for f in fs)
+    assert [loc for loc, _ in poly.poles] == [(1 - beta) / alpha for alpha, beta, _ in factors]
+
+
+def test_family_guard_names_the_factor():
+    with pytest.raises(PoleProximity) as exc:
+        ez_diagonal(3, 1 / 3)
+    assert str(exc.value) == "zeta(3*s) has a pole at s=0.333333"
+    with pytest.raises(PoleProximity) as exc:
+        sphere_spectral(2, 0.5)
+    assert str(exc.value) == "zeta(2*s,1.5) has a pole at s=0.5"
+    with pytest.raises(PoleProximity) as exc:
+        symmat_zeta(SymMatrixParams(3, "Ln", 1, 1), 2.0)
+    assert str(exc.value) == "zeta(s-1) has a pole at s=2"
+
+
+def test_ezd12_evaluates_each_factor_once(monkeypatch):
+    # 77 Hoffman terms over the 12 distinct factors zeta(k*s): one kernel
+    # call per factor at a point, and one hurwitz_batch call per factor.
+    poly = F.ezd_poly(12)
+    assert (len(poly.terms), len(poly.factors)) == (77, 12)
+    e = parse_expr("ezd(12)")
+    calls = []
+    for name in ("_hurwitz", "hurwitz_batch"):
+        def counted(*args, inner=getattr(zeta, name), name=name):
+            calls.append(name)
+            return inner(*args)
+        monkeypatch.setattr(zeta, name, counted)
+    eval_expr(e, 2.5 + 30j)
+    assert calls == ["_hurwitz"] * 12
+    calls.clear()
+    eval_batch(e, [2.5 + 30j, 1.5 - 4j, 3.0 + 0.5j])
+    assert calls == ["hurwitz_batch"] * 12

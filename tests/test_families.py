@@ -1,8 +1,10 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zetazeros import hurwitz_zeta, riemann_zeta
 from zetazeros.config import EvalConfig
@@ -25,6 +27,7 @@ from zetazeros.families import (
     symmat_pole_candidates,
     symmat_zeta,
 )
+from zetazeros.expr import eval_expr, parse_expr, pole_set
 from zetazeros.verify import sphere_direct_sum
 from zetazeros.zeta import rpow
 
@@ -388,3 +391,63 @@ def test_linear_form_config_round_trip():
     assert spec == MORDELL
     with pytest.raises(ValueError):
         linear_form_from_config("r = 2\nm = 1\nlambda = 1\nshifts = 0 0\n")
+
+
+# ---------------------------------------------------------------- Term lists against mpmath
+
+def _ezd_ref(r, s):
+    z1, z2, z3 = (mp.zeta(k * s) for k in (1, 2, 3))
+    return {1: z1, 2: (z1**2 - z2) / 2, 3: (z1**3 - 3 * z1 * z2 + 2 * z3) / 6}[r]
+
+
+def _barnes_ref(r, a, s):
+    # C(n+r-1, r-1) = prod_{i<r} (x + i - a) / (r-1)! in x = n + a, so the
+    # sum is sum_j coef_j zeta(s - j, a).
+    coef = [mp.mpf(1)]
+    for i in range(1, r):
+        coef = [(coef[j - 1] if j else 0) + (i - a) * (coef[j] if j < len(coef) else 0)
+                for j in range(len(coef) + 1)]
+    return sum(c * mp.zeta(s - j, a) for j, c in enumerate(coef)) / mp.factorial(r - 1)
+
+
+def _sphere_ref(n, s):
+    # Multiplicity C(k+n, n) - C(k+n-2, n) as a polynomial in m = k + (n-1)/2,
+    # interpolated at k = 1..n; the sum over k >= 1 of mult * m^{-2s}.
+    ms = [mp.mpf(k) + mp.mpf(n - 1) / 2 for k in range(1, n + 1)]
+    mult = [mp.mpf(math.comb(k + n, n) - math.comb(k + n - 2, n)) for k in range(1, n + 1)]
+    coef = mp.lu_solve(mp.matrix([[m**j for j in range(n)] for m in ms]), mp.matrix(mult))
+    return sum(coef[j] * mp.zeta(2 * s - j, mp.mpf(n + 1) / 2) for j in range(n))
+
+
+def _symmat_ref(n, lattice, eta, theta, s):
+    h = n // 2
+    b = abs(mp.fprod(mp.bernoulli(2 * k) for k in range(1, h + 1))) / (2 ** (n - 1) * mp.factorial(h))
+    sign = theta * eta ** ((n + 1) // 2) * (-1) ** ((n * n - 1) // 8)
+    a_part = mp.fprod(mp.zeta(2 * s - 2 * k + 1) for k in range(1, h + 1)) * mp.zeta(s - h)
+    b_part = sign * mp.zeta(s) * mp.fprod(mp.zeta(2 * s - 2 * k) for k in range(1, h + 1))
+    if lattice == "Ln":
+        return b * (2**h * a_part + b_part)
+    return b * mp.power(2, (n - 1) * s) * (a_part + b_part)
+
+
+MPMATH_CASES = (
+    [(f"ezd({r})", lambda s, r=r: _ezd_ref(r, s)) for r in (1, 2, 3)]
+    + [(f"barnes({r},{p}/{q})", lambda s, r=r, a=mp.mpf(p) / q: _barnes_ref(r, a, s))
+       for r, p, q in ((1, 3, 2), (2, 5, 2), (3, 7, 4), (4, 3, 1))]
+    + [(f"sphere({n})", lambda s, n=n: _sphere_ref(n, s)) for n in (1, 2, 5)]
+    + [(f"symmat({n},{lat},{eta:+d},{theta:+d})",
+        lambda s, p=(n, lat, eta, theta): _symmat_ref(*p, s))
+       for n in (3, 5) for lat in ("Ln", "Ln*") for eta in (1, -1) for theta in (1, -1)]
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=st.sampled_from(MPMATH_CASES), sigma=st.floats(-0.5, 3.0), t=st.floats(-40.0, 40.0))
+def test_family_term_lists_match_mpmath(case, sigma, t):
+    text, ref_fn = case
+    e = parse_expr(text)
+    s = complex(sigma, t)
+    assume(all(abs(s - loc) > 1e-3 for loc in pole_set(e).locations()))
+    with mp.workdps(30):
+        ref = complex(ref_fn(mp.mpc(sigma, t)))
+    assert abs(eval_expr(e, s).z - ref) <= 1e-10 * max(1.0, abs(ref))
