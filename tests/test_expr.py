@@ -328,8 +328,6 @@ def test_family_pole_set_is_its_factor_poles(text):
     factor_poles = sorted({(1 - beta) / alpha for _, fs in poly.terms for alpha, beta, _ in fs})
     assert sorted(z.real for z in pole_set(e).locations()) == factor_poles
     assert factor_poles == pytest.approx(sorted(FAMILY_POLES[e.kind](*e.params)), rel=1e-15)
-    factors = dict.fromkeys(f for _, fs in poly.terms for f in fs)
-    assert [loc for loc, _ in poly.poles] == [(1 - beta) / alpha for alpha, beta, _ in factors]
 
 
 def test_family_guard_names_the_factor():
