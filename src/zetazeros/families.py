@@ -53,6 +53,7 @@ class ZetaPoly:
     terms holds every term of a family's reduction as (c, factors), also those
     whose coefficient vanishes: they are not evaluated, but their factors stay
     pole candidates, as the family's pole list has always been conservative.
+    factors are the distinct factors of the other terms, the ones evaluated.
     """
 
     def __init__(self, terms, scale: float = 1.0, exp2: float = 0.0):
