@@ -36,6 +36,7 @@ from .zeros import (
     ContourConfig,
     DEFAULT_CONTOUR,
     Rectangle,
+    _fit_slope,
     density_scan,
     localize_zeros,
 )
@@ -234,7 +235,6 @@ def cmd_density(args) -> int:
         "T,count,slope",
     ]
     for i, (t, c) in enumerate(zip(scan.T_values, scan.counts)):
-        from .zeros import _fit_slope
         slope_so_far = _fit_slope(scan.T_values[:i + 1], scan.counts[:i + 1])
         lines.append(f"{t:g},{c},{slope_so_far:.12g}")
         print(f"T={t:g}  count={c}  slope_so_far={slope_so_far:.6g}")

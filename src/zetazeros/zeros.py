@@ -26,16 +26,20 @@ values and phase increments on its boundary.  Phase bisection and Newton
 are sequential and evaluate single points through eval_expr.
 
 A winding is accepted once two consecutive sampling densities (levels)
-agree.  Within that one decision each level reuses the values of the level
-below, so no contour point is evaluated twice, and the values are dropped
-when the decision is made; on long edges the levels sample the same points
-(see _stable_winding).  A density scan hands each tile the values on its
-bottom edge, which the tile below sampled as its top edge.  The split of
-the scanned rectangle starts at the coarser of its two agreeing levels,
-with the accepted winding; every other split starts at level 0.  A split
-whose children fail to conserve the parent's winding goes on to the next
-denser level; only a near-zero hit on a child contour moves the split point
-for another attempt at the same level.  Every evaluation a split makes
+agree.  Each decision has one walker: the level is an argument of its
+sampling, and the walker keeps F at every contour sample it has evaluated or
+been handed, so no contour point of the decision is evaluated twice; on long
+edges the levels sample the same points (see _stable_winding).  The walker
+that measured the scanned rectangle hands its values to the rectangle's
+cell, so a one-zero rectangle's contour is not evaluated again, and its
+split knows the parent's corners.  A cell's walker starts with the contour
+samples its split handed it.  A density scan seeds each tile's walker with
+the values on its bottom edge, which the tile below sampled as its top edge.
+The split of the scanned rectangle starts at the coarser of its two agreeing
+levels, with the accepted winding; every other split starts at level 0.  A
+split whose children fail to conserve the parent's winding goes on to the
+next denser level; only a near-zero hit on a child contour moves the split
+point for another attempt at the same level.  Every evaluation a split makes
 counts against its cell's evaluation budget.
 
 Near-zero samples on the outer boundary of a scan trigger a deterministic
@@ -206,23 +210,24 @@ class CriticalLineReport:
 # ---------------------------------------------------------------------------
 
 class _Walker:
-    """Boundary phase tracker for one function; counts evaluations.
+    """Boundary phase tracker for one winding decision; counts evaluations.
 
     ``fn`` comes from expression_fn: fn(z) evaluates one point (bisection
-    midpoints, Newton), fn.batch(zs) a point list (contour samples).  A walker
-    made with ``owner`` (a split's denser sampling) also counts every
-    evaluation against the owner's budget.
+    midpoints, Newton), fn.batch(zs) a point list (contour samples).
+    ``values`` holds F at every contour sample the walker has evaluated or
+    been handed (``seen``, pairs of point and value), and sample consults it,
+    so no contour point of the decision is evaluated twice.  Every evaluation
+    counts against one budget.  ``level`` k samples with init_samples_per_edge
+    << k and a phase step of max_phase_step / 2**k.
     """
 
-    def __init__(self, fn, cc: ContourConfig, owner: "_Walker | None" = None):
+    def __init__(self, fn, cc: ContourConfig, seen=()):
         self.fn = fn
         self.cc = cc
-        self.owner = owner
+        self.values = dict(seen)
         self.evals = 0
 
     def _count(self, n: int) -> None:
-        if self.owner is not None:
-            self.owner._count(n)
         self.evals += n
         if self.evals > _CELL_EVAL_BUDGET:
             raise DepthExceeded("per-cell evaluation budget exhausted")
@@ -231,17 +236,16 @@ class _Walker:
         self._count(1)
         return self.fn(z)
 
-    def sample(self, pts: list[complex], known: dict | None = None) -> list[complex]:
-        """F at every point of pts: values in ``known`` are reused, the other
-        distinct points are evaluated in one batch."""
-        values = dict(known or {})
-        todo = [z for z in dict.fromkeys(pts) if z not in values]
+    def sample(self, pts: list[complex]) -> list[complex]:
+        """F at every point of pts: the distinct points not in ``values`` are
+        evaluated in one batch and added to it."""
+        todo = [z for z in dict.fromkeys(pts) if z not in self.values]
         if todo:
             self._count(len(todo))
-            values.update(zip(todo, self.fn.batch(todo)))
-        return [values[z] for z in pts]
+            self.values.update(zip(todo, self.fn.batch(todo)))
+        return [self.values[z] for z in pts]
 
-    def boundary_points(self, rect: Rectangle) -> list[complex]:
+    def boundary_points(self, rect: Rectangle, level: int = 0) -> list[complex]:
         """Counter-clockwise contour samples from the lower-left corner, closed
         by repeating it.  Each edge's points are generated from its lower end
         (left to right, bottom to top) whichever way the walk runs it, so cells
@@ -252,7 +256,7 @@ class _Walker:
         for i in range(4):
             z0, z1 = corners[i], corners[(i + 1) % 4]
             lo, hi = (z0, z1) if i < 2 else (z1, z0)
-            n = max(self.cc.init_samples_per_edge,
+            n = max(self.cc.init_samples_per_edge << level,
                     int(math.ceil(abs(hi - lo) * _SAMPLES_PER_UNIT)))
             inner = [lo + (hi - lo) * (k / n) for k in range(1, n)]
             pts.append(z0)
@@ -266,22 +270,22 @@ class _Walker:
         # neighbour_mag may be a float or an array.
         return 10.0 * self.cc.zero_tol * np.minimum(1.0, neighbour_mag)
 
-    def winding(self, rect: Rectangle) -> int:
-        return self.wind(rect, *self.boundary(rect))
+    def winding(self, rect: Rectangle, level: int = 0) -> int:
+        return self.wind(rect, *self.boundary(rect, level), level)
 
-    def boundary(self, rect: Rectangle, known: dict | None = None
+    def boundary(self, rect: Rectangle, level: int = 0
                  ) -> tuple[list[complex], list[complex]]:
-        """The contour samples of rect and F at each of them; ``known`` values
-        are reused."""
-        pts = self.boundary_points(rect)
-        return pts, self.sample(pts, known)
+        """The contour samples of rect and F at each of them."""
+        pts = self.boundary_points(rect, level)
+        return pts, self.sample(pts)
 
-    def wind(self, rect: Rectangle, pts: list[complex], vals: list[complex]) -> int:
+    def wind(self, rect: Rectangle, pts: list[complex], vals: list[complex],
+             level: int = 0) -> int:
         """Winding number of F around rect from its contour samples."""
-        return _turns(self.increments(rect, pts, vals))
+        return _turns(self.increments(rect, pts, vals, level))
 
     def increments(self, rect: Rectangle, pts: list[complex],
-                   vals: list[complex]) -> np.ndarray:
+                   vals: list[complex], level: int = 0) -> np.ndarray:
         """Phase increments of F along the contour samples, summing to 2*pi
         times the winding number.
 
@@ -296,7 +300,7 @@ class _Walker:
             raise NearZeroOnContour(f"|F|={abs(vals[i]):.3g} at {pts[i]:.8g}", point=pts[i])
 
         dphi = np.angle(v[1:] / v[:-1])
-        step = self.cc.max_phase_step
+        step = self.cc.max_phase_step / 2**level
         for attempt in range(3):
             phase = dphi.copy()
             for i in np.flatnonzero(np.abs(dphi) > step).tolist():
@@ -337,31 +341,25 @@ def expression_fn(e, cfg: EvalConfig):
     return fn
 
 
-def _stable_winding(fn, rect: Rectangle, cc: ContourConfig,
-                    known: dict | None = None) -> tuple[int, int, dict]:
-    """Winding accepted only once two consecutive sampling densities agree.
+def _stable_winding(walker: _Walker, rect: Rectangle) -> tuple[int, int]:
+    """Winding accepted only once two consecutive sampling levels agree.
 
     Guards against phase aliasing from zeros hugging the contour from either
-    side; each densification (level) doubles init_samples_per_edge and halves
-    the phase step.  Each level is handed the values of ``known`` (a shared
-    edge the caller has already evaluated) and of the levels before it, so no
-    point is evaluated twice.  An edge longer than init_samples_per_edge /
+    side; each level doubles the samples per edge and halves the phase step.
+    The walker keeps every value it samples, so a level evaluates only the
+    points the walker does not already know (the values of the levels below,
+    and any it was handed).  An edge longer than init_samples_per_edge /
     _SAMPLES_PER_UNIT gets ceil(length * _SAMPLES_PER_UNIT) samples at every
     level whose own count is below that, so those levels sample the same
-    points there and the second density checks nothing new on that edge (the
+    points there and the second level checks nothing new on that edge (the
     100-unit edges of the c12 rectangle get 800 samples at levels 0 to 3).
-    Returns (winding, level, values): level is the coarser of the two
-    agreeing levels, and values holds F at every point this call sampled,
-    plus ``known``.
+    Returns (winding, level): level is the coarser of the two agreeing levels.
     """
-    prev, known = None, dict(known or {})
+    prev = None
     for level in range(4):
-        wk = _Walker(fn, _tightened(cc, 2**level))
-        pts, vals = wk.boundary(rect, known)
-        w = wk.wind(rect, pts, vals)
-        known.update(zip(pts, vals))
+        w = walker.winding(rect, level)
         if w == prev:
-            return w, level - 1, known
+            return w, level - 1
         prev = w
     raise ContourError(f"winding did not stabilize under refinement on {rect}")
 
@@ -379,7 +377,7 @@ def winding_number(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
                 f"pole candidate {cand.location:.6g} within jitter of the contour",
                 location=cand.location, source=cand.source,
             )
-    return _stable_winding(expression_fn(e, cfg), rect, cc)[0]
+    return _stable_winding(_Walker(expression_fn(e, cfg), cc), rect)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +390,15 @@ def _effective_jitter(rect: Rectangle, cc: ContourConfig) -> float:
 
 def _winding_with_expansion(fn, rect: Rectangle, cc: ContourConfig):
     """Stable winding with the outer boundary pushed outward on near-zero hits:
-    (winding, level, rectangle), level as from _stable_winding."""
+    (winding, level, rectangle, values), level as from _stable_winding and
+    values those of the walker that measured the rectangle."""
     jit = _effective_jitter(rect, cc)
     cur = rect
     for attempt in range(_JITTER_RETRIES + 1):
+        walker = _Walker(fn, cc)
         try:
-            w, level, _ = _stable_winding(fn, cur, cc)
-            return w, level, cur
+            w, level = _stable_winding(walker, cur)
+            return w, level, cur, walker.values
         except NearZeroOnContour:
             if attempt == _JITTER_RETRIES:
                 raise
@@ -409,55 +409,37 @@ def _winding_with_expansion(fn, rect: Rectangle, cc: ContourConfig):
 _SPLIT_FRAC = (math.sqrt(5.0) - 1.0) / 2.0   # avoids cuts along symmetry lines
 
 
-def _tightened(cc: ContourConfig, factor: int) -> ContourConfig:
-    if factor == 1:
-        return cc
-    return ContourConfig(
-        init_samples_per_edge=cc.init_samples_per_edge * factor,
-        max_phase_step=cc.max_phase_step / factor,
-        max_depth=cc.max_depth,
-        min_cell=cc.min_cell,
-        jitter=cc.jitter,
-        zero_tol=cc.zero_tol,
-    )
-
-
-def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConfig,
-                samples: dict | None = None, level: int = 0, known: dict | None = None):
+def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, level: int = 0):
     """Quadrisect with a deterministically jittered, asymmetric split point.
 
     The split sits at the golden-ratio point rather than the center so that
     zeros on natural symmetry lines (e.g. Re = 1/2) stay strictly inside one
     child.  Each attempt samples the four children's contours in one batch;
     children that share an edge sample the same points on it, which the batch
-    evaluates once.  Children windings must conserve the parent's.  Only a
-    near-zero hit on a child contour moves the split point (by the jitter) for
-    another attempt at the same density; a child's ContourError or a
-    conservation failure (a zero close enough to an edge to alias the phase
-    samples, which a jitter-sized move cannot repair on the outer edges) ends
-    the round, and the next round re-measures parent and children at the next
-    denser level (as in _stable_winding) before giving up after three.  The
-    first round samples at ``level`` and takes w_parent as measured there;
-    each parent re-measure reuses the values of the parent contour from the
-    round before (``known`` for the first re-measure).  Every evaluation counts
-    against ``walker``'s budget.  Returns (child, winding) pairs;
-    ``samples``, when given, receives {child: (pts, vals, dphi)} for each
-    returned child: its contour samples at the accepted level, F at each of
-    them and the bisected phase increments its winding came from.  The
-    child's scale, Newton start point and own split reuse them.
+    evaluates once, and the points the walker already knows (the parent's
+    corners, its contour, earlier rounds) are not evaluated again.  Children
+    windings must conserve the parent's.  Only a near-zero hit on a child
+    contour moves the split point (by the jitter) for another attempt at the
+    same level; a child's ContourError or a conservation failure (a zero close
+    enough to an edge to alias the phase samples, which a jitter-sized move
+    cannot repair on the outer edges) ends the round, and the next round
+    re-measures parent and children at the next denser level (as in
+    _stable_winding) before giving up after three.  The first round samples
+    at ``level`` and takes w_parent as measured there.  Every evaluation
+    counts against ``walker``'s budget.  Returns (child, winding, (pts, vals,
+    dphi)) triples: the child's contour samples at the accepted level, F at
+    each of them and the bisected phase increments its winding came from.
+    The child's scale, Newton start point and own split reuse them.
     """
-    jit = max(_effective_jitter(rect, cc), 1e-12 * max(rect.width, rect.height))
+    jit = max(_effective_jitter(rect, walker.cc), 1e-12 * max(rect.width, rect.height))
     cx = rect.sigma_lo + _SPLIT_FRAC * rect.width
     cy = rect.t_lo + _SPLIT_FRAC * rect.height
     last_exc: Exception | None = None
     w_par = w_parent
     for lvl in range(level, level + 3):
-        wk = _Walker(walker.fn, _tightened(cc, 2**lvl), walker)
         if lvl > level:
             try:
-                pts, vals = wk.boundary(rect, known)
-                known = dict(zip(pts, vals))
-                w_par = wk.wind(rect, pts, vals)
+                w_par = walker.winding(rect, lvl)
             except (NearZeroOnContour, ContourError, DepthExceeded) as exc:
                 last_exc = exc
                 continue
@@ -472,30 +454,28 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, cc: ContourConf
                 Rectangle(sx, rect.sigma_hi, sy, rect.t_hi),
                 Rectangle(rect.sigma_lo, sx, sy, rect.t_hi),
             ]
-            contours = [wk.boundary_points(c) for c in children]
-            vals = wk.sample([z for pts in contours for z in pts])
-            windings, measured, k = [], [], 0
+            contours = [walker.boundary_points(c, lvl) for c in children]
+            vals = walker.sample([z for pts in contours for z in pts])
+            measured, k = [], 0
             try:
                 for c, pts in zip(children, contours):
                     v = vals[k:k + len(pts)]
                     k += len(pts)
-                    dphi = wk.increments(c, pts, v)
-                    windings.append(_turns(dphi))
-                    measured.append((pts, v, dphi))
+                    dphi = walker.increments(c, pts, v, lvl)
+                    measured.append((c, _turns(dphi), (pts, v, dphi)))
             except NearZeroOnContour as exc:
                 last_exc = exc
                 continue
             except ContourError as exc:
                 last_exc = exc
                 break
+            windings = [w for _, w, _ in measured]
             if sum(windings) != w_par:
                 last_exc = ContourError(
                     f"child windings {windings} do not conserve parent {w_par}"
                 )
                 break
-            if samples is not None:
-                samples.update(zip(children, measured))
-            return list(zip(children, windings))
+            return measured
     if last_exc is None:
         last_exc = ContourError("split point exhausted the cell")
     raise last_exc
@@ -570,17 +550,20 @@ def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex],
     return z0 if rect.contains(z0) else rect.center
 
 
-def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig, level: int = 0):
-    """Fully resolve one pole-free cell of known winding; a split of rect
-    itself starts at sampling ``level``, a split of any child at level 0.  A
-    child works from the contour samples and increments its split handed it;
-    only rect's own contour is sampled and bisected here."""
+def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig, level: int = 0,
+                  values=()):
+    """Fully resolve one pole-free cell of known winding.  rect's walker
+    starts with ``values`` (those of the decision that measured its winding)
+    and its split with sampling ``level``; a child's walker starts with the
+    contour samples its split handed it, and its split with level 0.  A
+    winding-1 child takes the handed increments; only rect's own contour is
+    bisected here."""
     records: list[ZeroRecord] = []
     unresolved: list[UnresolvedCell] = []
-    stack = [(rect, w, None, level)]
+    stack = [(rect, w, level, values, None)]
     while stack:
-        cell, wc, contour, lvl = stack.pop()
-        walker = _Walker(fn, cc)      # the evaluation budget is per cell
+        cell, wc, lvl, seen, contour = stack.pop()
+        walker = _Walker(fn, cc, seen)      # the evaluation budget is per cell
         if wc == 0:
             continue
         if wc < 0:
@@ -612,12 +595,10 @@ def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig, level: int = 0
                 residual=resid, winding_mult=wc, rect=cell, refine_steps=0,
             ))
             continue
-        samples: dict = {}
-        known = None if contour is None else dict(zip(contour[0], contour[1]))
         try:
-            for child, w_child in _split_cell(walker, cell, wc, cc, samples, lvl, known):
+            for child, w_child, (pts, vals, dphi) in _split_cell(walker, cell, wc, lvl):
                 if w_child != 0:
-                    stack.append((child, w_child, samples[child], 0))
+                    stack.append((child, w_child, 0, zip(pts, vals), (pts, vals, dphi)))
         except (NearZeroOnContour, ContourError, DepthExceeded) as exc:
             unresolved.append(UnresolvedCell(cell, wc, f"{type(exc).__name__}: {exc}"))
     return records, unresolved
@@ -643,8 +624,8 @@ def localize_zeros(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
     """
     _assert_pole_free(e, rect)
     fn = expression_fn(e, cfg)
-    w_root, level, root = _winding_with_expansion(fn, rect, cc)
-    records, unresolved = _resolve_cell(fn, root, w_root, cc, level)
+    w_root, level, root, values = _winding_with_expansion(fn, rect, cc)
+    records, unresolved = _resolve_cell(fn, root, w_root, cc, level, values)
     records.sort(key=lambda r: (r.location.im, r.location.re, r.winding_mult))
     unresolved.sort(key=lambda u: (u.rect.t_lo, u.rect.sigma_lo))
     return LocalizeResult(tuple(records), tuple(unresolved))
@@ -715,9 +696,9 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
             tile_w, edge = [], {}
             try:
                 for r in tiles:     # a tile's top edge is the next one's bottom edge
-                    w, _, seen = _stable_winding(fn, r, cc, edge)
-                    tile_w.append(w)
-                    edge = {z: v for z, v in seen.items() if z.imag == r.t_hi}
+                    walker = _Walker(fn, cc, edge)
+                    tile_w.append(_stable_winding(walker, r)[0])
+                    edge = {z: v for z, v in walker.values.items() if z.imag == r.t_hi}
             except NearZeroOnContour:
                 if attempt == _JITTER_RETRIES:
                     complete = False
@@ -731,8 +712,6 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
                     k += 1
                 counts_at[t] = acc
             break
-        else:
-            complete = False
     counts = tuple(counts_at.get(t, 0) for t in ts)
     if any(c < 0 for c in counts):
         raise ContourError("negative zero count: pole leaked into a scan tile")

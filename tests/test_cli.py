@@ -126,6 +126,7 @@ def test_verify_suites_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert run("verify", "identities") == 0
+    assert run("verify", "oracles") == 0
 
 
 def test_eval_family_config(tmp_path, capsys):

@@ -16,7 +16,6 @@ from zetazeros.zeros import (
     _split_cell,
     _stable_winding,
     _start_point,
-    _tightened,
     _Walker,
     critical_line_check,
     density_scan,
@@ -61,8 +60,8 @@ def test_subdivision_conservation():
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
     w = walker.winding(rect)
-    kids = _split_cell(walker, rect, w, DEFAULT_CONTOUR)
-    assert sum(wc for _, wc in kids) == w
+    kids = _split_cell(walker, rect, w)
+    assert sum(wc for _, wc, _ in kids) == w
     assert w >= 1
 
 
@@ -234,13 +233,13 @@ def test_contour_config_rejects_nonpositive_tolerances():
 
 def test_eval_batch_split_invariance():
     # The distinct contour samples of the c12 root rectangle at all four
-    # tightening levels: a value must not depend on the order or grouping of
+    # sampling levels: a value must not depend on the order or grouping of
     # the batch it is evaluated in.
     e = parse_expr("zeta(s)^2-zeta(2*s)")
     rect = Rectangle(0.55, 2.0, 1e-3, 100.0)
+    walker = _Walker(None, DEFAULT_CONTOUR)
     zs = np.array(list(dict.fromkeys(
-        z for k in range(4)
-        for z in _Walker(None, _tightened(DEFAULT_CONTOUR, 2**k)).boundary_points(rect))))
+        z for k in range(4) for z in walker.boundary_points(rect, k))))
     values, errs = eval_batch(e, zs)
     rev_values, rev_errs = eval_batch(e, zs[::-1])
     assert rev_values[::-1].tobytes() == values.tobytes()
@@ -257,11 +256,9 @@ def test_split_cell_hands_children_their_samples():
     fn = expression_fn(parse_expr("zeta(s)^2-zeta(2*s)"), DEFAULT_CONFIG)
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(fn, DEFAULT_CONTOUR)
-    samples = {}
-    kids = _split_cell(walker, rect, walker.winding(rect), DEFAULT_CONTOUR, samples)
-    assert set(samples) == {child for child, _ in kids}
-    for child, w in kids:
-        pts, vals, dphi = samples[child]
+    kids = _split_cell(walker, rect, walker.winding(rect))
+    assert len(kids) == 4
+    for child, w, (pts, vals, dphi) in kids:
         fresh = _Walker(fn, DEFAULT_CONTOUR)
         fresh_pts, fresh_vals = fresh.boundary(child)
         assert pts == fresh_pts
@@ -276,13 +273,17 @@ def test_split_samples_children_in_one_batch_on_shared_edges(monkeypatch):
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
     w = walker.winding(rect)
+    known = set(walker.values)
     batches = []
     monkeypatch.setattr(zeros, "eval_batch",
                         lambda e, zs, cfg: batches.append(len(zs)) or eval_batch(e, zs, cfg))
-    samples = {}
-    kids = [child for child, _ in _split_cell(walker, rect, w, DEFAULT_CONTOUR, samples)]
-    measured = {child: dict(zip(pts, vals)) for child, (pts, vals, _) in samples.items()}
-    assert batches == [len(set().union(*measured.values()))]
+    split = _split_cell(walker, rect, w)
+    kids = [child for child, _, _ in split]
+    measured = {child: dict(zip(pts, vals)) for child, _, (pts, vals, _) in split}
+    # The parent's corners are known to the walker; every other child point
+    # is evaluated once, in one batch.
+    assert len(set().union(*measured.values()) & known) == 4
+    assert batches == [len(set().union(*measured.values()) - known)]
     # Children 0|1 and 3|2 share part of the vertical cut, 0/3 and 1/2 part
     # of the horizontal one: both sides hold the same points and values there.
     for a, b in ((0, 1), (3, 2), (0, 3), (1, 2)):
@@ -314,9 +315,10 @@ def test_start_point_falls_back_to_centre():
 
 def test_c12_evaluation_counts(monkeypatch):
     # Deterministic work counts of the c12 localisation, so that a lost saving
-    # shows without timing.  Measured: 13,461 batched points and 397 scalar
-    # evaluations (412 while a winding-1 cell bisected its contour again
-    # instead of taking its split's increments; 46,813 and 658 while each
+    # shows without timing.  Measured: 13,425 batched points and 397 scalar
+    # evaluations (13,461 batched while a split evaluated its parent's
+    # corners again; 412 scalar while a winding-1 cell bisected its contour
+    # again instead of taking its split's increments; 46,813 and 658 while each
     # winding level, split round and jitter attempt evaluated its contours
     # afresh, the root split started at level 0 and the start point used the
     # principal increments; 82,260 and 1,574 before Newton started at the
@@ -335,8 +337,20 @@ def test_c12_evaluation_counts(monkeypatch):
     monkeypatch.setattr(zeros, "eval_expr", eval_expr_counted)
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), Rectangle(0.55, 2.0, 1e-3, 100.0))
     assert len(res.records) == 13 and not res.unresolved
-    assert counts["batched"] <= int(1.1 * 13_461)
+    assert counts["batched"] <= int(1.1 * 13_425)
     assert counts["scalar"] <= int(1.1 * 397)
+
+
+def test_one_zero_window_evaluates_each_point_once(monkeypatch):
+    # A rectangle of winding 1 is resolved from the values its winding
+    # decision sampled, so its contour is not evaluated again (3,676 batched
+    # points for 3,064 distinct ones while the cell sampled it afresh).
+    batched = []
+    monkeypatch.setattr(zeros, "eval_batch",
+                        lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
+    res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), Rectangle(0.55, 2.0, 1e-3, 30.0))
+    assert len(res.records) == 1 and not res.unresolved
+    assert len(batched) == len(set(batched)) == 3_064
 
 
 def test_start_point_from_bisected_increments():
@@ -354,21 +368,22 @@ def test_start_point_from_bisected_increments():
 
 
 def test_stable_winding_evaluates_each_distinct_point_once(monkeypatch):
-    # The c12 root contour: each level is handed the values of the level
-    # below, so the levels together evaluate only their distinct points, and
-    # the winding equals that of fresh walkers at every level.
+    # The c12 root contour: the walker keeps the values of the levels below,
+    # so the levels together evaluate only their distinct points, and the
+    # winding equals that of fresh walkers at every level.
     e = parse_expr("zeta(s)^2-zeta(2*s)")
     rect = Rectangle(0.55, 2.0, 1e-3, 100.0)
     fn = expression_fn(e, DEFAULT_CONFIG)
     batched = []
     monkeypatch.setattr(zeros, "eval_batch",
                         lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
-    w, level, values = _stable_winding(fn, rect, DEFAULT_CONTOUR)
-    walkers = [_Walker(fn, _tightened(DEFAULT_CONTOUR, 2**k)) for k in range(level + 2)]
-    distinct = set().union(*(wk.boundary_points(rect) for wk in walkers))
+    walker = _Walker(fn, DEFAULT_CONTOUR)
+    w, level = _stable_winding(walker, rect)
+    distinct = set().union(*(walker.boundary_points(rect, k) for k in range(level + 2)))
     assert len(batched) == len(distinct) == 2_112
-    assert set(values) == distinct
-    assert [wk.winding(rect) for wk in walkers][-2:] == [w, w]
+    assert set(walker.values) == distinct
+    assert [_Walker(fn, DEFAULT_CONTOUR).winding(rect, k)
+            for k in range(level + 2)][-2:] == [w, w]
 
 
 def _linear_fn(z0):
@@ -383,10 +398,10 @@ def test_split_near_zero_hit_moves_the_split_point():
     rect = Rectangle(0.0, 1.0, 0.0, 1.0)
     cx = cy = zeros._SPLIT_FRAC
     z0 = complex(cx, cy)
-    kids = _split_cell(_Walker(_linear_fn(z0), DEFAULT_CONTOUR), rect, 1, DEFAULT_CONTOUR)
+    kids = _split_cell(_Walker(_linear_fn(z0), DEFAULT_CONTOUR), rect, 1)
     assert kids[0][0].sigma_hi == cx + DEFAULT_CONTOUR.jitter
     assert kids[0][0].t_hi == cy + DEFAULT_CONTOUR.jitter
-    assert [w for _, w in kids] == [1, 0, 0, 0]
+    assert [w for _, w, _ in kids] == [1, 0, 0, 0]
 
 
 def test_split_conservation_failure_densifies_at_once():
@@ -398,10 +413,10 @@ def test_split_conservation_failure_densifies_at_once():
     batches = []
     batch = fn.batch
     fn.batch = lambda zs: batches.append(len(zs)) or batch(zs)
-    kids = _split_cell(_Walker(fn, DEFAULT_CONTOUR), rect, 2, DEFAULT_CONTOUR)
+    kids = _split_cell(_Walker(fn, DEFAULT_CONTOUR), rect, 2)
     assert len(batches) == 3        # children, then parent and children denser
     assert kids[0][0].sigma_hi == rect.sigma_lo + zeros._SPLIT_FRAC * rect.width
-    assert [w for _, w in kids] == [1, 0, 0, 0]
+    assert [w for _, w, _ in kids] == [1, 0, 0, 0]
 
 
 def test_resolve_cell_takes_the_split_increments(monkeypatch):
@@ -427,17 +442,16 @@ def test_split_counts_against_the_cell_budget(monkeypatch):
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(fn, DEFAULT_CONTOUR)
     w = walker.winding(rect)
-    before = walker.evals
-    samples = {}
-    _split_cell(walker, rect, w, DEFAULT_CONTOUR, samples)
+    before, known = walker.evals, set(walker.values)
+    split = _split_cell(walker, rect, w)
     split_evals = walker.evals - before
-    assert split_evals >= len(set().union(*(pts for pts, _, _ in samples.values())))
+    assert split_evals >= len(set().union(*(pts for _, _, (pts, _, _) in split)) - known)
     # The split alone fits this budget, but not on top of the cell's contour.
     monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", walker.evals - 1)
     walker = _Walker(fn, DEFAULT_CONTOUR)
     walker.winding(rect)
     with pytest.raises(DepthExceeded, match="budget"):
-        _split_cell(walker, rect, w, DEFAULT_CONTOUR)
+        _split_cell(walker, rect, w)
     # A cell whose split exhausts the budget is reported, with the reason.
     monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", split_evals - 1)
     records, unresolved = zeros._resolve_cell(fn, rect, w, DEFAULT_CONTOUR)
