@@ -47,7 +47,8 @@ STRICT_UNRESOLVED = 4
 
 _SYNTAX_ERRORS = (ExprSyntaxError, UnknownFamily, ArityError)
 _EVAL_ERRORS = (PoleProximity, BudgetExceeded, NotInConvergenceRegion, OutOfRange,
-                NearZeroOnContour, DepthExceeded, ContourError)
+                NearZeroOnContour, DepthExceeded, ContourError,
+                ArithmeticError)    # a value that overflows a float
 
 
 def _parse_point(text: str) -> complex:

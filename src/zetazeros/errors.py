@@ -45,7 +45,8 @@ class DepthExceeded(ZetaError):
 
 
 class ContourError(ZetaError):
-    """Phase accumulator failed to close on an integer multiple of 2*pi."""
+    """Contour windings are inconsistent: they do not stabilise under
+    refinement, a split cannot conserve them, or a count is negative."""
 
 
 class ExprSyntaxError(ZetaError):

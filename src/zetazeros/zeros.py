@@ -12,10 +12,11 @@ z_start - (1/2 pi i) * contour integral of log F dz, taken by the trapezoid
 rule over the contour samples that also give the cell's |F| scale, with the
 phase continued along the phase increments that winding uses, bisected
 where a segment's principal increment exceeds the step, so that a zero
-close to an edge is resolved.  A child takes the samples, values and
-increments its split computed, so its contour is neither evaluated nor
-bisected again.  Newton starts at the cell centre instead when those
-increments do not sum to 2*pi, or when the estimate falls outside the cell.
+close to an edge is resolved.  Each cell takes the samples, values and
+increments of the contour its winding was accepted from (a child those its
+split computed), so no cell's contour is evaluated or bisected again.
+Newton starts at the cell centre instead when those increments do not make
+one turn, or when the estimate falls outside the cell.
 
 A contour's samples are evaluated in one eval_batch call, and the near-zero
 check and phase increments run over the sample array at once.  A split
@@ -31,16 +32,15 @@ sampling, and the walker keeps F at every contour sample it has evaluated or
 been handed, so no contour point of the decision is evaluated twice; on long
 edges the levels sample the same points (see _stable_winding).  The walker
 that measured the scanned rectangle hands its values to the rectangle's
-cell, so a one-zero rectangle's contour is not evaluated again, and its
-split knows the parent's corners.  A cell's walker starts with the contour
-samples its split handed it.  A density scan seeds each tile's walker with
-the values on its bottom edge, which the tile below sampled as its top edge.
-The split of the scanned rectangle starts at the coarser of its two agreeing
-levels, with the accepted winding; every other split starts at level 0.  A
-split whose children fail to conserve the parent's winding goes on to the
-next denser level; only a near-zero hit on a child contour moves the split
-point for another attempt at the same level.  Every evaluation a split makes
-counts against its cell's evaluation budget.
+cell, so its split knows the parent's corners.  A cell's walker starts with
+the contour samples its split handed it.  A density scan seeds each tile's
+walker with the values on its bottom edge, which the tile below sampled as
+its top edge.  The split of the scanned rectangle starts at the coarser of
+its two agreeing levels, with the accepted winding; every other split starts
+at level 0.  A split whose children fail to conserve the parent's winding
+goes on to the next denser level; only a near-zero hit on a child contour
+moves the split point for another attempt at the same level.  Every
+evaluation a split makes counts against its cell's evaluation budget.
 
 Near-zero samples on the outer boundary of a scan trigger a deterministic
 outward jitter; the near-zero threshold is 10 * zero_tol, scaled down by the
@@ -76,7 +76,6 @@ _TILE_HEIGHT = 25.0          # density-scan strip height
 _NEWTON_MAX_STEPS = 60
 _JITTER_RETRIES = 8
 _CELL_EVAL_BUDGET = 4_000_000
-_PHASE_SLACK = 0.01          # a closed contour's phase total within this of 2*pi*n
 
 
 @dataclass(frozen=True)
@@ -271,7 +270,9 @@ class _Walker:
         return 10.0 * self.cc.zero_tol * np.minimum(1.0, neighbour_mag)
 
     def winding(self, rect: Rectangle, level: int = 0) -> int:
-        return self.wind(rect, *self.boundary(rect, level), level)
+        """Winding number of F around rect from its contour samples."""
+        pts, vals = self.boundary(rect, level)
+        return _turns(self.increments(pts, vals, level))
 
     def boundary(self, rect: Rectangle, level: int = 0
                  ) -> tuple[list[complex], list[complex]]:
@@ -279,20 +280,17 @@ class _Walker:
         pts = self.boundary_points(rect, level)
         return pts, self.sample(pts)
 
-    def wind(self, rect: Rectangle, pts: list[complex], vals: list[complex],
-             level: int = 0) -> int:
-        """Winding number of F around rect from its contour samples."""
-        return _turns(self.increments(rect, pts, vals, level))
-
-    def increments(self, rect: Rectangle, pts: list[complex],
-                   vals: list[complex], level: int = 0) -> np.ndarray:
-        """Phase increments of F along the contour samples, summing to 2*pi
-        times the winding number.
+    def increments(self, pts: list[complex], vals: list[complex],
+                   level: int = 0) -> np.ndarray:
+        """Phase increments of F along the closed contour samples, summing to
+        2*pi times the winding number.
 
         The near-zero check and the principal phase increments are computed
         over the whole sample array; only the segments whose increment exceeds
         the step are bisected, in contour order, and their increments are the
-        bisected sums."""
+        bisected sums.  The principal increments multiply out to vals[-1] /
+        vals[0] = 1, and a bisected sum differs from the increment it replaces
+        by 2*pi*k, so the total is a multiple of 2*pi up to rounding."""
         v = np.asarray(vals)
         mag = np.abs(v[:-1])          # pts[-1] == pts[0]
         local = np.maximum(np.roll(mag, 1), np.roll(mag, -1))
@@ -301,17 +299,9 @@ class _Walker:
 
         dphi = np.angle(v[1:] / v[:-1])
         step = self.cc.max_phase_step / 2**level
-        for attempt in range(3):
-            phase = dphi.copy()
-            for i in np.flatnonzero(np.abs(dphi) > step).tolist():
-                phase[i] = self._segment_phase(pts[i], vals[i], pts[i + 1], vals[i + 1], step, 0)
-            total = float(phase.sum())
-            if abs(total - TWO_PI * round(total / TWO_PI)) <= _PHASE_SLACK:
-                return phase
-            step *= 0.5     # refine instead of rounding silently
-        raise ContourError(
-            f"phase accumulator {total:.6f} not near a multiple of 2*pi on {rect}"
-        )
+        for i in np.flatnonzero(np.abs(dphi) > step).tolist():
+            dphi[i] = self._segment_phase(pts[i], vals[i], pts[i + 1], vals[i + 1], step, 0)
+        return dphi
 
     def _segment_phase(self, z0, v0, z1, v1, step, depth) -> float:
         dphi = cmath.phase(v1 / v0)
@@ -341,7 +331,7 @@ def expression_fn(e, cfg: EvalConfig):
     return fn
 
 
-def _stable_winding(walker: _Walker, rect: Rectangle) -> tuple[int, int]:
+def _stable_winding(walker: _Walker, rect: Rectangle):
     """Winding accepted only once two consecutive sampling levels agree.
 
     Guards against phase aliasing from zeros hugging the contour from either
@@ -353,14 +343,18 @@ def _stable_winding(walker: _Walker, rect: Rectangle) -> tuple[int, int]:
     level whose own count is below that, so those levels sample the same
     points there and the second level checks nothing new on that edge (the
     100-unit edges of the c12 rectangle get 800 samples at levels 0 to 3).
-    Returns (winding, level): level is the coarser of the two agreeing levels.
+    Returns (winding, level, contour): level is the coarser of the two
+    agreeing levels, and contour the (pts, vals, dphi) the winding came from
+    there: the samples, F at each of them and the bisected phase increments.
     """
-    prev = None
+    prev = None, None
     for level in range(4):
-        w = walker.winding(rect, level)
-        if w == prev:
-            return w, level - 1
-        prev = w
+        pts, vals = walker.boundary(rect, level)
+        dphi = walker.increments(pts, vals, level)
+        w = _turns(dphi)
+        if w == prev[0]:
+            return w, level - 1, prev[1]
+        prev = w, (pts, vals, dphi)
     raise ContourError(f"winding did not stabilize under refinement on {rect}")
 
 
@@ -390,15 +384,14 @@ def _effective_jitter(rect: Rectangle, cc: ContourConfig) -> float:
 
 def _winding_with_expansion(fn, rect: Rectangle, cc: ContourConfig):
     """Stable winding with the outer boundary pushed outward on near-zero hits:
-    (winding, level, rectangle, values), level as from _stable_winding and
-    values those of the walker that measured the rectangle."""
+    _stable_winding's (winding, level, contour), then the rectangle measured
+    and its walker's values."""
     jit = _effective_jitter(rect, cc)
     cur = rect
     for attempt in range(_JITTER_RETRIES + 1):
         walker = _Walker(fn, cc)
         try:
-            w, level = _stable_winding(walker, cur)
-            return w, level, cur, walker.values
+            return (*_stable_winding(walker, cur), cur, walker.values)
         except NearZeroOnContour:
             if attempt == _JITTER_RETRIES:
                 raise
@@ -420,11 +413,11 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, level: int = 0)
     corners, its contour, earlier rounds) are not evaluated again.  Children
     windings must conserve the parent's.  Only a near-zero hit on a child
     contour moves the split point (by the jitter) for another attempt at the
-    same level; a child's ContourError or a conservation failure (a zero close
-    enough to an edge to alias the phase samples, which a jitter-sized move
-    cannot repair on the outer edges) ends the round, and the next round
-    re-measures parent and children at the next denser level (as in
-    _stable_winding) before giving up after three.  The first round samples
+    same level; a conservation failure (a zero close enough to an edge to
+    alias the phase samples, which a jitter-sized move cannot repair on the
+    outer edges) ends the round, and the next round re-measures parent and
+    children at the next denser level (as in _stable_winding) before giving
+    up after three.  The first round samples
     at ``level`` and takes w_parent as measured there.  Every evaluation
     counts against ``walker``'s budget.  Returns (child, winding, (pts, vals,
     dphi)) triples: the child's contour samples at the accepted level, F at
@@ -440,7 +433,7 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, level: int = 0)
         if lvl > level:
             try:
                 w_par = walker.winding(rect, lvl)
-            except (NearZeroOnContour, ContourError, DepthExceeded) as exc:
+            except (NearZeroOnContour, DepthExceeded) as exc:
                 last_exc = exc
                 continue
         for attempt in range(_JITTER_RETRIES + 1):
@@ -461,14 +454,11 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, level: int = 0)
                 for c, pts in zip(children, contours):
                     v = vals[k:k + len(pts)]
                     k += len(pts)
-                    dphi = walker.increments(c, pts, v, lvl)
+                    dphi = walker.increments(pts, v, lvl)
                     measured.append((c, _turns(dphi), (pts, v, dphi)))
             except NearZeroOnContour as exc:
                 last_exc = exc
                 continue
-            except ContourError as exc:
-                last_exc = exc
-                break
             windings = [w for _, w, _ in measured]
             if sum(windings) != w_par:
                 last_exc = ContourError(
@@ -524,7 +514,7 @@ def _boundary_scale(vals: list[complex]) -> float:
 
 
 def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex],
-                 dphi=None) -> complex:
+                 dphi: np.ndarray) -> complex:
     """Argument-principle estimate of the one zero of F inside rect.
 
     Integrating the moment (1/2 pi i) * contour integral of z F'/F dz by parts
@@ -532,37 +522,34 @@ def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex],
     with log F continued along the contour from z_start = pts[0] (Delves &
     Lyness, Math. Comp. 21, 1967).  The integral is the trapezoid rule over
     the closed contour samples, with log F = log|F| + i * (phase unwrapped
-    from the increments ``dphi``: _Walker.increments, whose bisected segments
-    resolve a zero close to an edge, or else the principal increments of
-    vals), so it costs no evaluation.  The centre is returned instead when the
-    increments do not sum to 2*pi within _PHASE_SLACK (the samples do not
-    resolve one winding) or the estimate falls outside rect.
+    from the increments ``dphi``, as _Walker.increments bisects them so that
+    a zero close to an edge is resolved), so it costs no evaluation.  The
+    centre is returned instead when the increments do not make one turn (the
+    samples do not resolve one winding) or the estimate falls outside rect.
     """
+    if _turns(dphi) != 1:
+        return rect.center
     z = np.asarray(pts)
     v = np.asarray(vals)
-    if dphi is None:
-        dphi = np.angle(v[1:] / v[:-1])
-    if not abs(dphi.sum() - TWO_PI) <= _PHASE_SLACK:
-        return rect.center
     log_f = np.log(np.abs(v)) + 1j * np.concatenate(([0.0], np.cumsum(dphi)))
     moment = complex(np.sum(0.5 * (log_f[1:] + log_f[:-1]) * np.diff(z)))
     z0 = pts[0] - moment / (2j * math.pi)
     return z0 if rect.contains(z0) else rect.center
 
 
-def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig, level: int = 0,
-                  values=()):
-    """Fully resolve one pole-free cell of known winding.  rect's walker
-    starts with ``values`` (those of the decision that measured its winding)
-    and its split with sampling ``level``; a child's walker starts with the
-    contour samples its split handed it, and its split with level 0.  A
-    winding-1 child takes the handed increments; only rect's own contour is
-    bisected here."""
+def _resolve_cell(fn, rect: Rectangle, w: int, contour, cc: ContourConfig,
+                  level: int = 0, values=()):
+    """Fully resolve one pole-free cell of known winding.  Each cell comes
+    with the (pts, vals, dphi) its winding was accepted from: rect with
+    ``contour`` (from _stable_winding, at ``level``), a child with the one
+    its split handed it.  rect's walker starts with ``values`` (those of its
+    winding decision) and its split with ``level``; a child's walker starts
+    with its contour samples, and its split with level 0."""
     records: list[ZeroRecord] = []
     unresolved: list[UnresolvedCell] = []
-    stack = [(rect, w, level, values, None)]
+    stack = [(rect, w, level, values, contour)]
     while stack:
-        cell, wc, lvl, seen, contour = stack.pop()
+        cell, wc, lvl, seen, (pts, vals, dphi) = stack.pop()
         walker = _Walker(fn, cc, seen)      # the evaluation budget is per cell
         if wc == 0:
             continue
@@ -571,13 +558,6 @@ def _resolve_cell(fn, rect: Rectangle, w: int, cc: ContourConfig, level: int = 0
             continue
         size = max(cell.width, cell.height)
         if wc == 1:
-            if contour is None:
-                pts, vals = walker.boundary(cell)
-                try:
-                    contour = pts, vals, walker.increments(cell, pts, vals)
-                except (NearZeroOnContour, ContourError, DepthExceeded):
-                    contour = pts, vals, None
-            pts, vals, dphi = contour
             hit = _newton_refine(walker, cell, cc, _boundary_scale(vals),
                                  _start_point(cell, pts, vals, dphi))
             if hit is not None:
@@ -624,8 +604,8 @@ def localize_zeros(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
     """
     _assert_pole_free(e, rect)
     fn = expression_fn(e, cfg)
-    w_root, level, root, values = _winding_with_expansion(fn, rect, cc)
-    records, unresolved = _resolve_cell(fn, root, w_root, cc, level, values)
+    w_root, level, contour, root, values = _winding_with_expansion(fn, rect, cc)
+    records, unresolved = _resolve_cell(fn, root, w_root, contour, cc, level, values)
     records.sort(key=lambda r: (r.location.im, r.location.re, r.winding_mult))
     unresolved.sort(key=lambda u: (u.rect.t_lo, u.rect.sigma_lo))
     return LocalizeResult(tuple(records), tuple(unresolved))

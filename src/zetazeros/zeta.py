@@ -20,7 +20,7 @@ twice the first omitted correction term is at most EvalConfig.target_abs_err
 value carries a truncation error near the target rather than far below it.
 The reported abs_err is that truncation term plus a rounding-noise allowance
 for the prefix sum; the allowance is calibrated, not proven, and misses on a
-small share of points (ROADMAP item 2).  One chain of rising factorials per
+small share of points (ROADMAP item 3).  One chain of rising factorials per
 point serves the cutoff and the corrections, which are summed in Horner form.
 
 hurwitz_batch evaluates the same formula at an array of s in one numpy pass.

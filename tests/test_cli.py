@@ -28,6 +28,10 @@ def test_eval_multiple_points(capsys):
 
 def test_eval_pole_exit_3(capsys):
     assert run("eval", "zeta(s)", "--at", "1") == 3
+    # A value that overflows a float is an evaluation error too.
+    for text, at in (("xi(s)", "700"), ("dirichlet[(1,-800)]", "1")):
+        assert run("eval", text, "--at", at) == 3, text
+        assert "evaluation error (OverflowError)" in capsys.readouterr().err
 
 
 def test_eval_syntax_exit_2(capsys):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zetazeros.config import EvalConfig, DEFAULT_CONFIG
 from zetazeros.errors import DepthExceeded, NearZeroOnContour, PoleProximity
@@ -210,7 +211,7 @@ def test_wind_names_first_near_zero_and_bisects_wide_segments():
     # F(z) = z on a triangle around 0: every increment is 2pi/3, above the
     # pi/2 step, so each segment is bisected with fresh evaluations.
     pts = [cmath.exp(2j * math.pi * k / 3) for k in (0, 1, 2, 0)]
-    assert walker.wind(rect, pts, pts) == 1
+    assert zeros._turns(walker.increments(pts, pts)) == 1
     assert walker.evals >= 3
     # Two samples below the near-zero floor: the error names the first in
     # contour order, not the smaller one.
@@ -218,8 +219,34 @@ def test_wind_names_first_near_zero_and_bisects_wide_segments():
     vals = [1 + 0j] * len(pts)
     vals[9], vals[5] = 1e-15, 1e-12
     with pytest.raises(NearZeroOnContour) as exc:
-        walker.wind(rect, pts, vals)
+        walker.increments(pts, vals)
     assert exc.value.point == pts[5]
+
+
+# A coordinate relative to the rectangle, off its edges at 0 and 1.
+UNIT = st.floats(-0.5, 1.5).filter(lambda u: abs(u) > 1e-3 and abs(u - 1.0) > 1e-3)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(roots=st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=6),
+       poles=st.lists(st.tuples(UNIT, UNIT), max_size=3), scale=st.floats(0.1, 10.0),
+       sigma=st.floats(-1.0, 1.0), t=st.floats(-1.0, 1.0),
+       width=st.floats(0.1, 2.0), height=st.floats(0.1, 2.0), level=st.integers(0, 2))
+def test_increments_total_a_multiple_of_two_pi(roots, poles, scale, sigma, t, width, height,
+                                               level):
+    # Principal and bisected phase increments around a closed contour of a
+    # polynomial or rational F add up to 2*pi*n up to rounding, so the
+    # winding needs no check that the total is near a multiple of 2*pi.
+    rect = Rectangle(sigma, sigma + width, t, t + height)
+    zs, ps = ([complex(sigma + u * width, t + v * height) for u, v in uv]
+              for uv in (roots, poles))
+    fn = lambda z: scale * math.prod(z - a for a in zs) / math.prod(z - b for b in ps)
+    fn.batch = lambda zs: [fn(z) for z in zs]
+    walker = _Walker(fn, ContourConfig(init_samples_per_edge=4))
+    pts, vals = walker.boundary(rect, level)
+    assume(all(v != 0 and cmath.isfinite(v) for v in vals))
+    total = float(walker.increments(pts, vals, level).sum())
+    assert abs(total - 2 * math.pi * round(total / (2 * math.pi))) <= 1e-9
 
 
 def test_contour_config_rejects_nonpositive_tolerances():
@@ -263,7 +290,7 @@ def test_split_cell_hands_children_their_samples():
         fresh_pts, fresh_vals = fresh.boundary(child)
         assert pts == fresh_pts
         assert vals == fresh_vals
-        assert dphi.tobytes() == fresh.increments(child, fresh_pts, fresh_vals).tobytes()
+        assert dphi.tobytes() == fresh.increments(fresh_pts, fresh_vals).tobytes()
         assert zeros._turns(dphi) == w
         assert _boundary_scale(vals) == _boundary_scale(fresh_vals)
 
@@ -292,25 +319,33 @@ def test_split_samples_children_in_one_batch_on_shared_edges(monkeypatch):
         assert shared == {z: v for z, v in measured[kids[b]].items() if kids[a].contains(z)}
 
 
+def _principal(vals):
+    """The principal phase increments along vals, bisecting no segment."""
+    v = np.asarray(vals)
+    return np.angle(v[1:] / v[:-1])
+
+
 def test_start_point_of_linear_function():
     rect = Rectangle(-1.0, 2.0, -0.5, 1.5)
     pts = _Walker(None, DEFAULT_CONTOUR).boundary_points(rect)
     size = max(rect.width, rect.height)
     for z0 in (0.3 + 0.2j, -0.9 + 1.4j, 0.5 + 0.5j):
-        assert abs(_start_point(rect, pts, [z - z0 for z in pts]) - z0) <= 1e-3 * size
+        vals = [z - z0 for z in pts]
+        assert abs(_start_point(rect, pts, vals, _principal(vals)) - z0) <= 1e-3 * size
 
 
 def test_start_point_falls_back_to_centre():
     rect = Rectangle(-1.0, 2.0, -0.5, 1.5)
     pts = _Walker(None, DEFAULT_CONTOUR).boundary_points(rect)
     # Increments summing to 4pi (a double zero) or to 0 (no zero inside).
-    assert _start_point(rect, pts, [(z - 0.3) ** 2 for z in pts]) == rect.center
-    assert _start_point(rect, pts, [z - 5.0 for z in pts]) == rect.center
+    for vals in ([(z - 0.3) ** 2 for z in pts], [z - 5.0 for z in pts]):
+        assert _start_point(rect, pts, vals, _principal(vals)) == rect.center
     # Winding 1 from two zeros and a pole inside: the moment a + b - c lies
     # outside the rectangle.
     a, b, c = 1.8 + 1.3j, 1.7 + 1.2j, -0.8 - 0.3j
     assert not rect.contains(a + b - c)
-    assert _start_point(rect, pts, [(z - a) * (z - b) / (z - c) for z in pts]) == rect.center
+    vals = [(z - a) * (z - b) / (z - c) for z in pts]
+    assert _start_point(rect, pts, vals, _principal(vals)) == rect.center
 
 
 def test_c12_evaluation_counts(monkeypatch):
@@ -342,15 +377,24 @@ def test_c12_evaluation_counts(monkeypatch):
 
 
 def test_one_zero_window_evaluates_each_point_once(monkeypatch):
-    # A rectangle of winding 1 is resolved from the values its winding
-    # decision sampled, so its contour is not evaluated again (3,676 batched
-    # points for 3,064 distinct ones while the cell sampled it afresh).
-    batched = []
+    # A rectangle of winding 1 is resolved from the contour its winding was
+    # accepted from (level 1 here), so its contour is neither evaluated nor
+    # bisected again, and Newton from that contour's start point finds the
+    # zero in the rectangle itself.  3,064 batched and 151 scalar evaluations
+    # while the cell bisected its level-0 contour, Newton from the centre
+    # failed and the cell was split; 3,676 batched while it also sampled its
+    # contour afresh.
+    batched, scalar = [], []
     monkeypatch.setattr(zeros, "eval_batch",
                         lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
-    res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), Rectangle(0.55, 2.0, 1e-3, 30.0))
+    monkeypatch.setattr(zeros, "eval_expr",
+                        lambda e, z, cfg: scalar.append(z) or eval_expr(e, z, cfg))
+    rect = Rectangle(0.55, 2.0, 1e-3, 30.0)
+    res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), rect)
     assert len(res.records) == 1 and not res.unresolved
-    assert len(batched) == len(set(batched)) == 3_064
+    assert res.records[0].rect == rect
+    assert len(batched) == len(set(batched)) == 1_472
+    assert len(scalar) == 68
 
 
 def test_start_point_from_bisected_increments():
@@ -362,15 +406,16 @@ def test_start_point_from_bisected_increments():
     walker = _Walker(lambda z: (z - z0) * cmath.exp(64j * z), DEFAULT_CONTOUR)
     pts = walker.boundary_points(rect)
     vals = [walker.fn(z) for z in pts]
-    assert _start_point(rect, pts, vals) == rect.center
-    start = _start_point(rect, pts, vals, walker.increments(rect, pts, vals))
+    assert _start_point(rect, pts, vals, _principal(vals)) == rect.center
+    start = _start_point(rect, pts, vals, walker.increments(pts, vals))
     assert rect.contains(start) and abs(start - z0) < 1e-3
 
 
 def test_stable_winding_evaluates_each_distinct_point_once(monkeypatch):
     # The c12 root contour: the walker keeps the values of the levels below,
     # so the levels together evaluate only their distinct points, and the
-    # winding equals that of fresh walkers at every level.
+    # winding equals that of fresh walkers at every level.  The contour
+    # returned is the one at the accepted level.
     e = parse_expr("zeta(s)^2-zeta(2*s)")
     rect = Rectangle(0.55, 2.0, 1e-3, 100.0)
     fn = expression_fn(e, DEFAULT_CONFIG)
@@ -378,12 +423,17 @@ def test_stable_winding_evaluates_each_distinct_point_once(monkeypatch):
     monkeypatch.setattr(zeros, "eval_batch",
                         lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
     walker = _Walker(fn, DEFAULT_CONTOUR)
-    w, level = _stable_winding(walker, rect)
+    w, level, (pts, vals, dphi) = _stable_winding(walker, rect)
     distinct = set().union(*(walker.boundary_points(rect, k) for k in range(level + 2)))
     assert len(batched) == len(distinct) == 2_112
     assert set(walker.values) == distinct
     assert [_Walker(fn, DEFAULT_CONTOUR).winding(rect, k)
             for k in range(level + 2)][-2:] == [w, w]
+    fresh = _Walker(fn, DEFAULT_CONTOUR)
+    fresh_pts, fresh_vals = fresh.boundary(rect, level)
+    assert pts == fresh_pts and vals == fresh_vals
+    assert dphi.tobytes() == fresh.increments(fresh_pts, fresh_vals, level).tobytes()
+    assert zeros._turns(dphi) == w
 
 
 def _linear_fn(z0):
@@ -426,12 +476,16 @@ def test_resolve_cell_takes_the_split_increments(monkeypatch):
     z1, z2 = 0.3 + 0.3j, 0.8 + 0.8j
     fn = lambda z: (z - z1) * (z - z2)
     fn.batch = lambda zs: [fn(z) for z in zs]
+    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
+    walker = _Walker(fn, DEFAULT_CONTOUR)
+    w, level, contour = _stable_winding(walker, rect)
+    assert w == 2
     calls = []
     increments = _Walker.increments
     monkeypatch.setattr(_Walker, "increments",
                         lambda self, *args: calls.append(args[0]) or increments(self, *args))
-    records, unresolved = zeros._resolve_cell(fn, Rectangle(0.0, 1.0, 0.0, 1.0), 2,
-                                              DEFAULT_CONTOUR)
+    records, unresolved = zeros._resolve_cell(fn, rect, w, contour, DEFAULT_CONTOUR,
+                                              level, walker.values)
     assert not unresolved
     assert sorted(abs(r.location.z - z1) < 1e-12 for r in records) == [False, True]
     assert len(calls) == 4
@@ -441,7 +495,9 @@ def test_split_counts_against_the_cell_budget(monkeypatch):
     fn = expression_fn(parse_expr("zeta(s)^2-zeta(2*s)"), DEFAULT_CONFIG)
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(fn, DEFAULT_CONTOUR)
-    w = walker.winding(rect)
+    pts, vals = walker.boundary(rect)
+    contour = pts, vals, walker.increments(pts, vals)
+    w = zeros._turns(contour[2])
     before, known = walker.evals, set(walker.values)
     split = _split_cell(walker, rect, w)
     split_evals = walker.evals - before
@@ -454,7 +510,7 @@ def test_split_counts_against_the_cell_budget(monkeypatch):
         _split_cell(walker, rect, w)
     # A cell whose split exhausts the budget is reported, with the reason.
     monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", split_evals - 1)
-    records, unresolved = zeros._resolve_cell(fn, rect, w, DEFAULT_CONTOUR)
+    records, unresolved = zeros._resolve_cell(fn, rect, w, contour, DEFAULT_CONTOUR)
     assert not records
     assert [(u.rect, u.winding) for u in unresolved] == [(rect, w)]
     assert unresolved[0].reason == "DepthExceeded: per-cell evaluation budget exhausted"
