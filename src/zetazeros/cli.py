@@ -16,19 +16,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .config import EvalConfig, DEFAULT_CONFIG
-from .errors import (
-    ArityError,
-    BudgetExceeded,
-    ContourError,
-    DepthExceeded,
-    ExprSyntaxError,
-    NearZeroOnContour,
-    NotInConvergenceRegion,
-    OutOfRange,
-    PoleProximity,
-    UnknownFamily,
-    ZetaError,
-)
+from .errors import ArityError, ExprSyntaxError, UnknownFamily, ZetaError
 from .families import linear_form_eval, linear_form_from_config
 from .expr import parse_expr, to_text
 from .verify import run_suite
@@ -46,8 +34,7 @@ EVAL_ERROR = 3
 STRICT_UNRESOLVED = 4
 
 _SYNTAX_ERRORS = (ExprSyntaxError, UnknownFamily, ArityError)
-_EVAL_ERRORS = (PoleProximity, BudgetExceeded, NotInConvergenceRegion, OutOfRange,
-                NearZeroOnContour, DepthExceeded, ContourError,
+_EVAL_ERRORS = (ZetaError,          # every other package failure
                 ArithmeticError)    # a value that overflows a float
 
 
@@ -335,9 +322,6 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     except _EVAL_ERRORS as exc:
         print(f"evaluation error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return EVAL_ERROR
-    except ZetaError as exc:
-        print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return EVAL_ERROR
 
 

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tables import BERNOULLI_MAX_INDEX
+
 
 @dataclass(frozen=True)
 class ComplexValue:
@@ -45,7 +47,8 @@ class EvalConfig:
         sums take the smallest cutoff N whose truncation term meets it, so it
         sets the work done, and a value carries a truncation error near the
         target rather than far below it.
-    em_order: number of Bernoulli correction terms in Euler-Maclaurin sums.
+    em_order: number of Bernoulli correction terms in Euler-Maclaurin sums,
+        at most (BERNOULLI_MAX_INDEX - 2) // 2 = 33.
     max_terms: hard cap on direct-sum terms.
     pole_guard: minimum allowed distance to a known pole.
     """
@@ -60,6 +63,9 @@ class EvalConfig:
             raise ValueError("target_abs_err must be > 0")
         if self.em_order < 1:
             raise ValueError("em_order must be >= 1")
+        if self.em_order > (BERNOULLI_MAX_INDEX - 2) // 2:
+            raise ValueError(f"em_order must be <= {(BERNOULLI_MAX_INDEX - 2) // 2}: "
+                             f"the Bernoulli table stops at B_{BERNOULLI_MAX_INDEX}")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
         if not self.pole_guard > 0:

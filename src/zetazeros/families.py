@@ -28,7 +28,7 @@ from .errors import (
     OutOfRange,
     PoleProximity,
 )
-from .tables import get_tables, bernoulli_over_factorial
+from .tables import bernoulli, bernoulli_over_factorial
 from .zeta import hurwitz_pair, hurwitz_zeta_shifted, rpow
 
 HOFFMAN_MAX_R = 12
@@ -305,21 +305,32 @@ class BarnesParams:
             raise ValueError("Barnes shift a must be > 0")
 
 
+def _expand_product(lead, shifts) -> list[Fraction]:
+    """Coefficients, lowest power first, of lead * prod (x + c) over c in shifts."""
+    poly = [Fraction(lead)]
+    for c in shifts:
+        poly = [Fraction(0)] + poly
+        for t in range(len(poly) - 1):
+            poly[t] += c * poly[t + 1]
+    return poly
+
+
 @lru_cache(maxsize=None)
 def _barnes_weight_polys(r: int) -> tuple[tuple[Fraction, ...], ...]:
     """p_{rj}(a) as exact polynomials in a:
 
     p_{rj}(a) = (-1)^{r+1-j}/(r-1)! * sum_{l=j}^{r-1} C(l,j) s(r,l+1) a^{l-j},
 
-    with s(.,.) the signed Stirling numbers of the first kind.  Entry [j][i]
-    is the coefficient of a^i.
+    with s(r,.) the signed Stirling numbers of the first kind, read off as the
+    coefficients of the falling factorial x(x-1)...(x-r+1).  Entry [j][i] is
+    the coefficient of a^i.
     """
-    tabs = get_tables()
+    stirling = _expand_product(1, range(0, -r, -1))
     polys = []
     for j in range(r):
         coeffs = [Fraction(0)] * (r - j)
         for l in range(j, r):
-            c = Fraction((-1) ** (r + 1 - j) * tabs.binom(l, j) * tabs.stirling(r, l + 1),
+            c = Fraction((-1) ** (r + 1 - j) * math.comb(l, j) * stirling[l + 1],
                          math.factorial(r - 1))
             coeffs[l - j] += c
         polys.append(tuple(coeffs))
@@ -355,7 +366,7 @@ def barnes_direct(p: BarnesParams, s: complex, cfg: EvalConfig = DEFAULT_CONFIG)
     the series becomes  sum_k C(k+r-1, r-1) (k+a)^{-s}.  The tail past the
     truncation point is handled with Euler-Maclaurin using only elementary
     antiderivatives of (x+a)^{j-s}; no Hurwitz continuation machinery and no
-    Stirling tables are involved, keeping this route independent of
+    Stirling numbers are involved, keeping this route independent of
     barnes_zeta.
     """
     s = complex(s)
@@ -454,12 +465,7 @@ def sphere_mult_poly(n: int) -> SphereParams:
     if n == 1:
         return SphereParams(1, (Fraction(2),))
     half = Fraction(n - 1, 2)
-    poly = [Fraction(0), Fraction(2)]          # 2m
-    for i in range(1, n - 1):
-        shift = i - half
-        poly = [Fraction(0)] + poly
-        for t in range(len(poly) - 1):
-            poly[t] += shift * poly[t + 1]
+    poly = _expand_product(2, [0] + [i - half for i in range(1, n - 1)])   # 2m prod (m + i - half)
     fact = math.factorial(n - 1)
     coeffs = [c / fact for c in poly]
     coeffs += [Fraction(0)] * (n - len(coeffs))
@@ -515,7 +521,7 @@ def symmat_poly(p: SymMatrixParams) -> ZetaPoly:
     n, h = p.n, p.n // 2
     b_num = Fraction(1)
     for k in range(1, h + 1):
-        b_num *= get_tables().bern(2 * k)
+        b_num *= bernoulli()[2 * k]
     b_n = float(abs(b_num) / (2 ** (n - 1) * math.factorial(h)))
     a_part = (2.0 ** h if p.lattice == "Ln" else 1.0,
               tuple((2.0, float(1 - 2 * k), 1.0) for k in range(1, h + 1)) + ((1.0, float(-h), 1.0),))

@@ -1,85 +1,30 @@
-"""Exact integer/rational constant tables: Bernoulli, Stirling first kind, binomial.
+"""Exact Bernoulli numbers and the Euler-Maclaurin weights taken from them.
 
-Everything here is built once with arbitrary-size integer arithmetic and kept
+The numbers are built once with arbitrary-size rational arithmetic and kept
 immutable; floating conversion happens only at evaluation time in the callers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-BERNOULLI_MAX_INDEX = 68   # B_0 .. B_68; covers em_order up to 32
-STIRLING_MAX_R = 16        # s(r, l) for r, l <= 16; Barnes r is capped below this
-BINOMIAL_MAX_N = 64
-
-
-def _bernoulli_numbers(n_max: int) -> tuple[Fraction, ...]:
-    # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, B_0 = 1; gives B_1 = -1/2.
-    bern = [Fraction(1)]
-    for m in range(1, n_max + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * bern[j]
-        bern.append(-acc / (m + 1))
-    return tuple(bern)
-
-
-def _stirling_first(r_max: int) -> tuple[tuple[int, ...], ...]:
-    # Signed Stirling numbers of the first kind:
-    #   s(0,0) = 1, s(r,0) = 0 for r >= 1, s(r+1,l) = s(r,l-1) - r*s(r,l).
-    rows = [[1] + [0] * r_max]
-    for r in range(1, r_max + 1):
-        prev = rows[-1]
-        row = [0] * (r_max + 1)
-        for l in range(1, r + 1):
-            row[l] = prev[l - 1] - (r - 1) * prev[l]
-        rows.append(row)
-    return tuple(tuple(row) for row in rows)
-
-
-def _binomials(n_max: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(math.comb(n, k) for k in range(n + 1)) for n in range(n_max + 1)
-    )
-
-
-@dataclass(frozen=True)
-class ConstantTables:
-    bernoulli: tuple[Fraction, ...]
-    stirling_first: tuple[tuple[int, ...], ...]
-    binomial: tuple[tuple[int, ...], ...]
-
-    def bern(self, k: int) -> Fraction:
-        return self.bernoulli[k]
-
-    def stirling(self, r: int, l: int) -> int:
-        if l < 0 or l > STIRLING_MAX_R:
-            return 0
-        return self.stirling_first[r][l]
-
-    def binom(self, n: int, k: int) -> int:
-        if k < 0 or k > n:
-            return 0
-        return self.binomial[n][k]
+BERNOULLI_MAX_INDEX = 68   # B_0 .. B_68; the kernel reads B_{2M+2}, so em_order M <= 33
 
 
 @lru_cache(maxsize=1)
-def get_tables() -> ConstantTables:
-    return ConstantTables(
-        bernoulli=_bernoulli_numbers(BERNOULLI_MAX_INDEX),
-        stirling_first=_stirling_first(STIRLING_MAX_R),
-        binomial=_binomials(BINOMIAL_MAX_N),
-    )
+def bernoulli() -> tuple[Fraction, ...]:
+    """B_0 .. B_{BERNOULLI_MAX_INDEX}, with B_1 = -1/2."""
+    # sum_{j=0}^{m} C(m+1, j) B_j = 0 for m >= 1, B_0 = 1.
+    bern = [Fraction(1)]
+    for m in range(1, BERNOULLI_MAX_INDEX + 1):
+        acc = sum(math.comb(m + 1, j) * bern[j] for j in range(m))
+        bern.append(-acc / (m + 1))
+    return tuple(bern)
 
 
 @lru_cache(maxsize=1)
 def bernoulli_over_factorial() -> tuple[float, ...]:
     """float(B_k / k!) for k = 0..BERNOULLI_MAX_INDEX, the Euler-Maclaurin weights."""
-    tabs = get_tables()
-    return tuple(
-        float(tabs.bernoulli[k] / math.factorial(k))
-        for k in range(BERNOULLI_MAX_INDEX + 1)
-    )
+    return tuple(float(b / math.factorial(k)) for k, b in enumerate(bernoulli()))

@@ -396,7 +396,6 @@ def _winding_with_expansion(fn, rect: Rectangle, cc: ContourConfig):
             if attempt == _JITTER_RETRIES:
                 raise
             cur = rect.expand(jit * (attempt + 1))
-    raise AssertionError("unreachable")
 
 
 _SPLIT_FRAC = (math.sqrt(5.0) - 1.0) / 2.0   # avoids cuts along symmetry lines
@@ -665,7 +664,7 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
             hi = sigma_cap + jit * attempt
             shift = jit * attempt
             cuts = [t_floor + shift]
-            for t in active:
+            for t in dict.fromkeys(active):      # a repeated T adds no cut
                 lo_t = cuts[-1]
                 span = t + shift - lo_t
                 n = max(1, int(math.ceil(span / _TILE_HEIGHT)))

@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, cabs, cmul
 from .errors import BudgetExceeded, PoleProximity, ZetaError
-from .tables import bernoulli_over_factorial
+from .tables import bernoulli, bernoulli_over_factorial
 
 LOG_GAMMA_SHIFT = 12.0   # recurrence target for Re(s) before the Stirling series
 LOG_GAMMA_TERMS = 10
@@ -253,20 +253,14 @@ def log_gamma(s: complex, pole_guard: float = 1e-8) -> ComplexValue:
     s = complex(s)
     nearest = round(s.real)
     if nearest <= 0 and abs(s - nearest) < pole_guard:
-        raise _gamma_pole(nearest)
+        raise PoleProximity(f"log_gamma pole at non-positive integer {nearest}",
+                            location=complex(nearest), source="log_gamma")
     shift = max(0, math.ceil(LOG_GAMMA_SHIFT - s.real))
     res = _stirling(s + shift)
     for j in range(shift):
         res -= cmath.log(s + j)
     err = 1e-14 * (1.0 + abs(res)) + (shift + 1) * 3e-16 * (1.0 + abs(res))
     return ComplexValue.of(res, err)
-
-
-def _gamma_pole(nearest) -> PoleProximity:
-    return PoleProximity(
-        f"log_gamma pole at non-positive integer {nearest}",
-        location=complex(nearest), source="log_gamma",
-    )
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -291,11 +285,9 @@ def _stirling(w):
 
 @lru_cache(maxsize=1)
 def _stirling_coeffs() -> tuple[float, ...]:
-    from .tables import get_tables
-
-    tabs = get_tables()
+    bern = bernoulli()
     return tuple(
-        float(tabs.bern(2 * k)) / (2 * k * (2 * k - 1))
+        float(bern[2 * k]) / (2 * k * (2 * k - 1))
         for k in range(1, LOG_GAMMA_TERMS + 1)
     )
 
@@ -328,7 +320,8 @@ def completed_zeta_pair(s, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
             if abs(s - p) < guard:
                 raise PoleProximity(f"completed zeta pole at s={p:g}",
                                     location=complex(p), source="xi")
-        raise _gamma_pole(nearest)
+        raise PoleProximity(f"completed zeta Gamma(s/2) pole at s={2 * nearest:g}",
+                            location=complex(2 * nearest), source="xi")
     else:
         shift = steps = max(0, math.ceil(LOG_GAMMA_SHIFT - h.real))
     x = _stirling(h + shift) - h * _LOG_PI

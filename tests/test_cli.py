@@ -107,6 +107,15 @@ def test_density_csv(tmp_path, capsys):
     assert any(l.startswith("# manifest sha256:") for l in lines)
 
 
+def test_density_repeated_T(tmp_path, capsys):
+    out = tmp_path / "density.csv"
+    assert run("density", "zeta(s)^2-zeta(2*s)", "--sigma0", "0.55",
+               "--T", "50,50,100", "--out", str(out)) == 0
+    rows = [l.split(",")[:2] for l in out.read_text().splitlines()
+            if not l.startswith(("#", "T,"))]
+    assert rows == [["50", "3"], ["50", "3"], ["100", "13"]]
+
+
 def test_density_byte_stability(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert run("density", "zeta(s)", "--sigma0", "0.55", "--T", "25",

@@ -298,6 +298,19 @@ def test_eval_batch_pole_guard_names_first_point():
         assert (got.value.location, got.value.source) == (want.value.location, want.value.source)
 
 
+def test_xi_gamma_pole_reported_at_s():
+    # Gamma(s/2) has its poles at s = 0, -2, -4, ...; xi names them in s.
+    e = parse_expr("xi(s)")
+    for z, at in [(-4.0, -4), (-2 + 1e-10, -2)]:
+        with pytest.raises(PoleProximity) as want:
+            eval_expr(e, z)
+        with pytest.raises(PoleProximity) as got:
+            eval_batch(e, [1 + 1j, z])
+        for exc in (want.value, got.value):
+            assert str(exc) == f"completed zeta Gamma(s/2) pole at s={at}"
+            assert (exc.location, exc.source) == (complex(at), "xi")
+
+
 def test_eval_batch_budget_exceeded_matches_eval_expr():
     cfg = EvalConfig(em_order=1, max_terms=100)
     e = parse_expr("zeta(s)")

@@ -10,6 +10,7 @@ from zetazeros import hurwitz_zeta, riemann_zeta
 from zetazeros.config import EvalConfig
 from zetazeros.errors import NotInConvergenceRegion, OutOfRange, PoleProximity
 from zetazeros.families import (
+    BARNES_MAX_R,
     BarnesParams,
     LinearFormSeries,
     SphereParams,
@@ -17,6 +18,7 @@ from zetazeros.families import (
     barnes_direct,
     barnes_weights,
     barnes_zeta,
+    _barnes_weight_polys,
     ez_diagonal,
     ez_direct,
     hoffman_diagonal_coeffs,
@@ -138,6 +140,19 @@ def test_barnes_weights_explicit_forms():
     a = 0.6
     w3 = barnes_weights(3, a)
     assert w3 == pytest.approx([(a * a - 3 * a + 2) / 2, (3 - 2 * a) / 2, 0.5])
+
+
+def test_barnes_weights_count_lattice_points():
+    # zeta_r(s, a) = sum_k C(k+r-1, r-1) (k+a)^{-s} = sum_j p_rj(a) zeta(s-j, a),
+    # so sum_j p_rj(a) (k+a)^j counts the n in N^r with n_1+...+n_r = k, exactly.
+    for r in range(1, BARNES_MAX_R + 1):
+        polys = _barnes_weight_polys(r)
+        assert all(isinstance(c, Fraction) for p in polys for c in p)
+        for a in (Fraction(1, 3), Fraction(7, 10), Fraction(1), Fraction(5, 2)):
+            weights = [sum(c * a ** i for i, c in enumerate(p)) for p in polys]
+            for k in range(6):
+                count = sum(w * (k + a) ** j for j, w in enumerate(weights))
+                assert count == math.comb(k + r - 1, r - 1), (r, a, k)
 
 
 def test_barnes_r2_reduction_identity():

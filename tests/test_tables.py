@@ -3,61 +3,33 @@ from fractions import Fraction
 
 from zetazeros.tables import (
     BERNOULLI_MAX_INDEX,
-    STIRLING_MAX_R,
-    BINOMIAL_MAX_N,
-    get_tables,
+    bernoulli,
     bernoulli_over_factorial,
 )
 
 
 def test_bernoulli_recurrence_exact():
-    tabs = get_tables()
+    bern = bernoulli()
+    assert len(bern) == BERNOULLI_MAX_INDEX + 1
     for m in range(1, BERNOULLI_MAX_INDEX + 1):
         acc = Fraction(0)
         for j in range(m + 1):
-            acc += math.comb(m + 1, j) * tabs.bern(j)
+            acc += math.comb(m + 1, j) * bern[j]
         assert acc == 0, m
 
 
 def test_bernoulli_known_values():
-    tabs = get_tables()
-    assert tabs.bern(0) == 1
-    assert tabs.bern(1) == Fraction(-1, 2)
-    assert tabs.bern(2) == Fraction(1, 6)
-    assert tabs.bern(4) == Fraction(-1, 30)
-    assert tabs.bern(12) == Fraction(-691, 2730)
-    assert all(tabs.bern(k) == 0 for k in range(3, BERNOULLI_MAX_INDEX, 2))
-
-
-def test_stirling_first_recurrence():
-    tabs = get_tables()
-    for r in range(STIRLING_MAX_R):
-        for l in range(1, STIRLING_MAX_R + 1):
-            assert tabs.stirling(r + 1, l) == tabs.stirling(r, l - 1) - r * tabs.stirling(r, l)
-    for r in range(1, STIRLING_MAX_R + 1):
-        assert tabs.stirling(r, r) == 1
-        assert tabs.stirling(r, 0) == 0
-
-
-def test_stirling_small_values():
-    tabs = get_tables()
-    assert tabs.stirling(2, 1) == -1
-    assert tabs.stirling(3, 1) == 2
-    assert tabs.stirling(3, 2) == -3
-    assert tabs.stirling(4, 2) == 11
-
-
-def test_binomial_table():
-    tabs = get_tables()
-    for n in range(BINOMIAL_MAX_N + 1):
-        for k in range(n + 1):
-            assert tabs.binom(n, k) == math.comb(n, k)
-    assert tabs.binom(5, 9) == 0
-    assert tabs.binom(5, -1) == 0
+    bern = bernoulli()
+    assert bern[0] == 1
+    assert bern[1] == Fraction(-1, 2)
+    assert bern[2] == Fraction(1, 6)
+    assert bern[4] == Fraction(-1, 30)
+    assert bern[12] == Fraction(-691, 2730)
+    assert all(bern[k] == 0 for k in range(3, BERNOULLI_MAX_INDEX, 2))
 
 
 def test_em_weights_match_fractions():
-    tabs = get_tables()
+    bern = bernoulli()
     weights = bernoulli_over_factorial()
-    assert weights[2] == float(tabs.bern(2)) / 2
-    assert weights[24] == float(tabs.bern(24) / math.factorial(24))
+    assert weights[2] == float(bern[2]) / 2
+    assert weights[24] == float(bern[24] / math.factorial(24))

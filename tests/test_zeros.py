@@ -160,6 +160,20 @@ def test_density_scan_evaluates_each_point_once(monkeypatch):
     assert len(batched) == len(set(batched)) == 9_313
 
 
+def test_density_scan_repeated_T(monkeypatch):
+    # A repeated T adds no cut: the tiles, and so the points, are those of
+    # the scan without the repeat, and the repeat gets the same count.
+    batched = []
+    monkeypatch.setattr(zeros, "eval_batch",
+                        lambda e, zs, cfg: batched.append(zs) or eval_batch(e, zs, cfg))
+    e = parse_expr("zeta(s)^2-zeta(2*s)")
+    assert density_scan(e, 0.55, (50.0, 50.0, 100.0)).counts == (3, 3, 13)
+    repeated, batched[:] = batched[:], []
+    assert density_scan(e, 0.55, (50.0, 100.0)).counts == (3, 13)
+    assert repeated == batched
+    assert density_scan(e, 0.55, (50.0, 50.0)).counts == (3, 3)
+
+
 def test_density_scan_zeta_is_zero_free():
     scan = density_scan(ZETA, 0.55, (50.0,))
     assert scan.counts == (0,)

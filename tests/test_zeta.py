@@ -143,6 +143,15 @@ def test_budget_exceeded_unreachable_order():
         riemann_zeta(2.0, EvalConfig(em_order=1, max_terms=100))
 
 
+def test_em_order_bounded_by_the_bernoulli_table():
+    # The remainder reads B_(2M+2); the table stops at B_68, so M = 33 is the
+    # largest order, and a larger one is refused before any evaluation.
+    v = riemann_zeta(0.5 + 14j, EvalConfig(em_order=33))
+    assert abs(v.z - riemann_zeta(0.5 + 14j).z) < 1e-12
+    with pytest.raises(ValueError, match="em_order must be <= 33"):
+        EvalConfig(em_order=34)
+
+
 def test_log_gamma_values():
     assert abs(log_gamma(1).z) < 1e-13
     assert abs(log_gamma(5).z - math.log(24)) < 1e-13
