@@ -9,6 +9,7 @@ and are byte-stable for identical manifests.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import sys
@@ -41,9 +42,12 @@ _EVAL_ERRORS = (ZetaError,          # every other package failure
 def _parse_point(text: str) -> complex:
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        z = complex(cleaned)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse complex point {text!r}")
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"non-finite complex point {text!r}")
+    return z
 
 
 def _parse_tuple(text: str) -> tuple[str, tuple[complex, ...]]:

@@ -30,20 +30,22 @@ A winding is accepted once two consecutive sampling densities (levels)
 agree.  Each decision has one walker: the level is an argument of its
 sampling, and the walker keeps F at every contour sample it has evaluated or
 been handed, so no contour point of the decision is evaluated twice; on long
-edges the levels sample the same points (see _stable_winding).  The walker
-that measured the scanned rectangle hands its values to the rectangle's
-cell, so its split knows the parent's corners.  A cell's walker starts with
-the contour samples its split handed it.  A density scan seeds each tile's
+edges the levels sample the same points (see _stable_winding).  A cell's
+walker starts with the samples of the contour its winding was accepted from,
+so its split knows the parent's corners.  A density scan seeds each tile's
 walker with the values on its bottom edge, which the tile below sampled as
-its top edge.  The split of the scanned rectangle starts at the coarser of
-its two agreeing levels, with the accepted winding; every other split starts
-at level 0.  A split whose children fail to conserve the parent's winding
-goes on to the next denser level; only a near-zero hit on a child contour
-moves the split point for another attempt at the same level.  Every
-evaluation a split makes counts against its cell's evaluation budget.
+its top edge, and adds each tile's winding to the count of its T step as it
+goes.  The split of the scanned rectangle starts at the coarser of its two
+agreeing levels, with the accepted winding; every other split starts at
+level 0.  A split whose children fail to conserve the parent's winding goes
+on to the next denser level.  Every evaluation a split makes counts against
+its cell's evaluation budget, and a contour of more points than that budget
+is refused before its points are made.
 
-Near-zero samples on the outer boundary of a scan trigger a deterministic
-outward jitter; the near-zero threshold is 10 * zero_tol, scaled down by the
+A near-zero sample is retried by one rule, _jittered: attempt k of at most
+_JITTER_RETRIES + 1 pushes the scanned rectangle or the density scan outward
+by k jitters, or moves a split point by k jitters, and the last attempt's
+hit is raised.  The near-zero threshold is 10 * zero_tol, scaled down by the
 magnitude of the neighbouring samples when those sit below 1, so that
 exponentially small functions (completed-zeta combinations at height t)
 remain scannable.
@@ -55,6 +57,7 @@ functions is accepted for compatibility and has no effect.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -70,7 +73,6 @@ from .errors import (
 )
 from .expr import eval_batch, eval_expr, pole_set
 
-TWO_PI = 2.0 * math.pi
 _SAMPLES_PER_UNIT = 8.0      # extra boundary samples per unit of edge length
 _TILE_HEIGHT = 25.0          # density-scan strip height
 _NEWTON_MAX_STEPS = 60
@@ -88,6 +90,8 @@ class Rectangle:
     def __post_init__(self):
         if not (self.sigma_lo < self.sigma_hi and self.t_lo < self.t_hi):
             raise ValueError(f"degenerate rectangle {self}")
+        if not all(map(math.isfinite, self.as_list())):
+            raise ValueError(f"non-finite rectangle {self}")
 
     @property
     def width(self) -> float:
@@ -110,9 +114,9 @@ class Rectangle:
             complex(self.sigma_lo, self.t_hi),
         ]
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (self.sigma_lo - margin <= z.real <= self.sigma_hi + margin
-                and self.t_lo - margin <= z.imag <= self.t_hi + margin)
+    def contains(self, z: complex) -> bool:
+        return (self.sigma_lo <= z.real <= self.sigma_hi
+                and self.t_lo <= z.imag <= self.t_hi)
 
     def strictly_contains(self, z: complex) -> bool:
         return (self.sigma_lo < z.real < self.sigma_hi
@@ -249,14 +253,18 @@ class _Walker:
         by repeating it.  Each edge's points are generated from its lower end
         (left to right, bottom to top) whichever way the walk runs it, so cells
         that share an edge sample bitwise-identical points on it; corners are
-        exact."""
+        exact.  A contour of more points than the evaluation budget is refused
+        before any point is made."""
+        n_min = self.cc.init_samples_per_edge << level
+        if sum(max(n_min, d * _SAMPLES_PER_UNIT)
+               for d in (rect.width, rect.height) * 2) > _CELL_EVAL_BUDGET:
+            raise DepthExceeded("per-cell evaluation budget exhausted")
         pts: list[complex] = []
         corners = rect.corners()
         for i in range(4):
             z0, z1 = corners[i], corners[(i + 1) % 4]
             lo, hi = (z0, z1) if i < 2 else (z1, z0)
-            n = max(self.cc.init_samples_per_edge << level,
-                    int(math.ceil(abs(hi - lo) * _SAMPLES_PER_UNIT)))
+            n = max(n_min, int(math.ceil(abs(hi - lo) * _SAMPLES_PER_UNIT)))
             inner = [lo + (hi - lo) * (k / n) for k in range(1, n)]
             pts.append(z0)
             pts.extend(inner if i < 2 else reversed(inner))
@@ -268,11 +276,6 @@ class _Walker:
         # smooth stretches of |F| (completed-zeta combinations) do not trip.
         # neighbour_mag may be a float or an array.
         return 10.0 * self.cc.zero_tol * np.minimum(1.0, neighbour_mag)
-
-    def winding(self, rect: Rectangle, level: int = 0) -> int:
-        """Winding number of F around rect from its contour samples."""
-        pts, vals = self.boundary(rect, level)
-        return _turns(self.increments(pts, vals, level))
 
     def boundary(self, rect: Rectangle, level: int = 0
                  ) -> tuple[list[complex], list[complex]]:
@@ -319,7 +322,7 @@ class _Walker:
 
 def _turns(dphi: np.ndarray) -> int:
     """The winding number whose phase increments are dphi."""
-    return round(float(dphi.sum()) / TWO_PI)
+    return round(float(dphi.sum()) / (2.0 * math.pi))
 
 
 def expression_fn(e, cfg: EvalConfig):
@@ -382,26 +385,30 @@ def _effective_jitter(rect: Rectangle, cc: ContourConfig) -> float:
     return min(cc.jitter, min(rect.width, rect.height) / 100.0)
 
 
+def _jittered(attempt):
+    """attempt(k) for k = 0, 1, ..., _JITTER_RETRIES until one raises no
+    NearZeroOnContour; the last attempt's hit is raised."""
+    for k in range(_JITTER_RETRIES):
+        with contextlib.suppress(NearZeroOnContour):
+            return attempt(k)
+    return attempt(_JITTER_RETRIES)
+
+
 def _winding_with_expansion(fn, rect: Rectangle, cc: ContourConfig):
-    """Stable winding with the outer boundary pushed outward on near-zero hits:
-    _stable_winding's (winding, level, contour), then the rectangle measured
-    and its walker's values."""
+    """_stable_winding's (winding, level, contour) and the rectangle they were
+    measured on: rect, pushed outward by k jitters on the k-th attempt."""
     jit = _effective_jitter(rect, cc)
-    cur = rect
-    for attempt in range(_JITTER_RETRIES + 1):
-        walker = _Walker(fn, cc)
-        try:
-            return (*_stable_winding(walker, cur), cur, walker.values)
-        except NearZeroOnContour:
-            if attempt == _JITTER_RETRIES:
-                raise
-            cur = rect.expand(jit * (attempt + 1))
+
+    def attempt(k):
+        cur = rect.expand(jit * k) if k else rect
+        return (*_stable_winding(_Walker(fn, cc), cur), cur)
+    return _jittered(attempt)
 
 
 _SPLIT_FRAC = (math.sqrt(5.0) - 1.0) / 2.0   # avoids cuts along symmetry lines
 
 
-def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, level: int = 0):
+def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, level: int = 0):
     """Quadrisect with a deterministically jittered, asymmetric split point.
 
     The split sits at the golden-ratio point rather than the center so that
@@ -409,64 +416,63 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_parent: int, level: int = 0)
     child.  Each attempt samples the four children's contours in one batch;
     children that share an edge sample the same points on it, which the batch
     evaluates once, and the points the walker already knows (the parent's
-    corners, its contour, earlier rounds) are not evaluated again.  Children
-    windings must conserve the parent's.  Only a near-zero hit on a child
-    contour moves the split point (by the jitter) for another attempt at the
-    same level; a conservation failure (a zero close enough to an edge to
-    alias the phase samples, which a jitter-sized move cannot repair on the
-    outer edges) ends the round, and the next round re-measures parent and
-    children at the next denser level (as in _stable_winding) before giving
-    up after three.  The first round samples
-    at ``level`` and takes w_parent as measured there.  Every evaluation
-    counts against ``walker``'s budget.  Returns (child, winding, (pts, vals,
-    dphi)) triples: the child's contour samples at the accepted level, F at
-    each of them and the bisected phase increments its winding came from.
-    The child's scale, Newton start point and own split reuse them.
+    contour, earlier rounds) are not evaluated again.  Children windings must
+    conserve the parent's.  A round makes the attempts of _jittered: only a
+    near-zero hit on a child contour moves the split point (by the jitter) for
+    another attempt at the same level.  A conservation failure (a zero close
+    enough to an edge to alias the phase samples, which a jitter-sized move
+    cannot repair on the outer edges), or a split point that leaves the cell,
+    ends the round.  The next round re-measures the parent's contour at the
+    next denser level, as _stable_winding measures a level, and splits there;
+    the split gives up after three rounds with the last failure.  The first
+    round samples at ``level`` and takes w_par as measured there.  Every
+    evaluation counts against ``walker``'s budget.  Returns (child, winding,
+    (pts, vals, dphi)) triples: the child's contour samples at the accepted
+    level, F at each of them and the bisected phase increments its winding
+    came from.  The child's scale, Newton start point and own split reuse them.
     """
     jit = max(_effective_jitter(rect, walker.cc), 1e-12 * max(rect.width, rect.height))
     cx = rect.sigma_lo + _SPLIT_FRAC * rect.width
     cy = rect.t_lo + _SPLIT_FRAC * rect.height
-    last_exc: Exception | None = None
-    w_par = w_parent
+
+    def attempt(lvl, w_par, k):
+        sx = cx + jit * k
+        sy = cy + jit * k
+        if not rect.strictly_contains(complex(sx, sy)):
+            return None
+        children = [
+            Rectangle(rect.sigma_lo, sx, rect.t_lo, sy),
+            Rectangle(sx, rect.sigma_hi, rect.t_lo, sy),
+            Rectangle(sx, rect.sigma_hi, sy, rect.t_hi),
+            Rectangle(rect.sigma_lo, sx, sy, rect.t_hi),
+        ]
+        contours = [walker.boundary_points(c, lvl) for c in children]
+        vals = iter(walker.sample([z for pts in contours for z in pts]))
+        measured = []
+        for c, pts in zip(children, contours):
+            v = [next(vals) for _ in pts]
+            dphi = walker.increments(pts, v, lvl)
+            measured.append((c, _turns(dphi), (pts, v, dphi)))
+        windings = [w for _, w, _ in measured]
+        if sum(windings) != w_par:
+            raise ContourError(f"child windings {windings} do not conserve parent {w_par}")
+        return measured
+
+    last_exc: Exception = ContourError("split point exhausted the cell")
     for lvl in range(level, level + 3):
         if lvl > level:
             try:
-                w_par = walker.winding(rect, lvl)
+                pts, vals = walker.boundary(rect, lvl)
+                w_par = _turns(walker.increments(pts, vals, lvl))
             except (NearZeroOnContour, DepthExceeded) as exc:
                 last_exc = exc
                 continue
-        for attempt in range(_JITTER_RETRIES + 1):
-            sx = cx + jit * attempt
-            sy = cy + jit * attempt
-            if not (rect.sigma_lo < sx < rect.sigma_hi and rect.t_lo < sy < rect.t_hi):
-                break
-            children = [
-                Rectangle(rect.sigma_lo, sx, rect.t_lo, sy),
-                Rectangle(sx, rect.sigma_hi, rect.t_lo, sy),
-                Rectangle(sx, rect.sigma_hi, sy, rect.t_hi),
-                Rectangle(rect.sigma_lo, sx, sy, rect.t_hi),
-            ]
-            contours = [walker.boundary_points(c, lvl) for c in children]
-            vals = walker.sample([z for pts in contours for z in pts])
-            measured, k = [], 0
-            try:
-                for c, pts in zip(children, contours):
-                    v = vals[k:k + len(pts)]
-                    k += len(pts)
-                    dphi = walker.increments(pts, v, lvl)
-                    measured.append((c, _turns(dphi), (pts, v, dphi)))
-            except NearZeroOnContour as exc:
-                last_exc = exc
-                continue
-            windings = [w for _, w, _ in measured]
-            if sum(windings) != w_par:
-                last_exc = ContourError(
-                    f"child windings {windings} do not conserve parent {w_par}"
-                )
-                break
-            return measured
-    if last_exc is None:
-        last_exc = ContourError("split point exhausted the cell")
+        try:
+            measured = _jittered(lambda k: attempt(lvl, w_par, k))
+            if measured is not None:
+                return measured
+        except (NearZeroOnContour, ContourError) as exc:
+            last_exc = exc
     raise last_exc
 
 
@@ -483,7 +489,6 @@ def _newton_refine(walker: _Walker, rect: Rectangle, cc: ContourConfig, scale: f
     size = max(rect.width, rect.height)
     h = 1e-6 * size
     tol_resid = cc.zero_tol * min(1.0, max(scale, 1e-300))
-    steps = 0
     try:
         for steps in range(1, _NEWTON_MAX_STEPS + 1):
             fz = walker(z)
@@ -537,24 +542,23 @@ def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex],
 
 
 def _resolve_cell(fn, rect: Rectangle, w: int, contour, cc: ContourConfig,
-                  level: int = 0, values=()):
+                  level: int = 0):
     """Fully resolve one pole-free cell of known winding.  Each cell comes
     with the (pts, vals, dphi) its winding was accepted from: rect with
     ``contour`` (from _stable_winding, at ``level``), a child with the one
-    its split handed it.  rect's walker starts with ``values`` (those of its
-    winding decision) and its split with ``level``; a child's walker starts
-    with its contour samples, and its split with level 0."""
+    its split handed it.  A cell's walker starts with that contour's samples,
+    and its split at the contour's level: ``level`` for rect, 0 for a child."""
     records: list[ZeroRecord] = []
     unresolved: list[UnresolvedCell] = []
-    stack = [(rect, w, level, values, contour)]
+    stack = [(rect, w, level, contour)]
     while stack:
-        cell, wc, lvl, seen, (pts, vals, dphi) = stack.pop()
-        walker = _Walker(fn, cc, seen)      # the evaluation budget is per cell
+        cell, wc, lvl, (pts, vals, dphi) = stack.pop()
         if wc == 0:
             continue
         if wc < 0:
             unresolved.append(UnresolvedCell(cell, wc, "negative winding in pole-free cell"))
             continue
+        walker = _Walker(fn, cc, zip(pts, vals))    # the evaluation budget is per cell
         size = max(cell.width, cell.height)
         if wc == 1:
             hit = _newton_refine(walker, cell, cc, _boundary_scale(vals),
@@ -575,9 +579,8 @@ def _resolve_cell(fn, rect: Rectangle, w: int, contour, cc: ContourConfig,
             ))
             continue
         try:
-            for child, w_child, (pts, vals, dphi) in _split_cell(walker, cell, wc, lvl):
-                if w_child != 0:
-                    stack.append((child, w_child, 0, zip(pts, vals), (pts, vals, dphi)))
+            stack.extend((child, w_child, 0, contour)
+                         for child, w_child, contour in _split_cell(walker, cell, wc, lvl))
         except (NearZeroOnContour, ContourError, DepthExceeded) as exc:
             unresolved.append(UnresolvedCell(cell, wc, f"{type(exc).__name__}: {exc}"))
     return records, unresolved
@@ -603,8 +606,8 @@ def localize_zeros(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
     """
     _assert_pole_free(e, rect)
     fn = expression_fn(e, cfg)
-    w_root, level, contour, root, values = _winding_with_expansion(fn, rect, cc)
-    records, unresolved = _resolve_cell(fn, root, w_root, contour, cc, level, values)
+    w_root, level, contour, root = _winding_with_expansion(fn, rect, cc)
+    records, unresolved = _resolve_cell(fn, root, w_root, contour, cc, level)
     records.sort(key=lambda r: (r.location.im, r.location.re, r.winding_mult))
     unresolved.sort(key=lambda u: (u.rect.t_lo, u.rect.sigma_lo))
     return LocalizeResult(tuple(records), tuple(unresolved))
@@ -616,11 +619,8 @@ def localize_zeros(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
 
 def _fit_slope(ts, counts) -> float:
     pairs = [(t, c) for t, c in zip(ts, counts) if t > 0]
-    if len(pairs) == 1:
-        t, c = pairs[0]
-        return c / t
-    if not pairs:
-        return 0.0
+    if len(pairs) < 2:
+        return pairs[0][1] / pairs[0][0] if pairs else 0.0
     tm = sum(t for t, _ in pairs) / len(pairs)
     cm = sum(c for _, c in pairs) / len(pairs)
     den = sum((t - tm) ** 2 for t, _ in pairs)
@@ -643,10 +643,11 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
         raise ValueError("density_scan requires sigma0 > 1/2")
     if not sigma_cap > sigma0:
         raise ValueError("sigma_cap must exceed sigma0")
+    if not math.isfinite(sigma_cap):
+        raise ValueError("sigma_cap must be finite")
     ts = [float(t) for t in T_values]
-    if sorted(ts) != ts:
-        raise ValueError("T_values must be increasing")
-    active = [t for t in ts if t > t_floor]
+    if not all(map(math.isfinite, ts)) or sorted(ts) != ts:
+        raise ValueError("T_values must be finite and non-decreasing")
 
     for cand in pole_set(e):
         if abs(cand.location.imag) > 1e-12:
@@ -655,42 +656,30 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
             )
 
     fn = expression_fn(e, cfg)
-    counts_at: dict[float, int] = {}
-    complete = True
-    if active:
-        jit = cc.jitter
-        for attempt in range(_JITTER_RETRIES + 1):
-            lo = sigma0 - jit * attempt
-            hi = sigma_cap + jit * attempt
-            shift = jit * attempt
-            cuts = [t_floor + shift]
-            for t in dict.fromkeys(active):      # a repeated T adds no cut
-                lo_t = cuts[-1]
-                span = t + shift - lo_t
-                n = max(1, int(math.ceil(span / _TILE_HEIGHT)))
-                cuts.extend(lo_t + span * (k + 1) / n for k in range(n))
-                cuts[-1] = t + shift           # land exactly on the cut
-            tiles = [Rectangle(lo, hi, cuts[i], cuts[i + 1])
-                     for i in range(len(cuts) - 1)]
-            tile_w, edge = [], {}
-            try:
-                for r in tiles:     # a tile's top edge is the next one's bottom edge
-                    walker = _Walker(fn, cc, edge)
-                    tile_w.append(_stable_winding(walker, r)[0])
-                    edge = {z: v for z, v in walker.values.items() if z.imag == r.t_hi}
-            except NearZeroOnContour:
-                if attempt == _JITTER_RETRIES:
-                    complete = False
-                    break
-                continue
-            acc = 0
-            k = 0
-            for t in active:
-                while k < len(tiles) and tiles[k].t_hi <= t + shift + 1e-15:
-                    acc += tile_w[k]
-                    k += 1
-                counts_at[t] = acc
-            break
+
+    def scan(k):
+        """The count at each T, with the scan pushed outward by k jitters."""
+        shift = cc.jitter * k
+        counts_at, acc, edge = {}, 0, {}
+        t_lo = t_floor + shift
+        for t in dict.fromkeys(t for t in ts if t > t_floor):   # a repeated T adds no cut
+            base, span = t_lo, t + shift - t_lo
+            n = max(1, int(math.ceil(span / _TILE_HEIGHT)))
+            for j in range(1, n + 1):
+                t_hi = base + span * j / n if j < n else t + shift  # land exactly on T
+                walker = _Walker(fn, cc, edge)
+                tile = Rectangle(sigma0 - shift, sigma_cap + shift, t_lo, t_hi)
+                acc += _stable_winding(walker, tile)[0]
+                # This tile's top edge is the next one's bottom edge.
+                edge = {z: v for z, v in walker.values.items() if z.imag == t_hi}
+                t_lo = t_hi
+            counts_at[t] = acc
+        return counts_at
+
+    try:
+        counts_at, complete = _jittered(scan), True
+    except NearZeroOnContour:
+        counts_at, complete = {}, False
     counts = tuple(counts_at.get(t, 0) for t in ts)
     if any(c < 0 for c in counts):
         raise ContourError("negative zero count: pole leaked into a scan tile")
@@ -709,8 +698,7 @@ def critical_line_check(e, t_max: float, tol: float,
     largest |Re - 1/2|; PASS means every zero sits within tol of the line."""
     rect = Rectangle(0.1, 0.9, t_floor, t_max)
     result = localize_zeros(e, rect, cc, cfg, threads=threads)
-    offsets = [abs(r.location.re - 0.5) for r in result.records]
-    max_off = max(offsets) if offsets else 0.0
+    max_off = max((abs(r.location.re - 0.5) for r in result.records), default=0.0)
     return CriticalLineReport(
         records=result.records, unresolved=result.unresolved,
         max_offline=max_off, tol=tol,

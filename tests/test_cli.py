@@ -59,6 +59,21 @@ def test_usage_error_exit_2(tmp_path, capsys):
     assert "zero_tol must be > 0" in capsys.readouterr().err
 
 
+def test_non_finite_geometry_exit_2(capsys):
+    # Points and scan bounds the engine cannot sample are usage errors.
+    for argv in (("eval", "zeta(s)", "--at", "1e400"),
+                 ("eval", "zeta(s)", "--at", "nan"),
+                 ("eval", "zeta(s)", "--at", "2+1e400i"),
+                 ("zeros", "zeta(s)", "--rect", "0.5,inf,1,2")):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 2, argv
+    assert "non-finite rectangle" in capsys.readouterr().err
+    for extra in (("--T", "inf"), ("--T", "nan"), ("--T", "10", "--sigma-cap", "inf")):
+        assert run("density", "zeta(s)", "--sigma0", "0.55", *extra) == 2, extra
+        assert "must be finite" in capsys.readouterr().err
+
+
 def test_zeros_json_schema(tmp_path, capsys):
     out = tmp_path / "zeros.json"
     assert run("zeros", "zeta(s)", "--rect", "0.4,0.6,14,14.5",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,18 @@ from zetazeros.zeros import (
 ZETA = parse_expr("zeta(s)")
 
 
+def _winding(walker, rect, level=0):
+    """The winding of F around rect's contour samples at ``level``."""
+    pts, vals = walker.boundary(rect, level)
+    return zeros._turns(walker.increments(pts, vals, level))
+
+
 def test_rectangle_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degenerate"):
         Rectangle(1.0, 0.5, 0, 1)
+    for bounds in ((0.5, math.inf, 1, 2), (-math.inf, 0, 0, 1), (0, 1, 0, math.inf)):
+        with pytest.raises(ValueError, match="non-finite rectangle"):
+            Rectangle(*bounds)
     r = Rectangle(0, 1, 2, 4)
     assert r.center == 0.5 + 3j
     assert r.boundary_distance(0.5 + 3j) == 0.5
@@ -60,7 +70,7 @@ def test_subdivision_conservation():
     e = parse_expr("zeta(s)^2-zeta(2*s)")
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
-    w = walker.winding(rect)
+    w = _winding(walker, rect)
     kids = _split_cell(walker, rect, w)
     assert sum(wc for _, wc, _ in kids) == w
     assert w >= 1
@@ -188,8 +198,29 @@ def test_density_scan_trivial_T():
 def test_density_scan_validation():
     with pytest.raises(ValueError):
         density_scan(ZETA, 0.4, (10.0,))
-    with pytest.raises(ValueError):
-        density_scan(ZETA, 0.55, (100.0, 50.0))
+    for T in ((100.0, 50.0), (math.inf,), (math.nan,), (10.0, math.inf)):
+        with pytest.raises(ValueError, match="T_values must be finite and non-decreasing"):
+            density_scan(ZETA, 0.55, T)
+    with pytest.raises(ValueError, match="sigma_cap must be finite"):
+        density_scan(ZETA, 0.55, (10.0,), sigma_cap=math.inf)
+
+
+def test_contour_beyond_the_budget_is_refused_before_it_is_made(monkeypatch):
+    # 20,000 units high: 320,000 contour points against a budget of 10,000.
+    # Nothing is evaluated, and the point list is never built.
+    monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", 10_000)
+    batched = []
+    monkeypatch.setattr(zeros, "eval_batch",
+                        lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DepthExceeded, match="per-cell evaluation budget exhausted"):
+            winding_number(ZETA, Rectangle(2.0, 3.0, 1.0, 20_001.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not batched
+    assert peak < 1_000_000
 
 
 def test_critical_line_check_vacuous():
@@ -216,7 +247,7 @@ def test_near_zero_error_carries_point():
     e = parse_expr("dirichlet[(1,0),(-1,0.6931471805599453)]")
     walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
     with pytest.raises(NearZeroOnContour):
-        walker.winding(Rectangle(0.0, 1.0, -1.0, 1.0))
+        _winding(walker, Rectangle(0.0, 1.0, -1.0, 1.0))
 
 
 def test_wind_names_first_near_zero_and_bisects_wide_segments():
@@ -297,7 +328,7 @@ def test_split_cell_hands_children_their_samples():
     fn = expression_fn(parse_expr("zeta(s)^2-zeta(2*s)"), DEFAULT_CONFIG)
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(fn, DEFAULT_CONTOUR)
-    kids = _split_cell(walker, rect, walker.winding(rect))
+    kids = _split_cell(walker, rect, _winding(walker, rect))
     assert len(kids) == 4
     for child, w, (pts, vals, dphi) in kids:
         fresh = _Walker(fn, DEFAULT_CONTOUR)
@@ -313,7 +344,7 @@ def test_split_samples_children_in_one_batch_on_shared_edges(monkeypatch):
     e = parse_expr("zeta(s)^2-zeta(2*s)")
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
-    w = walker.winding(rect)
+    w = _winding(walker, rect)
     known = set(walker.values)
     batches = []
     monkeypatch.setattr(zeros, "eval_batch",
@@ -441,7 +472,7 @@ def test_stable_winding_evaluates_each_distinct_point_once(monkeypatch):
     distinct = set().union(*(walker.boundary_points(rect, k) for k in range(level + 2)))
     assert len(batched) == len(distinct) == 2_112
     assert set(walker.values) == distinct
-    assert [_Walker(fn, DEFAULT_CONTOUR).winding(rect, k)
+    assert [_winding(_Walker(fn, DEFAULT_CONTOUR), rect, k)
             for k in range(level + 2)][-2:] == [w, w]
     fresh = _Walker(fn, DEFAULT_CONTOUR)
     fresh_pts, fresh_vals = fresh.boundary(rect, level)
@@ -498,8 +529,7 @@ def test_resolve_cell_takes_the_split_increments(monkeypatch):
     increments = _Walker.increments
     monkeypatch.setattr(_Walker, "increments",
                         lambda self, *args: calls.append(args[0]) or increments(self, *args))
-    records, unresolved = zeros._resolve_cell(fn, rect, w, contour, DEFAULT_CONTOUR,
-                                              level, walker.values)
+    records, unresolved = zeros._resolve_cell(fn, rect, w, contour, DEFAULT_CONTOUR, level)
     assert not unresolved
     assert sorted(abs(r.location.z - z1) < 1e-12 for r in records) == [False, True]
     assert len(calls) == 4
@@ -519,7 +549,7 @@ def test_split_counts_against_the_cell_budget(monkeypatch):
     # The split alone fits this budget, but not on top of the cell's contour.
     monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", walker.evals - 1)
     walker = _Walker(fn, DEFAULT_CONTOUR)
-    walker.winding(rect)
+    _winding(walker, rect)
     with pytest.raises(DepthExceeded, match="budget"):
         _split_cell(walker, rect, w)
     # A cell whose split exhausts the budget is reported, with the reason.
@@ -528,3 +558,91 @@ def test_split_counts_against_the_cell_budget(monkeypatch):
     assert not records
     assert [(u.rect, u.winding) for u in unresolved] == [(rect, w)]
     assert unresolved[0].reason == "DepthExceeded: per-cell evaluation budget exhausted"
+
+
+# F = 0 everywhere: every contour sample is a near-zero hit.
+ZERO = parse_expr("dirichlet[(1,0),(-1,0)]")
+
+
+def test_density_scan_gives_up_after_the_jitter_retries(monkeypatch):
+    # Each attempt shifts the scan outward by one more jitter and fails on
+    # its first tile; after the last the scan is reported incomplete.
+    calls = []
+    stable = zeros._stable_winding
+    monkeypatch.setattr(zeros, "_stable_winding",
+                        lambda walker, rect: calls.append(rect) or stable(walker, rect))
+    scan = density_scan(ZERO, 0.6, (10.0, 60.0))
+    assert scan.counts == (0, 0) and not scan.complete
+    assert len(calls) == zeros._JITTER_RETRIES + 1 == 9
+    jit = DEFAULT_CONTOUR.jitter
+    assert [r.sigma_lo for r in calls] == [0.6 - jit * k for k in range(9)]
+
+
+def test_localize_raises_the_last_near_zero_hit():
+    # The root rectangle is pushed outward by k jitters on the k-th hit; the
+    # hit on the last attempt, at its lower-left corner, is raised.
+    rect = Rectangle(0.6, 2.0, 1.0, 10.0)
+    with pytest.raises(NearZeroOnContour) as exc:
+        localize_zeros(ZERO, rect)
+    assert exc.value.point == rect.expand(8 * DEFAULT_CONTOUR.jitter).corners()[0]
+    assert str(exc.value) == "|F|=0 at 0.5999992+0.9999992j"
+
+
+def test_split_gives_up_when_every_split_point_is_a_zero():
+    # Roots at all nine jittered split points of the unit square: every
+    # attempt of each of the three rounds hits one on a child contour, and
+    # the cell is reported with the last hit.
+    c = zeros._SPLIT_FRAC
+    roots = [complex(c + 1e-7 * k, c + 1e-7 * k) for k in range(9)]
+    fn = lambda z: math.prod(z - r for r in roots)
+    batches = []
+    fn.batch = lambda zs: batches.append(len(zs)) or [fn(z) for z in zs]
+    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
+    walker = _Walker(fn, DEFAULT_CONTOUR)
+    pts, vals = walker.boundary(rect)
+    contour = pts, vals, walker.increments(pts, vals)
+    assert zeros._turns(contour[2]) == 9
+    batches.clear()
+    records, unresolved = zeros._resolve_cell(fn, rect, 9, contour, DEFAULT_CONTOUR)
+    assert not records
+    assert [(u.rect, u.winding) for u in unresolved] == [(rect, 9)]
+    assert unresolved[0].reason == "NearZeroOnContour: |F|=0 at 0.61803479+0.61803479j"
+    # Nine attempts in the first round; a re-measure and nine attempts in
+    # each of the other two.
+    assert len(batches) == 29
+
+
+def test_stable_winding_raises_when_no_two_levels_agree(monkeypatch):
+    turns = iter(range(4))
+    monkeypatch.setattr(zeros, "_turns", lambda dphi: next(turns))
+    walker = _Walker(expression_fn(ZETA, DEFAULT_CONFIG), DEFAULT_CONTOUR)
+    with pytest.raises(zeros.ContourError, match="did not stabilize"):
+        _stable_winding(walker, Rectangle(2.0, 3.0, 1.0, 2.0))
+
+
+def test_split_gives_up_when_the_re_measure_fails(monkeypatch):
+    # The children (one zero) cannot conserve a parent winding of 2, and the
+    # denser re-measures of the parent exceed the cell's budget: each ends
+    # its round, and the split gives up with the budget failure after one
+    # batch, the first round's children.
+    monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", 1_000)
+    fn = _linear_fn(0.3 + 0.3j)
+    batches = []
+    batch = fn.batch
+    fn.batch = lambda zs: batches.append(len(zs)) or batch(zs)
+    with pytest.raises(DepthExceeded, match="per-cell evaluation budget exhausted"):
+        _split_cell(_Walker(fn, DEFAULT_CONTOUR), Rectangle(0.0, 1.0, 0.0, 1.0), 2)
+    assert len(batches) == 1
+
+
+def test_split_point_outside_a_one_ulp_wide_cell():
+    # The golden-ratio cut of a cell one ulp wide rounds onto its right edge,
+    # so no round can split it; the two re-measures still run.
+    fn = _linear_fn(-5.0)
+    batches = []
+    batch = fn.batch
+    fn.batch = lambda zs: batches.append(len(zs)) or batch(zs)
+    rect = Rectangle(1.0, math.nextafter(1.0, 2.0), 0.0, 1.0)
+    with pytest.raises(zeros.ContourError, match="^split point exhausted the cell$"):
+        _split_cell(_Walker(fn, DEFAULT_CONTOUR), rect, 1)
+    assert len(batches) == 2
