@@ -40,7 +40,9 @@ _EVAL_ERRORS = (ZetaError,          # every other package failure
 
 
 def _parse_point(text: str) -> complex:
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    cleaned = text.strip().replace(" ", "")
+    if cleaned.endswith("i"):               # 0.5+14i; the i of inf stays
+        cleaned = cleaned[:-1] + "j"
     try:
         z = complex(cleaned)
     except ValueError:
@@ -309,9 +311,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """argv with each long option followed by a value that begins with '-'
+    spelled as one token, ``--at -0.5+14i`` as ``--at=-0.5+14i``.  argparse
+    reads such a value as an option unless it is a plain number.  -h is the
+    only option with one dash, so any other such token after a long option is
+    its value.  Nothing after '--' is touched."""
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev and "--" not in out
+                and tok.startswith("-") and not tok.startswith("--") and tok != "-h"):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
     if args.command == "eval" and not args.config and args.expr is None:
         ap.error("eval needs an expression or --config")
     if args.command == "eval" and not args.config and not args.at:

@@ -41,6 +41,7 @@ from .errors import (
 from .families import (
     BarnesParams,
     SymMatrixParams,
+    affine_preimage,
     barnes_poly,
     ezd_poly,
     hoffman_diagonal_coeffs,
@@ -77,30 +78,12 @@ class DirichletPoly(_Node):
     pairs: tuple[tuple[complex, float], ...]   # sum a_k * exp(-l_k * s); entire
 
 
-class _Atom(_Node):
-    """An ATOMS registry atom; ``args`` are its arguments in signature order."""
-
-
 @dataclass(frozen=True)
-class ZetaAtom(_Atom):
-    kind: str                  # registry name of an atom whose first argument is affine
-    alpha: Fraction            # argument alpha*s + beta, alpha != 0
-    beta: Fraction
-    a: Fraction | None = None  # shift, for atoms that take one
-
-    @property
-    def args(self) -> tuple:
-        return ((self.alpha, self.beta),) + (() if self.a is None else (self.a,))
-
-
-@dataclass(frozen=True)
-class FamilyAtom(_Atom):
-    kind: str                  # registry name of a family atom, evaluated at s
-    params: tuple
-
-    @property
-    def args(self) -> tuple:
-        return self.params
+class Atom(_Node):
+    """An ATOMS registry atom: its name and its arguments in signature order,
+    an affine argument alpha*s + beta as the pair (alpha, beta)."""
+    kind: str
+    args: tuple
 
 
 @dataclass(frozen=True)
@@ -263,9 +246,7 @@ class _Parser:
             kind.check(*args)
         except (OutOfRange, ValueError) as exc:
             raise ArityError(f"{name}: {exc}") from None
-        if kind.signature[0] is _Parser.affine:
-            return ZetaAtom(name, *args[0], *args[1:])
-        return FamilyAtom(name, tuple(args))
+        return Atom(name, tuple(args))
 
     def dirichlet_body(self):
         self.expect("[")
@@ -408,7 +389,7 @@ def to_text(e) -> str:
     if isinstance(e, DirichletPoly):
         inner = ",".join(f"({_fmt_number(a.real)},{_fmt_number(l)})" for a, l in e.pairs)
         return f"dirichlet[{inner}]"
-    if isinstance(e, _Atom):
+    if isinstance(e, Atom):
         sig = ATOMS[e.kind].signature
         return f"{e.kind}({','.join(_SHOW.get(r, str)(v) for r, v in zip(sig, e.args))})"
     if isinstance(e, Add):
@@ -470,11 +451,6 @@ _SHOW = {
 }
 
 
-def _arg_pole(ab) -> float:
-    """The s at which alpha*s + beta = 1, where zeta-type atoms have their pole."""
-    return (1.0 - float(ab[1])) / float(ab[0])
-
-
 def _at_affine(ab, f):
     """Closure s -> f(alpha*s + beta, cfg) with float coefficients fixed once;
     s may be a point or an array of points."""
@@ -492,18 +468,18 @@ def _family(poly) -> dict:
 ATOMS: dict[str, AtomKind] = {
     "zeta": AtomKind(
         (_Parser.affine,),
-        poles=lambda ab: [_arg_pole(ab)],
+        poles=lambda ab: [affine_preimage(*ab, 1.0)],
         evaluator=lambda ab: _at_affine(ab, lambda z, cfg: hurwitz_pair(z, 1.0, cfg))),
     "hurwitz": AtomKind(
         (_Parser.affine, _Parser.rational),
-        poles=lambda ab, a: [_arg_pole(ab)],
+        poles=lambda ab, a: [affine_preimage(*ab, 1.0)],
         evaluator=lambda ab, a: _at_affine(
             ab, lambda z, cfg, a=float(a): hurwitz_pair(z, a, cfg)),
         check=_hurwitz_shift),
     "xi": AtomKind(
         (_Parser.affine,),
         # Gamma-side pole where the argument is 0, next to zeta's at 1
-        poles=lambda ab: [_arg_pole(ab), -float(ab[1]) / float(ab[0])],
+        poles=lambda ab: [affine_preimage(*ab, 1.0), affine_preimage(*ab, 0.0)],
         evaluator=lambda ab: _at_affine(ab, lambda z, cfg: completed_zeta_pair(z, cfg))),
     "ezd": AtomKind(
         (_Parser.integer,), check=hoffman_diagonal_coeffs, **_family(ezd_poly)),
@@ -528,22 +504,8 @@ class PoleCandidate:
     source: str
 
 
-@dataclass(frozen=True)
-class PoleSet:
-    entries: tuple[PoleCandidate, ...]
-
-    def locations(self) -> list[complex]:
-        return [c.location for c in self.entries]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def _collect_poles(e, path: str, out: list):
-    if isinstance(e, _Atom):
+    if isinstance(e, Atom):
         source = f"{path}:{to_text(e)}"
         out.extend(PoleCandidate(complex(loc), source) for loc in ATOMS[e.kind].poles(*e.args))
     elif isinstance(e, Add):
@@ -559,13 +521,13 @@ def _collect_poles(e, path: str, out: list):
     # Const / DirichletPoly: entire, nothing to record
 
 
-def pole_set(e) -> PoleSet:
+def pole_set(e) -> tuple[PoleCandidate, ...]:
     """Complete, conservative pole-candidate list (never auto-cancelled)."""
     out: list[PoleCandidate] = []
     _collect_poles(e, "", out)
     unique = list(dict.fromkeys(out))
     unique.sort(key=lambda c: (c.location.real, c.location.imag, c.source))
-    return PoleSet(tuple(unique))
+    return tuple(unique)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +552,7 @@ def _compile(e):
                 mass = mass + cabs(term)
             return val, 4e-16 * mass
         return dirichlet
-    if isinstance(e, _Atom):
+    if isinstance(e, Atom):
         return ATOMS[e.kind].evaluator(*e.args)
     if isinstance(e, Add):
         terms = [_compile(c) for c in e.children]

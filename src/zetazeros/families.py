@@ -39,12 +39,18 @@ _LOG2 = math.log(2.0)
 Factor = tuple[float, float, float]      # (alpha, beta, a): zeta(alpha*s + beta, a)
 
 
+def affine_preimage(alpha, beta, p: float) -> float:
+    """The s at which alpha*s + beta = p, for float or rational alpha and beta:
+    where an atom at that affine argument meets a pole at p."""
+    return (p - float(beta)) / float(alpha)
+
+
 def _factor_pole(f: Factor) -> tuple[float, str]:
-    """The pole of the factor zeta(alpha*s + beta, a), at s = (1 - beta)/alpha,
+    """The pole of the factor zeta(alpha*s + beta, a), where its argument is 1,
     and the factor's name."""
     alpha, beta, a = f
     arg = ("s" if alpha == 1 else f"{alpha:g}*s") + (f"{beta:+g}" if beta else "")
-    return (1.0 - beta) / alpha, f"zeta({arg}{'' if a == 1 else f',{a:g}'})"
+    return affine_preimage(alpha, beta, 1.0), f"zeta({arg}{'' if a == 1 else f',{a:g}'})"
 
 
 class ZetaPoly:
@@ -528,11 +534,6 @@ def symmat_poly(p: SymMatrixParams) -> ZetaPoly:
     b_part = (float(p.sign_factor()),
               ((1.0, 0.0, 1.0),) + tuple((2.0, float(-2 * k), 1.0) for k in range(1, h + 1)))
     return ZetaPoly((a_part, b_part), scale=b_n, exp2=float(n - 1) if p.lattice == "Ln*" else 0.0)
-
-
-def symmat_pole_candidates(n: int) -> list[float]:
-    """Sorted distinct pole locations of symmat_zeta."""
-    return sorted({loc for loc, _ in symmat_poly(SymMatrixParams(n, "Ln", 1, 1)).poles})
 
 
 def symmat_zeta(p: SymMatrixParams, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:

@@ -2,7 +2,7 @@
 
 Winding numbers come from boundary phase tracking: walk the contour
 counter-clockwise, accumulate principal-branch phase increments of F, and
-bisect any segment whose increment exceeds max_phase_step.  The closed-loop
+bisect any segment whose increment exceeds _MAX_PHASE_STEP.  The closed-loop
 total is 2*pi*(zeros - poles) counted with multiplicity.  Zero localization
 quadrisects until each cell holds winding 1, then polishes with Newton using
 a central-difference derivative.
@@ -40,18 +40,23 @@ agreeing levels, with the accepted winding; every other split starts at
 level 0.  A split whose children fail to conserve the parent's winding goes
 on to the next denser level.  Every evaluation a split makes counts against
 its cell's evaluation budget, and a contour of more points than that budget
-is refused before its points are made.
+is refused before its points are made.  A density scan is refused before its
+first tile when its tiles' level-0 contours together hold more points than
+that budget.
 
 A near-zero sample is retried by one rule, _jittered: attempt k of at most
 _JITTER_RETRIES + 1 pushes the scanned rectangle or the density scan outward
-by k jitters, or moves a split point by k jitters, and the last attempt's
+by k * _JITTER, or moves a split point by k jitters, and the last attempt's
 hit is raised.  The near-zero threshold is 10 * zero_tol, scaled down by the
 magnitude of the neighbouring samples when those sit below 1, so that
 exponentially small functions (completed-zeta combinations at height t)
 remain scannable.
 
-Scans run in the calling thread.  The ``threads`` keyword of the scan
-functions is accepted for compatibility and has no effect.
+The engine's settings are the module constants below (_INIT_SAMPLES_PER_EDGE,
+_MAX_PHASE_STEP, _MAX_DEPTH, _MIN_CELL, _JITTER and the budgets); a caller
+sets only ContourConfig.zero_tol.  Scans run in the calling thread.  The
+``threads`` keyword of the scan functions is accepted for compatibility and
+has no effect.
 """
 
 from __future__ import annotations
@@ -73,7 +78,12 @@ from .errors import (
 )
 from .expr import eval_batch, eval_expr, pole_set
 
+_INIT_SAMPLES_PER_EDGE = 64  # least samples per edge, at level 0
 _SAMPLES_PER_UNIT = 8.0      # extra boundary samples per unit of edge length
+_MAX_PHASE_STEP = math.pi / 2  # largest unbisected phase increment, at level 0
+_MAX_DEPTH = 40              # phase bisection depth
+_MIN_CELL = 1e-9             # a cell this small is reported, not split
+_JITTER = 1e-7               # near-zero retry step
 _TILE_HEIGHT = 25.0          # density-scan strip height
 _NEWTON_MAX_STEPS = 60
 _JITTER_RETRIES = 8
@@ -140,23 +150,14 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class ContourConfig:
-    init_samples_per_edge: int = 64
-    max_phase_step: float = math.pi / 2
-    max_depth: int = 40
-    min_cell: float = 1e-9
-    jitter: float = 1e-7
+    """The zero residual tolerance, which also sets the near-zero threshold
+    (CLI --zero-tol); the engine's other settings are module constants."""
+
     zero_tol: float = 1e-8
 
     def __post_init__(self):
-        if not 0.0 < self.max_phase_step < math.pi:
-            raise ValueError("max_phase_step must be in (0, pi)")
-        if self.init_samples_per_edge < 4:
-            raise ValueError("init_samples_per_edge must be >= 4")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        for name in ("min_cell", "jitter", "zero_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
+        if not self.zero_tol > 0:
+            raise ValueError("zero_tol must be > 0")
 
 
 DEFAULT_CONTOUR = ContourConfig()
@@ -212,6 +213,13 @@ class CriticalLineReport:
 # Phase tracking
 # ---------------------------------------------------------------------------
 
+def _contour_size(width: float, height: float, level: int = 0) -> float:
+    """The number of samples of a width x height contour at ``level``, before
+    _Walker.boundary_points rounds each edge's count up."""
+    n_min = _INIT_SAMPLES_PER_EDGE << level
+    return sum(max(n_min, d * _SAMPLES_PER_UNIT) for d in (width, height) * 2)
+
+
 class _Walker:
     """Boundary phase tracker for one winding decision; counts evaluations.
 
@@ -220,8 +228,8 @@ class _Walker:
     ``values`` holds F at every contour sample the walker has evaluated or
     been handed (``seen``, pairs of point and value), and sample consults it,
     so no contour point of the decision is evaluated twice.  Every evaluation
-    counts against one budget.  ``level`` k samples with init_samples_per_edge
-    << k and a phase step of max_phase_step / 2**k.
+    counts against one budget.  ``level`` k samples with _INIT_SAMPLES_PER_EDGE
+    << k and a phase step of _MAX_PHASE_STEP / 2**k.
     """
 
     def __init__(self, fn, cc: ContourConfig, seen=()):
@@ -255,10 +263,9 @@ class _Walker:
         that share an edge sample bitwise-identical points on it; corners are
         exact.  A contour of more points than the evaluation budget is refused
         before any point is made."""
-        n_min = self.cc.init_samples_per_edge << level
-        if sum(max(n_min, d * _SAMPLES_PER_UNIT)
-               for d in (rect.width, rect.height) * 2) > _CELL_EVAL_BUDGET:
+        if _contour_size(rect.width, rect.height, level) > _CELL_EVAL_BUDGET:
             raise DepthExceeded("per-cell evaluation budget exhausted")
+        n_min = _INIT_SAMPLES_PER_EDGE << level
         pts: list[complex] = []
         corners = rect.corners()
         for i in range(4):
@@ -301,7 +308,7 @@ class _Walker:
             raise NearZeroOnContour(f"|F|={abs(vals[i]):.3g} at {pts[i]:.8g}", point=pts[i])
 
         dphi = np.angle(v[1:] / v[:-1])
-        step = self.cc.max_phase_step / 2**level
+        step = _MAX_PHASE_STEP / 2**level
         for i in np.flatnonzero(np.abs(dphi) > step).tolist():
             dphi[i] = self._segment_phase(pts[i], vals[i], pts[i + 1], vals[i + 1], step, 0)
         return dphi
@@ -310,8 +317,8 @@ class _Walker:
         dphi = cmath.phase(v1 / v0)
         if abs(dphi) <= step:
             return dphi
-        if depth >= self.cc.max_depth:
-            raise DepthExceeded(f"phase bisection depth > {self.cc.max_depth} at {z0:.8g}")
+        if depth >= _MAX_DEPTH:
+            raise DepthExceeded(f"phase bisection depth > {_MAX_DEPTH} at {z0:.8g}")
         zm = 0.5 * (z0 + z1)
         vm = self(zm)
         if abs(vm) <= self._near_zero_floor(max(abs(v0), abs(v1))):
@@ -341,7 +348,7 @@ def _stable_winding(walker: _Walker, rect: Rectangle):
     side; each level doubles the samples per edge and halves the phase step.
     The walker keeps every value it samples, so a level evaluates only the
     points the walker does not already know (the values of the levels below,
-    and any it was handed).  An edge longer than init_samples_per_edge /
+    and any it was handed).  An edge longer than _INIT_SAMPLES_PER_EDGE /
     _SAMPLES_PER_UNIT gets ceil(length * _SAMPLES_PER_UNIT) samples at every
     level whose own count is below that, so those levels sample the same
     points there and the second level checks nothing new on that edge (the
@@ -369,7 +376,7 @@ def winding_number(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
     candidate within jitter of the boundary is rejected up front.
     """
     for cand in pole_set(e):
-        if rect.boundary_distance(cand.location) < cc.jitter:
+        if rect.boundary_distance(cand.location) < _JITTER:
             raise PoleProximity(
                 f"pole candidate {cand.location:.6g} within jitter of the contour",
                 location=cand.location, source=cand.source,
@@ -381,8 +388,8 @@ def winding_number(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
 # Zero localization
 # ---------------------------------------------------------------------------
 
-def _effective_jitter(rect: Rectangle, cc: ContourConfig) -> float:
-    return min(cc.jitter, min(rect.width, rect.height) / 100.0)
+def _effective_jitter(rect: Rectangle) -> float:
+    return min(_JITTER, min(rect.width, rect.height) / 100.0)
 
 
 def _jittered(attempt):
@@ -397,7 +404,7 @@ def _jittered(attempt):
 def _winding_with_expansion(fn, rect: Rectangle, cc: ContourConfig):
     """_stable_winding's (winding, level, contour) and the rectangle they were
     measured on: rect, pushed outward by k jitters on the k-th attempt."""
-    jit = _effective_jitter(rect, cc)
+    jit = _effective_jitter(rect)
 
     def attempt(k):
         cur = rect.expand(jit * k) if k else rect
@@ -431,7 +438,7 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, level: int = 0):
     level, F at each of them and the bisected phase increments its winding
     came from.  The child's scale, Newton start point and own split reuse them.
     """
-    jit = max(_effective_jitter(rect, walker.cc), 1e-12 * max(rect.width, rect.height))
+    jit = max(_effective_jitter(rect), 1e-12 * max(rect.width, rect.height))
     cx = rect.sigma_lo + _SPLIT_FRAC * rect.width
     cy = rect.t_lo + _SPLIT_FRAC * rect.height
 
@@ -570,7 +577,7 @@ def _resolve_cell(fn, rect: Rectangle, w: int, contour, cc: ContourConfig,
                     residual=resid, winding_mult=1, rect=cell, refine_steps=steps,
                 ))
                 continue
-        if size <= cc.min_cell:
+        if size <= _MIN_CELL:
             center = cell.center
             resid = abs(walker(center))
             records.append(ZeroRecord(
@@ -629,6 +636,11 @@ def _fit_slope(ts, counts) -> float:
     return sum((t - tm) * (c - cm) for t, c in pairs) / den
 
 
+def _tile_count(span: float) -> int:
+    """The number of density-scan tiles a T step of height span is cut into."""
+    return max(1, math.ceil(span / _TILE_HEIGHT))
+
+
 def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR,
                  cfg: EvalConfig = DEFAULT_CONFIG, sigma_cap: float = 2.0,
                  threads: int = 1, t_floor: float = 1e-3) -> DensityScan:
@@ -648,6 +660,13 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
     ts = [float(t) for t in T_values]
     if not all(map(math.isfinite, ts)) or sorted(ts) != ts:
         raise ValueError("T_values must be finite and non-decreasing")
+    steps = list(dict.fromkeys(t for t in ts if t > t_floor))   # a repeated T adds no cut
+    need = 0.0
+    for lo, hi in zip([t_floor] + steps, steps):
+        n = _tile_count(hi - lo)
+        need += n * _contour_size(sigma_cap - sigma0, (hi - lo) / n)
+    if need > _CELL_EVAL_BUDGET:
+        raise DepthExceeded("density scan evaluation budget exhausted")
 
     for cand in pole_set(e):
         if abs(cand.location.imag) > 1e-12:
@@ -659,12 +678,12 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
 
     def scan(k):
         """The count at each T, with the scan pushed outward by k jitters."""
-        shift = cc.jitter * k
+        shift = _JITTER * k
         counts_at, acc, edge = {}, 0, {}
         t_lo = t_floor + shift
-        for t in dict.fromkeys(t for t in ts if t > t_floor):   # a repeated T adds no cut
+        for t in steps:
             base, span = t_lo, t + shift - t_lo
-            n = max(1, int(math.ceil(span / _TILE_HEIGHT)))
+            n = _tile_count(span)
             for j in range(1, n + 1):
                 t_hi = base + span * j / n if j < n else t + shift  # land exactly on T
                 walker = _Walker(fn, cc, edge)

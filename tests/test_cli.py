@@ -22,8 +22,11 @@ def test_eval_value(capsys):
 
 
 def test_eval_multiple_points(capsys):
-    assert run("eval", "zeta(s)", "--at", "2", "--at", "0.5+14.134725i") == 0
-    assert capsys.readouterr().out.count("F(") == 2
+    assert run("eval", "zeta(s)", "--at", "2", "--at", "0.5+14.134725i",
+               "--at", "3i", "--at", "2 + 1i") == 0
+    out = capsys.readouterr().out
+    assert out.count("F(") == 4
+    assert "F(0.5+14.1347j)" in out and "F(0+3j)" in out and "F(2+1j)" in out
 
 
 def test_eval_pole_exit_3(capsys):
@@ -64,11 +67,16 @@ def test_non_finite_geometry_exit_2(capsys):
     for argv in (("eval", "zeta(s)", "--at", "1e400"),
                  ("eval", "zeta(s)", "--at", "nan"),
                  ("eval", "zeta(s)", "--at", "2+1e400i"),
+                 ("eval", "zeta(s)", "--at", "inf"),
+                 ("eval", "zeta(s)", "--at", "-inf"),
                  ("zeros", "zeta(s)", "--rect", "0.5,inf,1,2")):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2, argv
-    assert "non-finite rectangle" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-finite complex point 'inf'" in err
+    assert "non-finite complex point '-inf'" in err
+    assert "non-finite rectangle" in err
     for extra in (("--T", "inf"), ("--T", "nan"), ("--T", "10", "--sigma-cap", "inf")):
         assert run("density", "zeta(s)", "--sigma0", "0.55", *extra) == 2, extra
         assert "must be finite" in capsys.readouterr().err
@@ -88,6 +96,36 @@ def test_zeros_json_schema(tmp_path, capsys):
     man = payload["manifest"]
     assert man["artifact_version"]
     assert man["manifest_hash"].startswith("sha256:")
+    assert man["contour_config"] == {"zero_tol": 1e-8}
+    assert run("zeros", "zeta(s)", "--rect", "0.4,0.6,14,14.5", "--zero-tol", "1e-10",
+               "--out", str(out)) == 0
+    assert json.loads(out.read_text())["manifest"]["contour_config"] == {"zero_tol": 1e-10}
+
+
+@pytest.mark.parametrize("head, option, value, code", [
+    (("eval", "zeta(s)"), "--at", "-0.5+14i", 0),
+    (("eval", "zeta(s)", "--at", "0.5+14.134725i"), "--at", "-2", 0),
+    (("zeros", "zeta(s)"), "--rect", "-1,0.2,1,2", 0),
+    (("density", "zeta(s)", "--sigma0", "0.55"), "--T", "-1,10", 0),
+    # Any negative s_1 is outside this family's convergence region: exit 3,
+    # an evaluation error, not a usage error.
+    (("eval", "--config", "{cfg}"), "--at-tuple", "-1;2;3", 3),
+])
+def test_values_beginning_with_a_dash(head, option, value, code, tmp_path, capsys):
+    # "--opt -v" and "--opt=-v" give the same output and exit code.
+    cfg = tmp_path / "mordell.cfg"
+    cfg.write_text("r = 2\nm = 3\nlambda = 1 0  0 1  1 1\nshifts = 0 0\noffset = from_one\n")
+    head = [a.format(cfg=cfg) for a in head]
+    outputs = []
+    for tail in ((option, value), (f"{option}={value}",)):
+        assert run(*head, *tail) == code, tail
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+
+
+def test_density_scan_over_the_budget_exit_3(capsys):
+    assert run("density", "zeta(s)", "--sigma0", "0.55", "--T", "1e12") == 3
+    assert "density scan evaluation budget exhausted" in capsys.readouterr().err
 
 
 def test_zeros_zero_free_region(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -184,6 +185,20 @@ def test_density_scan_repeated_T(monkeypatch):
     assert density_scan(e, 0.55, (50.0, 50.0)).counts == (3, 3)
 
 
+def test_density_scan_over_the_budget_raises_before_evaluating(monkeypatch):
+    # About 4e10 tiles of 528 level-0 samples each: refused before any
+    # evaluation.  The c9 scan, 16 tiles to T = 400, is far below the budget.
+    def fail(*args):
+        raise AssertionError("evaluated")
+    monkeypatch.setattr(zeros, "eval_batch", fail)
+    monkeypatch.setattr(zeros, "eval_expr", fail)
+    with pytest.raises(DepthExceeded, match="density scan evaluation budget exhausted"):
+        density_scan(ZETA, 0.55, (1e12,))
+    with pytest.raises(DepthExceeded, match="density scan"):
+        density_scan(ZETA, 0.55, (100.0, 1e12))
+    assert 16 * zeros._contour_size(1.45, 25.0) < zeros._CELL_EVAL_BUDGET
+
+
 def test_density_scan_zeta_is_zero_free():
     scan = density_scan(ZETA, 0.55, (50.0,))
     assert scan.counts == (0,)
@@ -287,20 +302,19 @@ def test_increments_total_a_multiple_of_two_pi(roots, poles, scale, sigma, t, wi
               for uv in (roots, poles))
     fn = lambda z: scale * math.prod(z - a for a in zs) / math.prod(z - b for b in ps)
     fn.batch = lambda zs: [fn(z) for z in zs]
-    walker = _Walker(fn, ContourConfig(init_samples_per_edge=4))
-    pts, vals = walker.boundary(rect, level)
+    walker = _Walker(fn, DEFAULT_CONTOUR)
+    with mock.patch.object(zeros, "_INIT_SAMPLES_PER_EDGE", 4):
+        pts, vals = walker.boundary(rect, level)
     assume(all(v != 0 and cmath.isfinite(v) for v in vals))
     total = float(walker.increments(pts, vals, level).sum())
     assert abs(total - 2 * math.pi * round(total / (2 * math.pi))) <= 1e-9
 
 
 def test_contour_config_rejects_nonpositive_tolerances():
-    for kwargs in ({"zero_tol": -1.0}, {"zero_tol": 0.0}, {"zero_tol": math.nan},
-                   {"jitter": 0.0}, {"jitter": -1e-7}, {"min_cell": 0.0},
-                   {"min_cell": -1e-9}, {"max_depth": 0}):
+    for zero_tol in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError):
-            ContourConfig(**kwargs)
-    ContourConfig(zero_tol=1e-12, jitter=1e-9, min_cell=1e-12, max_depth=1)
+            ContourConfig(zero_tol=zero_tol)
+    ContourConfig(zero_tol=1e-12)
 
 
 def test_eval_batch_split_invariance():
@@ -494,8 +508,8 @@ def test_split_near_zero_hit_moves_the_split_point():
     cx = cy = zeros._SPLIT_FRAC
     z0 = complex(cx, cy)
     kids = _split_cell(_Walker(_linear_fn(z0), DEFAULT_CONTOUR), rect, 1)
-    assert kids[0][0].sigma_hi == cx + DEFAULT_CONTOUR.jitter
-    assert kids[0][0].t_hi == cy + DEFAULT_CONTOUR.jitter
+    assert kids[0][0].sigma_hi == cx + zeros._JITTER
+    assert kids[0][0].t_hi == cy + zeros._JITTER
     assert [w for _, w, _ in kids] == [1, 0, 0, 0]
 
 
@@ -574,7 +588,7 @@ def test_density_scan_gives_up_after_the_jitter_retries(monkeypatch):
     scan = density_scan(ZERO, 0.6, (10.0, 60.0))
     assert scan.counts == (0, 0) and not scan.complete
     assert len(calls) == zeros._JITTER_RETRIES + 1 == 9
-    jit = DEFAULT_CONTOUR.jitter
+    jit = zeros._JITTER
     assert [r.sigma_lo for r in calls] == [0.6 - jit * k for k in range(9)]
 
 
@@ -584,7 +598,7 @@ def test_localize_raises_the_last_near_zero_hit():
     rect = Rectangle(0.6, 2.0, 1.0, 10.0)
     with pytest.raises(NearZeroOnContour) as exc:
         localize_zeros(ZERO, rect)
-    assert exc.value.point == rect.expand(8 * DEFAULT_CONTOUR.jitter).corners()[0]
+    assert exc.value.point == rect.expand(8 * zeros._JITTER).corners()[0]
     assert str(exc.value) == "|F|=0 at 0.5999992+0.9999992j"
 
 
