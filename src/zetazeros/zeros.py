@@ -4,8 +4,9 @@ Winding numbers come from boundary phase tracking: walk the contour
 counter-clockwise, accumulate principal-branch phase increments of F, and
 bisect any segment whose increment exceeds _MAX_PHASE_STEP.  The closed-loop
 total is 2*pi*(zeros - poles) counted with multiplicity.  Zero localization
-quadrisects until each cell holds winding 1, then polishes with Newton using
-a central-difference derivative.
+cuts a cell of winding w into w + 1 strips across its longer side until each
+cell holds winding 1, then polishes with Newton using a central-difference
+derivative.
 
 Newton starts at the argument-principle estimate of the cell's one zero,
 z_start - (1/2 pi i) * contour integral of log F dz, taken by the trapezoid
@@ -13,18 +14,21 @@ rule over the contour samples that also give the cell's |F| scale, with the
 phase continued along the phase increments that winding uses, bisected
 where a segment's principal increment exceeds the step, so that a zero
 close to an edge is resolved.  Each cell takes the samples, values and
-increments of the contour its winding was accepted from (a child those its
+increments of the contour its winding was accepted from (a strip those its
 split computed), so no cell's contour is evaluated or bisected again.
 Newton starts at the cell centre instead when those increments do not make
 one turn, or when the estimate falls outside the cell.
 
-A contour's samples are evaluated in one eval_batch call, and the near-zero
-check and phase increments run over the sample array at once.  A split
-evaluates all four children's contours in one batch: each edge's points are
-generated from its lower end, so children that share an edge share its
-points, and the batch evaluates each of them once.  Each child is handed the
-values and phase increments on its boundary.  Phase bisection and Newton
-are sequential and evaluate single points through eval_expr.
+A contour's samples are evaluated in one batch, which eval_batch takes at
+most _BATCH_POINTS points at a time, and the near-zero check and phase
+increments run over the sample array at once.  A split evaluates all its
+strips' contours in one batch: each edge's points are generated from its
+lower end, so strips that share a cut share its points, and the batch
+evaluates each of them once.  Each strip is handed the values and phase
+increments on its boundary.  Phase bisection and Newton are sequential and
+evaluate single points through eval_expr; the walker keeps each bisection
+midpoint's value apart from the contour samples, so no midpoint of a
+decision is evaluated twice.
 
 A winding is accepted once two consecutive sampling densities (levels)
 agree.  Each decision has one walker: the level is an argument of its
@@ -37,7 +41,7 @@ walker with the values on its bottom edge, which the tile below sampled as
 its top edge, and adds each tile's winding to the count of its T step as it
 goes.  The split of the scanned rectangle starts at the coarser of its two
 agreeing levels, with the accepted winding; every other split starts at
-level 0.  A split whose children fail to conserve the parent's winding goes
+level 0.  A split whose strips fail to conserve the parent's winding goes
 on to the next denser level.  Every evaluation a split makes counts against
 its cell's evaluation budget, and a contour of more points than that budget
 is refused before its points are made.  A density scan is refused before its
@@ -46,7 +50,7 @@ that budget.
 
 A near-zero sample is retried by one rule, _jittered: attempt k of at most
 _JITTER_RETRIES + 1 pushes the scanned rectangle or the density scan outward
-by k * _JITTER, or moves a split point by k jitters, and the last attempt's
+by k * _JITTER, or moves a split's cuts by k jitters, and the last attempt's
 hit is raised.  The near-zero threshold is 10 * zero_tol, scaled down by the
 magnitude of the neighbouring samples when those sit below 1, so that
 exponentially small functions (completed-zeta combinations at height t)
@@ -88,6 +92,7 @@ _TILE_HEIGHT = 25.0          # density-scan strip height
 _NEWTON_MAX_STEPS = 60
 _JITTER_RETRIES = 8
 _CELL_EVAL_BUDGET = 4_000_000
+_BATCH_POINTS = 2048         # most points per eval_batch call
 
 
 @dataclass(frozen=True)
@@ -227,8 +232,10 @@ class _Walker:
     midpoints, Newton), fn.batch(zs) a point list (contour samples).
     ``values`` holds F at every contour sample the walker has evaluated or
     been handed (``seen``, pairs of point and value), and sample consults it,
-    so no contour point of the decision is evaluated twice.  Every evaluation
-    counts against one budget.  ``level`` k samples with _INIT_SAMPLES_PER_EDGE
+    so no contour point of the decision is evaluated twice.  ``midpoints``
+    holds F at every phase-bisection midpoint, apart from ``values`` so that
+    a contour sample keeps its batch value.  Every evaluation counts against
+    one budget.  ``level`` k samples with _INIT_SAMPLES_PER_EDGE
     << k and a phase step of _MAX_PHASE_STEP / 2**k.
     """
 
@@ -236,6 +243,7 @@ class _Walker:
         self.fn = fn
         self.cc = cc
         self.values = dict(seen)
+        self.midpoints = {}
         self.evals = 0
 
     def _count(self, n: int) -> None:
@@ -320,7 +328,9 @@ class _Walker:
         if depth >= _MAX_DEPTH:
             raise DepthExceeded(f"phase bisection depth > {_MAX_DEPTH} at {z0:.8g}")
         zm = 0.5 * (z0 + z1)
-        vm = self(zm)
+        vm = self.midpoints.get(zm)
+        if vm is None:
+            vm = self.midpoints[zm] = self(zm)
         if abs(vm) <= self._near_zero_floor(max(abs(v0), abs(v1))):
             raise NearZeroOnContour(f"|F|={abs(vm):.3g} at {zm:.8g}", point=zm)
         return (self._segment_phase(z0, v0, zm, vm, step, depth + 1)
@@ -334,10 +344,13 @@ def _turns(dphi: np.ndarray) -> int:
 
 def expression_fn(e, cfg: EvalConfig):
     """z -> F(z) through eval_expr; ``fn.batch`` maps a point list to its
-    values through eval_batch."""
+    values through eval_batch, _BATCH_POINTS points a call, which bounds the
+    arrays a large split allocates (eval_batch's values do not depend on how
+    a list is cut)."""
     def fn(z: complex) -> complex:
         return eval_expr(e, z, cfg).z
-    fn.batch = lambda zs: eval_batch(e, zs, cfg)[0].tolist()
+    fn.batch = lambda zs: [v for i in range(0, len(zs), _BATCH_POINTS)
+                           for v in eval_batch(e, zs[i:i + _BATCH_POINTS], cfg)[0].tolist()]
     return fn
 
 
@@ -416,71 +429,82 @@ _SPLIT_FRAC = (math.sqrt(5.0) - 1.0) / 2.0   # avoids cuts along symmetry lines
 
 
 def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, level: int = 0):
-    """Quadrisect with a deterministically jittered, asymmetric split point.
+    """Cut the cell into m = w_par + 1 strips across its longer side (t when
+    the height is at least the width, else sigma), with deterministically
+    jittered, asymmetric cuts.
 
-    The split sits at the golden-ratio point rather than the center so that
-    zeros on natural symmetry lines (e.g. Re = 1/2) stay strictly inside one
-    child.  Each attempt samples the four children's contours in one batch;
-    children that share an edge sample the same points on it, which the batch
-    evaluates once, and the points the walker already knows (the parent's
-    contour, earlier rounds) are not evaluated again.  Children windings must
-    conserve the parent's.  A round makes the attempts of _jittered: only a
-    near-zero hit on a child contour moves the split point (by the jitter) for
-    another attempt at the same level.  A conservation failure (a zero close
-    enough to an edge to alias the phase samples, which a jitter-sized move
-    cannot repair on the outer edges), or a split point that leaves the cell,
-    ends the round.  The next round re-measures the parent's contour at the
-    next denser level, as _stable_winding measures a level, and splits there;
-    the split gives up after three rounds with the last failure.  The first
-    round samples at ``level`` and takes w_par as measured there.  Every
-    evaluation counts against ``walker``'s budget.  Returns (child, winding,
-    (pts, vals, dphi)) triples: the child's contour samples at the accepted
-    level, F at each of them and the bisected phase increments its winding
-    came from.  The child's scale, Newton start point and own split reuse them.
+    One zero per strip is usual, so most cells resolve after one split.  Cut
+    j (1 <= j < m) sits at lo + L * (j - 1 + _SPLIT_FRAC) / m along the side
+    [lo, lo + L], off the centre so that zeros on natural symmetry lines
+    (e.g. Re = 1/2) stay strictly inside one strip.  The first and last
+    strips keep the parent's two edges across the cut side, but each strip
+    samples its piece of the two sides along it afresh, so conservation
+    compares new samples with the parent's.  Each attempt samples the strips'
+    contours in one batch; strips that share a cut sample the same points on
+    it, which the batch evaluates once, and the points the walker already
+    knows (the parent's contour, earlier rounds) are not evaluated again.
+    Strip windings must conserve the parent's.  A round makes the attempts of
+    _jittered: only a near-zero hit on a strip contour moves every cut (by
+    the jitter) for another attempt at the same level.  A conservation
+    failure (a zero close enough to an edge to alias the phase samples, which
+    a jitter-sized move cannot repair on the outer edges), or cuts that leave
+    the cell, end the round.  The next round re-measures the parent's contour
+    at the next denser level, as _stable_winding measures a level, and splits
+    there; the split gives up after three rounds with the last failure.  The
+    first round samples at ``level`` and takes w_par as measured there; the
+    number of strips stays that of the w_par given.  Every evaluation counts
+    against ``walker``'s budget.  Returns (strip, winding, (pts, vals, dphi))
+    triples, bottom to top or left to right: the strip's contour samples at
+    the accepted level, F at each of them and the bisected phase increments
+    its winding came from.  The strip's scale, Newton start point and own
+    split reuse them.
     """
     jit = max(_effective_jitter(rect), 1e-12 * max(rect.width, rect.height))
-    cx = rect.sigma_lo + _SPLIT_FRAC * rect.width
-    cy = rect.t_lo + _SPLIT_FRAC * rect.height
+    across_t = rect.height >= rect.width
+    lo, hi = (rect.t_lo, rect.t_hi) if across_t else (rect.sigma_lo, rect.sigma_hi)
+    m = w_par + 1
+    cuts = [lo + (hi - lo) * (j - 1 + _SPLIT_FRAC) / m for j in range(1, m)]
 
     def attempt(lvl, w_par, k):
-        sx = cx + jit * k
-        sy = cy + jit * k
-        if not rect.strictly_contains(complex(sx, sy)):
+        ends = [lo, *(c + jit * k for c in cuts), hi]
+        if not all(a < b for a, b in zip(ends, ends[1:])):
             return None
-        children = [
-            Rectangle(rect.sigma_lo, sx, rect.t_lo, sy),
-            Rectangle(sx, rect.sigma_hi, rect.t_lo, sy),
-            Rectangle(sx, rect.sigma_hi, sy, rect.t_hi),
-            Rectangle(rect.sigma_lo, sx, sy, rect.t_hi),
-        ]
-        contours = [walker.boundary_points(c, lvl) for c in children]
+        strips = [Rectangle(rect.sigma_lo, rect.sigma_hi, a, b) if across_t
+                  else Rectangle(a, b, rect.t_lo, rect.t_hi)
+                  for a, b in zip(ends, ends[1:])]
+        contours = [walker.boundary_points(c, lvl) for c in strips]
         vals = iter(walker.sample([z for pts in contours for z in pts]))
         measured = []
-        for c, pts in zip(children, contours):
+        for c, pts in zip(strips, contours):
             v = [next(vals) for _ in pts]
             dphi = walker.increments(pts, v, lvl)
             measured.append((c, _turns(dphi), (pts, v, dphi)))
         windings = [w for _, w, _ in measured]
         if sum(windings) != w_par:
-            raise ContourError(f"child windings {windings} do not conserve parent {w_par}")
+            raise ContourError(f"strip windings {windings} do not conserve parent {w_par}")
         return measured
 
     last_exc: Exception = ContourError("split point exhausted the cell")
-    for lvl in range(level, level + 3):
-        if lvl > level:
+    try:
+        for lvl in range(level, level + 3):
+            if lvl > level:
+                try:
+                    pts, vals = walker.boundary(rect, lvl)
+                    w_par = _turns(walker.increments(pts, vals, lvl))
+                except (NearZeroOnContour, DepthExceeded) as exc:
+                    last_exc = exc
+                    continue
             try:
-                pts, vals = walker.boundary(rect, lvl)
-                w_par = _turns(walker.increments(pts, vals, lvl))
-            except (NearZeroOnContour, DepthExceeded) as exc:
+                measured = _jittered(lambda k: attempt(lvl, w_par, k))
+                if measured is not None:
+                    return measured
+            except (NearZeroOnContour, ContourError) as exc:
                 last_exc = exc
-                continue
-        try:
-            measured = _jittered(lambda k: attempt(lvl, w_par, k))
-            if measured is not None:
-                return measured
-        except (NearZeroOnContour, ContourError) as exc:
-            last_exc = exc
-    raise last_exc
+        raise last_exc
+    finally:
+        # A kept exception's traceback holds this frame, and with it the
+        # walker and every contour: drop it so the cycle is not left to gc.
+        del last_exc
 
 
 def _newton_refine(walker: _Walker, rect: Rectangle, cc: ContourConfig, scale: float,
@@ -552,9 +576,9 @@ def _resolve_cell(fn, rect: Rectangle, w: int, contour, cc: ContourConfig,
                   level: int = 0):
     """Fully resolve one pole-free cell of known winding.  Each cell comes
     with the (pts, vals, dphi) its winding was accepted from: rect with
-    ``contour`` (from _stable_winding, at ``level``), a child with the one
+    ``contour`` (from _stable_winding, at ``level``), a strip with the one
     its split handed it.  A cell's walker starts with that contour's samples,
-    and its split at the contour's level: ``level`` for rect, 0 for a child."""
+    and its split at the contour's level: ``level`` for rect, 0 for a strip."""
     records: list[ZeroRecord] = []
     unresolved: list[UnresolvedCell] = []
     stack = [(rect, w, level, contour)]
@@ -586,8 +610,8 @@ def _resolve_cell(fn, rect: Rectangle, w: int, contour, cc: ContourConfig,
             ))
             continue
         try:
-            stack.extend((child, w_child, 0, contour)
-                         for child, w_child, contour in _split_cell(walker, cell, wc, lvl))
+            stack.extend((strip, w_strip, 0, contour)
+                         for strip, w_strip, contour in _split_cell(walker, cell, wc, lvl))
         except (NearZeroOnContour, ContourError, DepthExceeded) as exc:
             unresolved.append(UnresolvedCell(cell, wc, f"{type(exc).__name__}: {exc}"))
     return records, unresolved

@@ -1,6 +1,8 @@
 import cmath
+import gc
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -342,8 +344,9 @@ def test_split_cell_hands_children_their_samples():
     fn = expression_fn(parse_expr("zeta(s)^2-zeta(2*s)"), DEFAULT_CONFIG)
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(fn, DEFAULT_CONTOUR)
-    kids = _split_cell(walker, rect, _winding(walker, rect))
-    assert len(kids) == 4
+    w = _winding(walker, rect)
+    kids = _split_cell(walker, rect, w)
+    assert len(kids) == w + 1
     for child, w, (pts, vals, dphi) in kids:
         fresh = _Walker(fn, DEFAULT_CONTOUR)
         fresh_pts, fresh_vals = fresh.boundary(child)
@@ -366,16 +369,22 @@ def test_split_samples_children_in_one_batch_on_shared_edges(monkeypatch):
     split = _split_cell(walker, rect, w)
     kids = [child for child, _, _ in split]
     measured = {child: dict(zip(pts, vals)) for child, _, (pts, vals, _) in split}
-    # The parent's corners are known to the walker; every other child point
-    # is evaluated once, in one batch.
-    assert len(set().union(*measured.values()) & known) == 4
+    # The cell is taller than wide: w + 1 strips stacked in t, cut across
+    # the whole width.
+    assert len(kids) == w + 1 >= 3
+    assert all((k.sigma_lo, k.sigma_hi) == (rect.sigma_lo, rect.sigma_hi) for k in kids)
+    assert [k.t_lo for k in kids[1:]] == [k.t_hi for k in kids[:-1]]
+    # The bottom and top edges are the parent's, whose samples the walker
+    # knows; every other strip point is evaluated once, in one batch.
+    ends = {z for z in known if z.imag in (rect.t_lo, rect.t_hi)}
+    assert set().union(*measured.values()) & known == ends
     assert batches == [len(set().union(*measured.values()) - known)]
-    # Children 0|1 and 3|2 share part of the vertical cut, 0/3 and 1/2 part
-    # of the horizontal one: both sides hold the same points and values there.
-    for a, b in ((0, 1), (3, 2), (0, 3), (1, 2)):
-        shared = {z: v for z, v in measured[kids[a]].items() if kids[b].contains(z)}
+    # Neighbouring strips share their cut: both hold the same points and
+    # values there.
+    for a, b in zip(kids, kids[1:]):
+        shared = {z: v for z, v in measured[a].items() if b.contains(z)}
         assert len(shared) > 2
-        assert shared == {z: v for z, v in measured[kids[b]].items() if kids[a].contains(z)}
+        assert shared == {z: v for z, v in measured[b].items() if a.contains(z)}
 
 
 def _principal(vals):
@@ -407,16 +416,8 @@ def test_start_point_falls_back_to_centre():
     assert _start_point(rect, pts, vals, _principal(vals)) == rect.center
 
 
-def test_c12_evaluation_counts(monkeypatch):
-    # Deterministic work counts of the c12 localisation, so that a lost saving
-    # shows without timing.  Measured: 13,425 batched points and 397 scalar
-    # evaluations (13,461 batched while a split evaluated its parent's
-    # corners again; 412 scalar while a winding-1 cell bisected its contour
-    # again instead of taking its split's increments; 46,813 and 658 while each
-    # winding level, split round and jitter attempt evaluated its contours
-    # afresh, the root split started at level 0 and the start point used the
-    # principal increments; 82,260 and 1,574 before Newton started at the
-    # argument-principle estimate and splits were sampled in one batch).
+def _count_evaluations(monkeypatch):
+    """Batched points and scalar evaluations of the engine, counted as they go."""
     counts = {"batched": 0, "scalar": 0}
 
     def eval_batch_counted(e, zs, cfg):
@@ -429,17 +430,54 @@ def test_c12_evaluation_counts(monkeypatch):
 
     monkeypatch.setattr(zeros, "eval_batch", eval_batch_counted)
     monkeypatch.setattr(zeros, "eval_expr", eval_expr_counted)
+    return counts
+
+
+def test_c12_evaluation_counts(monkeypatch):
+    # Deterministic work counts of the c12 localisation, so that a lost saving
+    # shows without timing.  Measured: 8,869 batched points and 276 scalar
+    # evaluations (13,425 and 397 while a split quadrisected its cell, which
+    # re-sampled the outer edges once per split level, and phase bisection
+    # evaluated a midpoint again at each level; 13,461 batched while a split
+    # evaluated its parent's corners again; 412 scalar while a winding-1 cell bisected its contour
+    # again instead of taking its split's increments; 46,813 and 658 while each
+    # winding level, split round and jitter attempt evaluated its contours
+    # afresh, the root split started at level 0 and the start point used the
+    # principal increments; 82,260 and 1,574 before Newton started at the
+    # argument-principle estimate and splits were sampled in one batch).
+    counts = _count_evaluations(monkeypatch)
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), Rectangle(0.55, 2.0, 1e-3, 100.0))
     assert len(res.records) == 13 and not res.unresolved
-    assert counts["batched"] <= int(1.1 * 13_425)
-    assert counts["scalar"] <= int(1.1 * 397)
+    assert counts == {"batched": 8_869, "scalar": 276}
+
+
+def test_c11_evaluation_counts(monkeypatch):
+    # The c11 critical-line check: 3,917 batched points and 102 scalar
+    # evaluations (9,938 and 145 while a split quadrisected its cell).
+    counts = _count_evaluations(monkeypatch)
+    rep = critical_line_check(parse_expr("xi(s+1/2)-xi(s-1/2)"), 50.0, 1e-6)
+    assert len(rep.records) == 9 and rep.passed
+    assert counts == {"batched": 3_917, "scalar": 102}
+
+
+def test_window_below_a_triple_pole_is_never_complete_without_its_zero():
+    # zeta(s)^3 - 2 zeta(3s) vanishes at 0.80491628+23.12524294i (mpmath at
+    # 40 digits: 0.80491628230602+23.12524293569138i, |F| < 1e-40).  The
+    # order-3 pole at s = 1, 1e-3 below the window, aliases the root winding
+    # to 15, one short: a quadrisecting split then reported 15 zeros without
+    # this one and called the window complete.
+    z0 = 0.80491628230602 + 23.12524293569138j
+    res = localize_zeros(parse_expr("zeta(s)^3-2*zeta(3*s)"), Rectangle(0.55, 2.5, 1e-3, 100.0))
+    assert not res.complete or any(abs(r.location.z - z0) < 1e-9 for r in res.records)
 
 
 def test_one_zero_window_evaluates_each_point_once(monkeypatch):
     # A rectangle of winding 1 is resolved from the contour its winding was
     # accepted from (level 1 here), so its contour is neither evaluated nor
     # bisected again, and Newton from that contour's start point finds the
-    # zero in the rectangle itself.  3,064 batched and 151 scalar evaluations
+    # zero in the rectangle itself.  68 scalar evaluations while phase
+    # bisection evaluated a midpoint again at each level; 3,064 batched and
+    # 151 scalar
     # while the cell bisected its level-0 contour, Newton from the centre
     # failed and the cell was split; 3,676 batched while it also sampled its
     # contour afresh.
@@ -453,7 +491,7 @@ def test_one_zero_window_evaluates_each_point_once(monkeypatch):
     assert len(res.records) == 1 and not res.unresolved
     assert res.records[0].rect == rect
     assert len(batched) == len(set(batched)) == 1_472
-    assert len(scalar) == 68
+    assert len(scalar) == 57
 
 
 def test_start_point_from_bisected_increments():
@@ -502,35 +540,45 @@ def _linear_fn(z0):
 
 
 def test_split_near_zero_hit_moves_the_split_point():
-    # F = z - z0 with z0 where the golden-ratio cut lines cross: every child
-    # contour passes through the zero, so the split moves by one jitter step.
+    # F = z - z0 with z0 on a sample of the one cut of a winding-1 square
+    # (across t, at the golden fraction of half the side): both strip
+    # contours pass through the zero, so the cut moves by one jitter step.
     rect = Rectangle(0.0, 1.0, 0.0, 1.0)
-    cx = cy = zeros._SPLIT_FRAC
-    z0 = complex(cx, cy)
-    kids = _split_cell(_Walker(_linear_fn(z0), DEFAULT_CONTOUR), rect, 1)
-    assert kids[0][0].sigma_hi == cx + zeros._JITTER
-    assert kids[0][0].t_hi == cy + zeros._JITTER
-    assert [w for _, w, _ in kids] == [1, 0, 0, 0]
+    cut = zeros._SPLIT_FRAC / 2
+    kids = _split_cell(_Walker(_linear_fn(complex(0.5, cut)), DEFAULT_CONTOUR), rect, 1)
+    assert [k.t_hi for k, _, _ in kids] == [cut + zeros._JITTER, rect.t_hi]
+    assert [w for _, w, _ in kids] == [1, 0]
 
 
 def test_split_conservation_failure_densifies_at_once():
-    # A parent winding of 2 that the children (one zero) cannot conserve: the
-    # round ends after one attempt, and the next re-measures the parent at
-    # the denser level and splits at the same point without jitter.
+    # A parent winding of 2 that the three strips (one zero) cannot conserve:
+    # the round ends after one attempt, and the next re-measures the parent
+    # at the denser level and splits at the same cuts without jitter.
     rect = Rectangle(0.0, 1.0, 0.0, 1.0)
     fn = _linear_fn(0.3 + 0.3j)
     batches = []
     batch = fn.batch
     fn.batch = lambda zs: batches.append(len(zs)) or batch(zs)
-    kids = _split_cell(_Walker(fn, DEFAULT_CONTOUR), rect, 2)
-    assert len(batches) == 3        # children, then parent and children denser
-    assert kids[0][0].sigma_hi == rect.sigma_lo + zeros._SPLIT_FRAC * rect.width
-    assert [w for _, w, _ in kids] == [1, 0, 0, 0]
+    walker = _Walker(fn, DEFAULT_CONTOUR)
+    dead = weakref.ref(walker)
+    gc.disable()
+    try:
+        kids = _split_cell(walker, rect, 2)
+        del walker
+        # The caught conservation failure keeps no reference to the split's
+        # frame, so the walker and its contours go without a gc pass.
+        assert dead() is None
+    finally:
+        gc.enable()
+    assert len(batches) == 3        # strips, then parent and strips denser
+    frac = zeros._SPLIT_FRAC
+    assert [k.t_hi for k, _, _ in kids] == [frac / 3, (1 + frac) / 3, rect.t_hi]
+    assert [w for _, w, _ in kids] == [0, 1, 0]
 
 
 def test_resolve_cell_takes_the_split_increments(monkeypatch):
-    # Two zeros in opposite children: the split bisects the four child
-    # contours once, and each winding-1 child starts Newton from the handed
+    # Two zeros in different strips: the split bisects the three strip
+    # contours once, and each winding-1 strip starts Newton from the handed
     # increments instead of bisecting its contour again.
     z1, z2 = 0.3 + 0.3j, 0.8 + 0.8j
     fn = lambda z: (z - z1) * (z - z2)
@@ -546,7 +594,7 @@ def test_resolve_cell_takes_the_split_increments(monkeypatch):
     records, unresolved = zeros._resolve_cell(fn, rect, w, contour, DEFAULT_CONTOUR, level)
     assert not unresolved
     assert sorted(abs(r.location.z - z1) < 1e-12 for r in records) == [False, True]
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_split_counts_against_the_cell_budget(monkeypatch):
@@ -603,11 +651,12 @@ def test_localize_raises_the_last_near_zero_hit():
 
 
 def test_split_gives_up_when_every_split_point_is_a_zero():
-    # Roots at all nine jittered split points of the unit square: every
-    # attempt of each of the three rounds hits one on a child contour, and
-    # the cell is reported with the last hit.
+    # Nine roots, one on a sample of each of the nine jittered positions of
+    # the lowest of the ten strips' cuts: every attempt of each of the three
+    # rounds hits one on a strip contour, and the cell is reported with the
+    # last hit.
     c = zeros._SPLIT_FRAC
-    roots = [complex(c + 1e-7 * k, c + 1e-7 * k) for k in range(9)]
+    roots = [complex(0.5, c / 10 + 1e-7 * k) for k in range(9)]
     fn = lambda z: math.prod(z - r for r in roots)
     batches = []
     fn.batch = lambda zs: batches.append(len(zs)) or [fn(z) for z in zs]
@@ -620,7 +669,7 @@ def test_split_gives_up_when_every_split_point_is_a_zero():
     records, unresolved = zeros._resolve_cell(fn, rect, 9, contour, DEFAULT_CONTOUR)
     assert not records
     assert [(u.rect, u.winding) for u in unresolved] == [(rect, 9)]
-    assert unresolved[0].reason == "NearZeroOnContour: |F|=0 at 0.61803479+0.61803479j"
+    assert unresolved[0].reason == "NearZeroOnContour: |F|=0 at 0.5+0.061804199j"
     # Nine attempts in the first round; a re-measure and nine attempts in
     # each of the other two.
     assert len(batches) == 29
@@ -650,13 +699,14 @@ def test_split_gives_up_when_the_re_measure_fails(monkeypatch):
 
 
 def test_split_point_outside_a_one_ulp_wide_cell():
-    # The golden-ratio cut of a cell one ulp wide rounds onto its right edge,
-    # so no round can split it; the two re-measures still run.
+    # A cell one ulp wide and less tall is cut across sigma; its cut rounds
+    # onto its left edge, so no round can split it; the two re-measures
+    # still run.
     fn = _linear_fn(-5.0)
     batches = []
     batch = fn.batch
     fn.batch = lambda zs: batches.append(len(zs)) or batch(zs)
-    rect = Rectangle(1.0, math.nextafter(1.0, 2.0), 0.0, 1.0)
+    rect = Rectangle(1.0, math.nextafter(1.0, 2.0), 0.0, 1e-16)
     with pytest.raises(zeros.ContourError, match="^split point exhausted the cell$"):
         _split_cell(_Walker(fn, DEFAULT_CONTOUR), rect, 1)
     assert len(batches) == 2
