@@ -30,6 +30,15 @@ evaluate single points through eval_expr; the walker keeps each bisection
 midpoint's value apart from the contour samples, so no midpoint of a
 decision is evaluated twice.
 
+Each edge is sampled uniformly and, beside every pole candidate of the
+expression within reach of it, at graded points (_Walker.boundary_points):
+seen from the pole, no segment between consecutive samples then subtends
+more than theta = _POLE_ANGLE / 2**level, so an order-k pole adds at most
+k * theta to a segment's phase increment.  At level 0 poles of order up to
+4 stay within the phase step, and up to 7 they cannot alias a segment.
+Scans start 1e-3 above the real axis, where every implemented atom's pole
+candidates sit, so this settles the windings beside them at level 0.
+
 A winding is accepted once two consecutive sampling densities (levels)
 agree.  Each decision has one walker: the level is an argument of its
 sampling, and the walker keeps F at every contour sample it has evaluated or
@@ -57,10 +66,10 @@ exponentially small functions (completed-zeta combinations at height t)
 remain scannable.
 
 The engine's settings are the module constants below (_INIT_SAMPLES_PER_EDGE,
-_MAX_PHASE_STEP, _MAX_DEPTH, _MIN_CELL, _JITTER and the budgets); a caller
-sets only ContourConfig.zero_tol.  Scans run in the calling thread.  The
-``threads`` keyword of the scan functions is accepted for compatibility and
-has no effect.
+_MAX_PHASE_STEP, _POLE_ANGLE, _MAX_DEPTH, _MIN_CELL, _JITTER and the
+budgets); a caller sets only ContourConfig.zero_tol.  Scans run in the
+calling thread.  The ``threads`` keyword of the scan functions is accepted
+for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -85,6 +94,7 @@ from .expr import eval_batch, eval_expr, pole_set
 _INIT_SAMPLES_PER_EDGE = 64  # least samples per edge, at level 0
 _SAMPLES_PER_UNIT = 8.0      # extra boundary samples per unit of edge length
 _MAX_PHASE_STEP = math.pi / 2  # largest unbisected phase increment, at level 0
+_POLE_ANGLE = math.pi / 8    # largest angle a segment subtends from a near pole, at level 0
 _MAX_DEPTH = 40              # phase bisection depth
 _MIN_CELL = 1e-9             # a cell this small is reported, not split
 _JITTER = 1e-7               # near-zero retry step
@@ -218,29 +228,46 @@ class CriticalLineReport:
 # Phase tracking
 # ---------------------------------------------------------------------------
 
-def _contour_size(width: float, height: float, level: int = 0) -> float:
-    """The number of samples of a width x height contour at ``level``, before
-    _Walker.boundary_points rounds each edge's count up."""
-    n_min = _INIT_SAMPLES_PER_EDGE << level
-    return sum(max(n_min, d * _SAMPLES_PER_UNIT) for d in (width, height) * 2)
+def _edge_samples(length: float, level: int) -> int:
+    """The uniform sample count n of an edge at ``level``: its uniform points
+    sit at the fractions k/n of it, k = 1, ..., n - 1."""
+    return max(_INIT_SAMPLES_PER_EDGE << level, math.ceil(length * _SAMPLES_PER_UNIT))
+
+
+def _contour_size(width: float, height: float, level: int = 0, poles: int = 0) -> int:
+    """An upper bound on the samples of a width x height contour at ``level``,
+    the closing repeat included, with room on every edge for the graded
+    samples of ``poles`` pole candidates: 2 * ceil((pi/2) / theta) + 1 each,
+    where _Walker.boundary_points adds at most the foot and ceil((pi/2) /
+    theta) - 1 points on each side of it."""
+    graded = poles * (2 * math.ceil(math.pi / 2 / (_POLE_ANGLE / 2**level)) + 1)
+    return 1 + sum(_edge_samples(d, level) + graded for d in (width, height) * 2)
 
 
 class _Walker:
     """Boundary phase tracker for one winding decision; counts evaluations.
 
     ``fn`` comes from expression_fn: fn(z) evaluates one point (bisection
-    midpoints, Newton), fn.batch(zs) a point list (contour samples).
+    midpoints, Newton), fn.batch(zs) a point list (contour samples), and
+    fn.poles holds the expression's pole candidates (none when fn has no
+    such attribute), which boundary_points grades its samples around.
     ``values`` holds F at every contour sample the walker has evaluated or
     been handed (``seen``, pairs of point and value), and sample consults it,
     so no contour point of the decision is evaluated twice.  ``midpoints``
     holds F at every phase-bisection midpoint, apart from ``values`` so that
     a contour sample keeps its batch value.  Every evaluation counts against
     one budget.  ``level`` k samples with _INIT_SAMPLES_PER_EDGE
-    << k and a phase step of _MAX_PHASE_STEP / 2**k.
+    << k, graded points at most theta = _POLE_ANGLE / 2**k apart as seen
+    from a pole candidate within reach, and a phase step of _MAX_PHASE_STEP
+    / 2**k.  A segment that subtends at most theta from an order-m pole gets
+    at most m * theta of its phase increment from it: within the step
+    (pi/2 / 2**k = 4 * theta) for m <= 4, so the pole forces no bisection,
+    and below pi for m <= 7, so it cannot alias the segment.
     """
 
     def __init__(self, fn, cc: ContourConfig, seen=()):
         self.fn = fn
+        self.poles = getattr(fn, "poles", ())
         self.cc = cc
         self.values = dict(seen)
         self.midpoints = {}
@@ -266,25 +293,61 @@ class _Walker:
 
     def boundary_points(self, rect: Rectangle, level: int = 0) -> list[complex]:
         """Counter-clockwise contour samples from the lower-left corner, closed
-        by repeating it.  Each edge's points are generated from its lower end
-        (left to right, bottom to top) whichever way the walk runs it, so cells
-        that share an edge sample bitwise-identical points on it; corners are
-        exact.  A contour of more points than the evaluation budget is refused
-        before any point is made."""
-        if _contour_size(rect.width, rect.height, level) > _CELL_EVAL_BUDGET:
+        by repeating it.  Each edge's points are fractions of the edge measured
+        from its lower end (left to right, bottom to top) whichever way the
+        walk runs it, so cells that share an edge sample bitwise-identical
+        points on it; corners are exact.  An edge of uniform spacing h gets the
+        fractions k/n and, for each pole candidate at distance 0 < d <
+        h / tan(theta) from its line, graded points at the foot x of the pole
+        on that line and at x +- d * tan(j * theta), j = 1, 2, ..., while the
+        gap between them is below h, where theta = _POLE_ANGLE / 2**level.
+        Each segment then subtends at most theta from the pole (see _Walker).
+        A contour of more points than the evaluation budget is refused before
+        any point is made."""
+        if _contour_size(rect.width, rect.height, level, len(self.poles)) > _CELL_EVAL_BUDGET:
             raise DepthExceeded("per-cell evaluation budget exhausted")
-        n_min = _INIT_SAMPLES_PER_EDGE << level
+        theta = _POLE_ANGLE / 2**level
         pts: list[complex] = []
         corners = rect.corners()
         for i in range(4):
             z0, z1 = corners[i], corners[(i + 1) % 4]
             lo, hi = (z0, z1) if i < 2 else (z1, z0)
-            n = max(n_min, int(math.ceil(abs(hi - lo) * _SAMPLES_PER_UNIT)))
-            inner = [lo + (hi - lo) * (k / n) for k in range(1, n)]
+            n = _edge_samples(abs(hi - lo), level)
+            fracs = [k / n for k in range(1, n)]
+            graded = self._graded(lo, hi, n, theta)
+            if graded:
+                fracs = sorted(set(fracs).union(graded))
+            inner = [lo + (hi - lo) * f for f in fracs]
+            if graded:      # two fractions may round to one point, or onto a corner
+                inner = [z for z in dict.fromkeys(inner) if z != lo and z != hi]
             pts.append(z0)
             pts.extend(inner if i < 2 else reversed(inner))
         pts.append(corners[0])
         return pts
+
+    def _graded(self, lo: complex, hi: complex, n: int, theta: float) -> list[float]:
+        """The graded fractions, strictly between 0 and 1, that the pole
+        candidates within reach add to the edge from lo to hi of n uniform
+        steps."""
+        length = abs(hi - lo)
+        h = length / n
+        out = []
+        for p in self.poles:
+            rel = p - lo
+            x, d = (rel.real, abs(rel.imag)) if lo.imag == hi.imag else (rel.imag, abs(rel.real))
+            # On the edge's line the pole is on the contour or sees the edge
+            # at angle 0; far from it the uniform spacing is fine enough.
+            if d == 0.0 or d * math.tan(theta) >= h:
+                continue
+            offsets = [0.0]
+            for j in range(1, math.ceil(math.pi / 2 / theta)):
+                o = d * math.tan(j * theta)
+                if o - offsets[-1] >= h:
+                    break
+                offsets.append(o)
+            out.extend(f for o in offsets for f in ((x - o) / length, (x + o) / length)
+                       if 0.0 < f < 1.0)
+        return out
 
     def _near_zero_floor(self, neighbour_mag):
         # Relative to the local magnitude so that exponentially small but
@@ -346,11 +409,13 @@ def expression_fn(e, cfg: EvalConfig):
     """z -> F(z) through eval_expr; ``fn.batch`` maps a point list to its
     values through eval_batch, _BATCH_POINTS points a call, which bounds the
     arrays a large split allocates (eval_batch's values do not depend on how
-    a list is cut)."""
+    a list is cut), and ``fn.poles`` holds the distinct locations of
+    pole_set(e), which _Walker.boundary_points grades its samples around."""
     def fn(z: complex) -> complex:
         return eval_expr(e, z, cfg).z
     fn.batch = lambda zs: [v for i in range(0, len(zs), _BATCH_POINTS)
                            for v in eval_batch(e, zs[i:i + _BATCH_POINTS], cfg)[0].tolist()]
+    fn.poles = tuple(dict.fromkeys(c.location for c in pole_set(e)))
     return fn
 
 
@@ -358,7 +423,8 @@ def _stable_winding(walker: _Walker, rect: Rectangle):
     """Winding accepted only once two consecutive sampling levels agree.
 
     Guards against phase aliasing from zeros hugging the contour from either
-    side; each level doubles the samples per edge and halves the phase step.
+    side; each level doubles the samples per edge and halves the phase step
+    and the angle of the graded samples beside pole candidates.
     The walker keeps every value it samples, so a level evaluates only the
     points the walker does not already know (the values of the levels below,
     and any it was handed).  An edge longer than _INIT_SAMPLES_PER_EDGE /
@@ -685,20 +751,17 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
     if not all(map(math.isfinite, ts)) or sorted(ts) != ts:
         raise ValueError("T_values must be finite and non-decreasing")
     steps = list(dict.fromkeys(t for t in ts if t > t_floor))   # a repeated T adds no cut
-    need = 0.0
+    fn = expression_fn(e, cfg)
+    need = 0
     for lo, hi in zip([t_floor] + steps, steps):
         n = _tile_count(hi - lo)
-        need += n * _contour_size(sigma_cap - sigma0, (hi - lo) / n)
+        need += n * _contour_size(sigma_cap - sigma0, (hi - lo) / n, 0, len(fn.poles))
     if need > _CELL_EVAL_BUDGET:
         raise DepthExceeded("density scan evaluation budget exhausted")
 
-    for cand in pole_set(e):
-        if abs(cand.location.imag) > 1e-12:
-            raise ValueError(
-                f"non-real pole candidate {cand.location:.6g}; pre-split not supported"
-            )
-
-    fn = expression_fn(e, cfg)
+    for loc in fn.poles:
+        if abs(loc.imag) > 1e-12:
+            raise ValueError(f"non-real pole candidate {loc:.6g}; pre-split not supported")
 
     def scan(k):
         """The count at each T, with the scan pushed outward by k jitters."""

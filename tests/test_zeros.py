@@ -163,14 +163,16 @@ def test_density_scan_basic():
 def test_density_scan_evaluates_each_point_once(monkeypatch):
     # Each tile's top edge is the next tile's bottom edge; its values are
     # handed on, so no point of the scan is evaluated twice (11,248 batched
-    # points for 9,313 distinct ones while each tile sampled its own edges).
+    # points for 9,313 distinct ones while each tile sampled its own edges;
+    # 9,313 while the first tile's level 0 aliased the phase beside the pole
+    # at s = 1, so its winding waited for levels 1 and 2 to agree).
     batched = []
     monkeypatch.setattr(zeros, "eval_batch",
                         lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
     scan = density_scan(parse_expr("zeta(s)^2-zeta(2*s)"), 0.55, (100.0, 200.0, 400.0),
                         t_floor=1e-3)
     assert scan.counts == (13, 34, 86)
-    assert len(batched) == len(set(batched)) == 9_313
+    assert len(batched) == len(set(batched)) == 8_585
 
 
 def test_density_scan_repeated_T(monkeypatch):
@@ -312,6 +314,129 @@ def test_increments_total_a_multiple_of_two_pi(roots, poles, scale, sigma, t, wi
     assert abs(total - 2 * math.pi * round(total / (2 * math.pi))) <= 1e-9
 
 
+def _pole_walker(*poles):
+    fn = lambda z: z
+    fn.poles = poles
+    return _Walker(fn, DEFAULT_CONTOUR)
+
+
+def _edges(rect, pts):
+    """rect's contour samples pts cut at its corners: four runs, each from
+    one corner to the next in contour order, both corners included."""
+    idx = [pts.index(c) for c in rect.corners()] + [len(pts) - 1]
+    return [pts[a:b + 1] for a, b in zip(idx, idx[1:])]
+
+
+def _within_reach(run, i, pole, level):
+    """Whether the pole is within reach of the graded samples on edge run i:
+    off the edge's line, and closer to it than h / tan(theta)."""
+    d = abs(pole.imag - run[0].imag) if i % 2 == 0 else abs(pole.real - run[0].real)
+    length = abs(run[-1] - run[0])
+    h = length / zeros._edge_samples(length, level)
+    return 0.0 < d and d * math.tan(zeros._POLE_ANGLE / 2**level) < h
+
+
+@st.composite
+def _near_pole(draw):
+    """A rectangle, and the fraction u along one of its edges and the
+    distance 1e-6 <= d <= 1 of a pole candidate from it, u running from half
+    an edge before the edge to half an edge after it."""
+    sigma, t = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+    rect = Rectangle(sigma, sigma + draw(st.floats(0.01, 4.0)),
+                     t, t + draw(st.floats(0.01, 4.0)))
+    return rect, draw(st.floats(-0.5, 1.5)), 10.0 ** draw(st.floats(-6.0, 0.0))
+
+
+def _outside(rect, edge, u, d):
+    """The point at fraction u along rect's edge (0 bottom, then
+    counter-clockwise), d outside it."""
+    c = rect.corners()
+    return c[edge] + (c[(edge + 1) % 4] - c[edge]) * u + (-1j, 1, 1j, -1)[edge] * d
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(geometry=_near_pole(), edge=st.integers(0, 3), level=st.integers(0, 2))
+def test_graded_samples_bound_the_angle_a_near_pole_sees(geometry, edge, level):
+    # On every edge within reach of the pole, each segment between
+    # consecutive samples subtends at most theta from it, so an order-k pole
+    # adds at most k * theta to the segment's phase increment.  The 1e-8
+    # allows for the rounding of the points, which moves an angle seen from
+    # 1e-6 away by about 1e-9.  An edge out of reach gets the uniform points
+    # alone.
+    rect, u, d = geometry
+    pole = _outside(rect, edge, u, d)
+    theta = zeros._POLE_ANGLE / 2**level
+    graded = _edges(rect, _pole_walker(pole).boundary_points(rect, level))
+    uniform = _edges(rect, _pole_walker().boundary_points(rect, level))
+    for i, (run, plain) in enumerate(zip(graded, uniform)):
+        if not _within_reach(run, i, pole, level):
+            assert run == plain
+            continue
+        seen = [abs(cmath.phase((b - pole) / (a - pole))) for a, b in zip(run, run[1:])]
+        assert max(seen) <= theta + 1e-8
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(geometry=_near_pole(), edge=st.integers(0, 3), level=st.integers(0, 2))
+def test_graded_samples_lie_inside_their_edges(geometry, edge, level):
+    # Each sample is a corner or lies strictly inside its edge: every run
+    # from one corner to the next stays on the edge's line and moves strictly
+    # along it, and the contour is no longer than _contour_size says.
+    rect, u, d = geometry
+    pole = _outside(rect, edge, u, d)
+    pts = _pole_walker(pole).boundary_points(rect, level)
+    assert len(pts) <= zeros._contour_size(rect.width, rect.height, level, 1)
+    assert pts[0] == pts[-1] and len(set(pts)) == len(pts) - 1
+    for i, run in enumerate(_edges(rect, pts)):
+        along = [z.real if i % 2 == 0 else z.imag for z in run]
+        across = {z.imag if i % 2 == 0 else z.real for z in run}
+        assert len(across) == 1
+        assert along == sorted(set(along), reverse=i >= 2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(geometry=_near_pole(), cut=st.floats(0.05, 0.95), across_t=st.booleans(),
+       side=st.sampled_from((-1.0, 1.0)), level=st.integers(0, 2))
+def test_graded_samples_are_shared_by_strips_on_a_cut(geometry, cut, across_t, side, level):
+    # Two strips that share a cut sample bitwise-identical points on it,
+    # with the pole d from the cut on either side of it, since each edge's
+    # points are fractions of it measured from its lower end.
+    rect, u, d = geometry
+    if across_t:
+        cut_at = rect.t_lo + cut * rect.height
+        a = Rectangle(rect.sigma_lo, rect.sigma_hi, rect.t_lo, cut_at)
+        b = Rectangle(rect.sigma_lo, rect.sigma_hi, cut_at, rect.t_hi)
+        edge_a, edge_b = 2, 0
+    else:
+        cut_at = rect.sigma_lo + cut * rect.width
+        a = Rectangle(rect.sigma_lo, cut_at, rect.t_lo, rect.t_hi)
+        b = Rectangle(cut_at, rect.sigma_hi, rect.t_lo, rect.t_hi)
+        edge_a, edge_b = 1, 3
+    # Outside a's cut edge is inside b, and the other way round.
+    pole = _outside(a, edge_a, u, d) if side > 0 else _outside(b, edge_b, u, d)
+    walker = _pole_walker(pole)
+    first = _edges(a, walker.boundary_points(a, level))[edge_a]
+    second = _edges(b, walker.boundary_points(b, level))[edge_b]
+    first, second = (first[::-1], second) if across_t else (first, second[::-1])
+    assert [(z.real.hex(), z.imag.hex()) for z in first] == \
+        [(z.real.hex(), z.imag.hex()) for z in second]
+
+
+def test_contour_size_bounds_a_contour_beside_a_pole():
+    # A rectangle 1e-3 above the pole of zeta at s = 1, and the c12 root
+    # rectangle 1e-3 above the poles at s = 1/2 and 1: the graded points
+    # beside the poles keep the contour within _contour_size at every level.
+    for text, rect in (("zeta(s)", Rectangle(0.5, 1.5, 1e-3, 1.001)),
+                       ("zeta(s)^2-zeta(2*s)", Rectangle(0.55, 2.0, 1e-3, 100.0))):
+        fn = expression_fn(parse_expr(text), DEFAULT_CONFIG)
+        for level in range(4):
+            pts = _Walker(fn, DEFAULT_CONTOUR).boundary_points(rect, level)
+            plain = _Walker(None, DEFAULT_CONTOUR).boundary_points(rect, level)
+            assert len(plain) < len(pts)
+            assert len(pts) <= zeros._contour_size(rect.width, rect.height, level,
+                                                   len(fn.poles))
+
+
 def test_contour_config_rejects_nonpositive_tolerances():
     for zero_tol in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError):
@@ -435,8 +560,10 @@ def _count_evaluations(monkeypatch):
 
 def test_c12_evaluation_counts(monkeypatch):
     # Deterministic work counts of the c12 localisation, so that a lost saving
-    # shows without timing.  Measured: 8,869 batched points and 276 scalar
-    # evaluations (13,425 and 397 while a split quadrisected its cell, which
+    # shows without timing.  Measured: 6,044 batched points and 172 scalar
+    # evaluations (8,869 and 276 while the uniform samples aliased the phase
+    # on the bottom edge, 1e-3 above the pole at s = 1, so the root winding
+    # and its split were accepted only at level 1; 13,425 and 397 while a split quadrisected its cell, which
     # re-sampled the outer edges once per split level, and phase bisection
     # evaluated a midpoint again at each level; 13,461 batched while a split
     # evaluated its parent's corners again; 412 scalar while a winding-1 cell bisected its contour
@@ -448,34 +575,43 @@ def test_c12_evaluation_counts(monkeypatch):
     counts = _count_evaluations(monkeypatch)
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), Rectangle(0.55, 2.0, 1e-3, 100.0))
     assert len(res.records) == 13 and not res.unresolved
-    assert counts == {"batched": 8_869, "scalar": 276}
+    assert counts == {"batched": 6_044, "scalar": 172}
 
 
 def test_c11_evaluation_counts(monkeypatch):
-    # The c11 critical-line check: 3,917 batched points and 102 scalar
-    # evaluations (9,938 and 145 while a split quadrisected its cell).
+    # The c11 critical-line check: 3,939 batched points and 96 scalar
+    # evaluations (3,917 and 102 before the graded samples, 9,938 and 145
+    # while a split quadrisected its cell).  The batched count is 22 higher
+    # than without graded samples: the simple pole at s = 1/2 sits 1e-3
+    # below the window and adds graded points to its bottom edges, although
+    # it never aliased the phase there.
     counts = _count_evaluations(monkeypatch)
     rep = critical_line_check(parse_expr("xi(s+1/2)-xi(s-1/2)"), 50.0, 1e-6)
     assert len(rep.records) == 9 and rep.passed
-    assert counts == {"batched": 3_917, "scalar": 102}
+    assert counts == {"batched": 3_939, "scalar": 96}
 
 
 def test_window_below_a_triple_pole_is_never_complete_without_its_zero():
     # zeta(s)^3 - 2 zeta(3s) vanishes at 0.80491628+23.12524294i (mpmath at
     # 40 digits: 0.80491628230602+23.12524293569138i, |F| < 1e-40).  The
-    # order-3 pole at s = 1, 1e-3 below the window, aliases the root winding
-    # to 15, one short: a quadrisecting split then reported 15 zeros without
-    # this one and called the window complete.
+    # order-3 pole at s = 1, 1e-3 below the window, aliased the uniform
+    # samples of the root winding to 15, one short, at levels 0 and 1: a
+    # quadrisecting split then reported 15 zeros without this one and called
+    # the window complete, and a strip split reported its bottom strip
+    # unresolved.  The graded samples beside the pole give the window's 16.
     z0 = 0.80491628230602 + 23.12524293569138j
     res = localize_zeros(parse_expr("zeta(s)^3-2*zeta(3*s)"), Rectangle(0.55, 2.5, 1e-3, 100.0))
-    assert not res.complete or any(abs(r.location.z - z0) < 1e-9 for r in res.records)
+    assert res.complete and len(res.records) == 16
+    assert any(abs(r.location.z - z0) < 1e-12 for r in res.records)
 
 
 def test_one_zero_window_evaluates_each_point_once(monkeypatch):
     # A rectangle of winding 1 is resolved from the contour its winding was
-    # accepted from (level 1 here), so its contour is neither evaluated nor
+    # accepted from (level 0 here), so its contour is neither evaluated nor
     # bisected again, and Newton from that contour's start point finds the
-    # zero in the rectangle itself.  68 scalar evaluations while phase
+    # zero in the rectangle itself.  1,472 batched and 57 scalar while the
+    # phase aliased beside the pole at s = 1 at level 0, so the winding was
+    # accepted at level 1; 68 scalar evaluations while phase
     # bisection evaluated a midpoint again at each level; 3,064 batched and
     # 151 scalar
     # while the cell bisected its level-0 contour, Newton from the centre
@@ -490,8 +626,8 @@ def test_one_zero_window_evaluates_each_point_once(monkeypatch):
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), rect)
     assert len(res.records) == 1 and not res.unresolved
     assert res.records[0].rect == rect
-    assert len(batched) == len(set(batched)) == 1_472
-    assert len(scalar) == 57
+    assert len(batched) == len(set(batched)) == 760
+    assert len(scalar) == 19
 
 
 def test_start_point_from_bisected_increments():
@@ -512,7 +648,9 @@ def test_stable_winding_evaluates_each_distinct_point_once(monkeypatch):
     # The c12 root contour: the walker keeps the values of the levels below,
     # so the levels together evaluate only their distinct points, and the
     # winding equals that of fresh walkers at every level.  The contour
-    # returned is the one at the accepted level.
+    # returned is the one at the accepted level, here level 0 (2,112 points
+    # while the bottom edge's phase aliased at level 0, beside the pole at
+    # s = 1, and the winding was accepted at level 1).
     e = parse_expr("zeta(s)^2-zeta(2*s)")
     rect = Rectangle(0.55, 2.0, 1e-3, 100.0)
     fn = expression_fn(e, DEFAULT_CONFIG)
@@ -522,7 +660,8 @@ def test_stable_winding_evaluates_each_distinct_point_once(monkeypatch):
     walker = _Walker(fn, DEFAULT_CONTOUR)
     w, level, (pts, vals, dphi) = _stable_winding(walker, rect)
     distinct = set().union(*(walker.boundary_points(rect, k) for k in range(level + 2)))
-    assert len(batched) == len(distinct) == 2_112
+    assert level == 0
+    assert len(batched) == len(distinct) == 1_880
     assert set(walker.values) == distinct
     assert [_winding(_Walker(fn, DEFAULT_CONTOUR), rect, k)
             for k in range(level + 2)][-2:] == [w, w]
