@@ -5,8 +5,9 @@ counter-clockwise, accumulate principal-branch phase increments of F, and
 bisect any segment whose increment exceeds _MAX_PHASE_STEP.  The closed-loop
 total is 2*pi*(zeros - poles) counted with multiplicity.  Zero localization
 cuts a cell of winding w into w + 1 strips across its longer side until each
-cell holds winding 1, then polishes with Newton using a central-difference
-derivative.
+cell holds winding 1, then polishes with Newton's method, whose slope at
+each step is the secant through its last two iterates, so that a step costs
+one evaluation.
 
 Newton starts at the argument-principle estimate of the cell's one zero,
 z_start - (1/2 pi i) * contour integral of log F dz, taken by the trapezoid
@@ -19,16 +20,19 @@ split computed), so no cell's contour is evaluated or bisected again.
 Newton starts at the cell centre instead when those increments do not make
 one turn, or when the estimate falls outside the cell.
 
-A contour's samples are evaluated in one batch, which eval_batch takes at
-most _BATCH_POINTS points at a time, and the near-zero check and phase
-increments run over the sample array at once.  A split evaluates all its
-strips' contours in one batch: each edge's points are generated from its
-lower end, so strips that share a cut share its points, and the batch
-evaluates each of them once.  Each strip is handed the values and phase
-increments on its boundary.  Phase bisection and Newton are sequential and
-evaluate single points through eval_expr; the walker keeps each bisection
-midpoint's value apart from the contour samples, so no midpoint of a
-decision is evaluated twice.
+Contours are numpy arrays from sampling to the Newton start point: the
+samples, their values and phase increments, the walker's value store, the
+hand-off of a split to its strips, the |F| scale and the start point all
+work on arrays.  A contour's samples are evaluated in one batch, which
+eval_batch takes at most _BATCH_POINTS points at a time, and the near-zero
+check and phase increments run over the sample array at once.  A split
+evaluates all its strips' contours in one batch: each edge's points are
+generated from its lower end, so strips that share a cut share its points,
+and the batch evaluates each of them once.  Each strip is handed the values
+and phase increments on its boundary.  Phase bisection and Newton are
+sequential and evaluate single points through eval_expr; the walker keeps
+each bisection midpoint's value in a dict apart from the contour samples, so
+no midpoint of a decision is evaluated twice.
 
 Each edge is sampled uniformly and, beside every pole candidate of the
 expression within reach of it, at graded points (_Walker.boundary_points):
@@ -251,11 +255,13 @@ class _Walker:
     midpoints, Newton), fn.batch(zs) a point list (contour samples), and
     fn.poles holds the expression's pole candidates (none when fn has no
     such attribute), which boundary_points grades its samples around.
-    ``values`` holds F at every contour sample the walker has evaluated or
-    been handed (``seen``, pairs of point and value), and sample consults it,
-    so no contour point of the decision is evaluated twice.  ``midpoints``
-    holds F at every phase-bisection midpoint, apart from ``values`` so that
-    a contour sample keeps its batch value.  Every evaluation counts against
+    The value store is two arrays, the points ``zs`` and F at each of them
+    ``vs``: every contour sample the walker has evaluated or been handed
+    (``seen``, a pair of point and value arrays).  sample consults it, so no
+    contour point of the decision is evaluated twice, and leaves it sorted
+    and distinct.  ``midpoints`` holds F at every phase-bisection midpoint,
+    apart from the store so that a contour sample keeps its batch value;
+    bisection is scalar, so it is a dict.  Every evaluation counts against
     one budget.  ``level`` k samples with _INIT_SAMPLES_PER_EDGE
     << k, graded points at most theta = _POLE_ANGLE / 2**k apart as seen
     from a pole candidate within reach, and a phase step of _MAX_PHASE_STEP
@@ -265,11 +271,11 @@ class _Walker:
     and below pi for m <= 7, so it cannot alias the segment.
     """
 
-    def __init__(self, fn, cc: ContourConfig, seen=()):
+    def __init__(self, fn, cc: ContourConfig, seen=((), ())):
         self.fn = fn
         self.poles = getattr(fn, "poles", ())
         self.cc = cc
-        self.values = dict(seen)
+        self.zs, self.vs = (np.asarray(a, dtype=complex) for a in seen)
         self.midpoints = {}
         self.evals = 0
 
@@ -282,48 +288,55 @@ class _Walker:
         self._count(1)
         return self.fn(z)
 
-    def sample(self, pts: list[complex]) -> list[complex]:
-        """F at every point of pts: the distinct points not in ``values`` are
-        evaluated in one batch and added to it."""
-        todo = [z for z in dict.fromkeys(pts) if z not in self.values]
-        if todo:
-            self._count(len(todo))
-            self.values.update(zip(todo, self.fn.batch(todo)))
-        return [self.values[z] for z in pts]
+    def sample(self, pts: np.ndarray) -> np.ndarray:
+        """F at every point of the array pts, as an array.  One np.unique over
+        the store and pts finds the distinct points of pts not in the store;
+        they are evaluated in one batch, in the order they first appear in pts
+        (the order in which fn.batch cuts a long batch), and added to it."""
+        known = self.zs.size
+        buf = np.concatenate([self.zs, pts])
+        uniq, first, inv = np.unique(buf, return_index=True, return_inverse=True)
+        new = np.sort(first[first >= known])      # where the unknown points first appear
+        if new.size:
+            self._count(new.size)
+            buf[new] = self.fn.batch(buf[new])
+        buf[:known] = self.vs       # buf now holds F wherever a point of uniq first appears
+        self.zs, self.vs = uniq, buf[first]
+        return self.vs[inv[known:]]
 
-    def boundary_points(self, rect: Rectangle, level: int = 0) -> list[complex]:
+    def boundary_points(self, rect: Rectangle, level: int = 0) -> np.ndarray:
         """Counter-clockwise contour samples from the lower-left corner, closed
-        by repeating it.  Each edge's points are fractions of the edge measured
-        from its lower end (left to right, bottom to top) whichever way the
-        walk runs it, so cells that share an edge sample bitwise-identical
-        points on it; corners are exact.  An edge of uniform spacing h gets the
-        fractions k/n and, for each pole candidate at distance 0 < d <
-        h / tan(theta) from its line, graded points at the foot x of the pole
-        on that line and at x +- d * tan(j * theta), j = 1, 2, ..., while the
-        gap between them is below h, where theta = _POLE_ANGLE / 2**level.
+        by repeating it, as an array.  Each edge's points are lo + (hi - lo) * f
+        for fractions f of the edge measured from its lower end lo (left to
+        right, bottom to top) whichever way the walk runs it, so cells that
+        share an edge sample bitwise-identical points on it; corners are
+        exact.  An edge of uniform spacing h gets the fractions k/n and, for
+        each pole candidate at distance 0 < d < h / tan(theta) from its line,
+        graded points at the foot x of the pole on that line and at x +- d *
+        tan(j * theta), j = 1, 2, ..., while the gap between them is below h,
+        where theta = _POLE_ANGLE / 2**level.
         Each segment then subtends at most theta from the pole (see _Walker).
         A contour of more points than the evaluation budget is refused before
         any point is made."""
         if _contour_size(rect.width, rect.height, level, len(self.poles)) > _CELL_EVAL_BUDGET:
             raise DepthExceeded("per-cell evaluation budget exhausted")
         theta = _POLE_ANGLE / 2**level
-        pts: list[complex] = []
         corners = rect.corners()
+        edges = []
         for i in range(4):
             z0, z1 = corners[i], corners[(i + 1) % 4]
             lo, hi = (z0, z1) if i < 2 else (z1, z0)
             n = _edge_samples(abs(hi - lo), level)
-            fracs = [k / n for k in range(1, n)]
+            fracs = np.arange(1, n) / n
             graded = self._graded(lo, hi, n, theta)
             if graded:
-                fracs = sorted(set(fracs).union(graded))
-            inner = [lo + (hi - lo) * f for f in fracs]
+                fracs = np.unique(np.concatenate([fracs, graded]))
+            inner = lo + (hi - lo) * fracs
             if graded:      # two fractions may round to one point, or onto a corner
-                inner = [z for z in dict.fromkeys(inner) if z != lo and z != hi]
-            pts.append(z0)
-            pts.extend(inner if i < 2 else reversed(inner))
-        pts.append(corners[0])
-        return pts
+                keep = np.append(inner[1:] != inner[:-1], True)     # equal points are adjacent
+                inner = inner[keep & (inner != lo) & (inner != hi)]
+            edges += [[z0], inner if i < 2 else inner[::-1]]
+        return np.concatenate(edges + [[corners[0]]])
 
     def _graded(self, lo: complex, hi: complex, n: int, theta: float) -> list[float]:
         """The graded fractions, strictly between 0 and 1, that the pole
@@ -355,33 +368,34 @@ class _Walker:
         # neighbour_mag may be a float or an array.
         return 10.0 * self.cc.zero_tol * np.minimum(1.0, neighbour_mag)
 
-    def boundary(self, rect: Rectangle, level: int = 0
-                 ) -> tuple[list[complex], list[complex]]:
+    def boundary(self, rect: Rectangle, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """The contour samples of rect and F at each of them."""
         pts = self.boundary_points(rect, level)
         return pts, self.sample(pts)
 
-    def increments(self, pts: list[complex], vals: list[complex],
-                   level: int = 0) -> np.ndarray:
+    def increments(self, pts: np.ndarray, vals: np.ndarray, level: int = 0) -> np.ndarray:
         """Phase increments of F along the closed contour samples, summing to
         2*pi times the winding number.
 
         The near-zero check and the principal phase increments are computed
-        over the whole sample array; only the segments whose increment exceeds
-        the step are bisected, in contour order, and their increments are the
-        bisected sums.  The principal increments multiply out to vals[-1] /
+        over the whole sample array, a sample's neighbours taken from two
+        slices of the closed array (the first sample's are the second and the
+        last but one); only the segments whose increment exceeds the step are
+        bisected, in contour order, and their increments are the bisected
+        sums.  The principal increments multiply out to vals[-1] /
         vals[0] = 1, and a bisected sum differs from the increment it replaces
         by 2*pi*k, so the total is a multiple of 2*pi up to rounding."""
-        v = np.asarray(vals)
-        mag = np.abs(v[:-1])          # pts[-1] == pts[0]
-        local = np.maximum(np.roll(mag, 1), np.roll(mag, -1))
-        for i in np.flatnonzero(mag <= self._near_zero_floor(local))[:1]:
-            raise NearZeroOnContour(f"|F|={abs(vals[i]):.3g} at {pts[i]:.8g}", point=pts[i])
+        z, v = np.asarray(pts), np.asarray(vals)
+        mag = np.abs(v)               # v[-1] == v[0]: the contour is closed
+        local = np.concatenate(([max(mag[1], mag[-2])], np.maximum(mag[:-2], mag[2:])))
+        for i in np.flatnonzero(mag[:-1] <= self._near_zero_floor(local))[:1]:
+            raise NearZeroOnContour(f"|F|={mag[i]:.3g} at {z[i]:.8g}", point=complex(z[i]))
 
         dphi = np.angle(v[1:] / v[:-1])
         step = _MAX_PHASE_STEP / 2**level
         for i in np.flatnonzero(np.abs(dphi) > step).tolist():
-            dphi[i] = self._segment_phase(pts[i], vals[i], pts[i + 1], vals[i + 1], step, 0)
+            (z0, z1), (v0, v1) = z[i:i + 2].tolist(), v[i:i + 2].tolist()
+            dphi[i] = self._segment_phase(z0, v0, z1, v1, step, 0)
         return dphi
 
     def _segment_phase(self, z0, v0, z1, v1, step, depth) -> float:
@@ -413,8 +427,8 @@ def expression_fn(e, cfg: EvalConfig):
     pole_set(e), which _Walker.boundary_points grades its samples around."""
     def fn(z: complex) -> complex:
         return eval_expr(e, z, cfg).z
-    fn.batch = lambda zs: [v for i in range(0, len(zs), _BATCH_POINTS)
-                           for v in eval_batch(e, zs[i:i + _BATCH_POINTS], cfg)[0].tolist()]
+    fn.batch = lambda zs: np.concatenate([eval_batch(e, zs[i:i + _BATCH_POINTS], cfg)[0]
+                                          for i in range(0, len(zs), _BATCH_POINTS)])
     fn.poles = tuple(dict.fromkeys(c.location for c in pole_set(e)))
     return fn
 
@@ -522,8 +536,9 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, level: int = 0):
     against ``walker``'s budget.  Returns (strip, winding, (pts, vals, dphi))
     triples, bottom to top or left to right: the strip's contour samples at
     the accepted level, F at each of them and the bisected phase increments
-    its winding came from.  The strip's scale, Newton start point and own
-    split reuse them.
+    its winding came from, all arrays; pts and vals are views of the one
+    sample array of the accepted attempt and of its values.  The strip's
+    scale, Newton start point and own split reuse them.
     """
     jit = max(_effective_jitter(rect), 1e-12 * max(rect.width, rect.height))
     across_t = rect.height >= rect.width
@@ -539,10 +554,12 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, level: int = 0):
                   else Rectangle(a, b, rect.t_lo, rect.t_hi)
                   for a, b in zip(ends, ends[1:])]
         contours = [walker.boundary_points(c, lvl) for c in strips]
-        vals = iter(walker.sample([z for pts in contours for z in pts]))
+        cut = np.cumsum([len(pts) for pts in contours[:-1]])
+        pts = np.concatenate(contours)      # each strip's samples and values are views
+        contours = np.split(pts, cut)
+        vals = np.split(walker.sample(pts), cut)
         measured = []
-        for c, pts in zip(strips, contours):
-            v = [next(vals) for _ in pts]
+        for c, pts, v in zip(strips, contours, vals):
             dphi = walker.increments(pts, v, lvl)
             measured.append((c, _turns(dphi), (pts, v, dphi)))
         windings = [w for _, w, _ in measured]
@@ -575,46 +592,49 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, level: int = 0):
 
 def _newton_refine(walker: _Walker, rect: Rectangle, cc: ContourConfig, scale: float,
                    z: complex):
-    """Newton from z with a central-difference derivative.
+    """Newton from z, one evaluation per step.
 
-    z is the cell's start point: the argument-principle estimate of its zero
-    from _start_point, or the centre where that estimate is not usable.
-    Returns (zero, residual, steps), or None when a step leaves the expanded
-    cell, the derivative is flat, or the result is outside rect or has a
-    residual above the tolerance scaled by the contour magnitude ``scale``.
+    The slope at each step is the secant through the last two iterates; the
+    first pair is z and z + h, with h = 1e-6 times the cell size.  So a
+    refinement of k steps evaluates F k + 2 times: at z, at z + h, at each
+    later iterate and at the result.  z is the cell's start point: the
+    argument-principle estimate of its zero from _start_point, or the centre
+    where that estimate is not usable.  Returns (zero, residual, steps), or
+    None when the slope vanishes or is too flat (a step longer than twice
+    the cell size), a step leaves the expanded cell, or the result is
+    outside rect or has a residual above the tolerance scaled by the contour
+    magnitude ``scale``.
     """
     size = max(rect.width, rect.height)
-    h = 1e-6 * size
     tol_resid = cc.zero_tol * min(1.0, max(scale, 1e-300))
     try:
+        z_prev, f_prev, z = z, walker(z), z + 1e-6 * size
         for steps in range(1, _NEWTON_MAX_STEPS + 1):
             fz = walker(z)
-            d = (walker(z + h) - walker(z - h)) / (2.0 * h)
-            if d == 0:
+            dz = fz * (z - z_prev) / (fz - f_prev)
+            if abs(dz) > 2.0 * size:        # slope too flat; bail out
                 return None
-            dz = fz / d
-            if abs(dz) > 2.0 * size:        # derivative too flat; bail out
-                return None
-            z = z - dz
+            z_prev, f_prev, z = z, fz, z - dz
             if not rect.expand(size).contains(z):
                 return None
             if abs(dz) <= 5e-16 * max(1.0, abs(z)):
                 break
         resid = abs(walker(z))
-    except ZetaError:
+    except (ZetaError, ZeroDivisionError):     # fz == f_prev: the slope vanishes
         return None
     if resid > max(tol_resid, 1e-13 * scale) or not rect.contains(z):
         return None
     return z, resid, steps
 
 
-def _boundary_scale(vals: list[complex]) -> float:
-    """Median |F| over a closed contour's samples (the closing repeat left out)."""
-    mags = sorted(abs(v) for v in vals[:-1])
-    return mags[len(mags) // 2]
+def _boundary_scale(vals: np.ndarray) -> float:
+    """Median |F| over a closed contour's samples (the closing repeat left out).
+    np.hypot, unlike np.abs, rounds as abs() of a Python complex does."""
+    mags = np.hypot(vals[:-1].real, vals[:-1].imag)
+    return float(np.partition(mags, len(mags) // 2)[len(mags) // 2])
 
 
-def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex],
+def _start_point(rect: Rectangle, pts: np.ndarray, vals: np.ndarray,
                  dphi: np.ndarray) -> complex:
     """Argument-principle estimate of the one zero of F inside rect.
 
@@ -630,11 +650,9 @@ def _start_point(rect: Rectangle, pts: list[complex], vals: list[complex],
     """
     if _turns(dphi) != 1:
         return rect.center
-    z = np.asarray(pts)
-    v = np.asarray(vals)
-    log_f = np.log(np.abs(v)) + 1j * np.concatenate(([0.0], np.cumsum(dphi)))
-    moment = complex(np.sum(0.5 * (log_f[1:] + log_f[:-1]) * np.diff(z)))
-    z0 = pts[0] - moment / (2j * math.pi)
+    log_f = np.log(np.abs(vals)) + 1j * np.concatenate(([0.0], np.cumsum(dphi)))
+    moment = complex(np.sum(0.5 * (log_f[1:] + log_f[:-1]) * np.diff(pts)))
+    z0 = complex(pts[0]) - moment / (2j * math.pi)
     return z0 if rect.contains(z0) else rect.center
 
 
@@ -655,7 +673,7 @@ def _resolve_cell(fn, rect: Rectangle, w: int, contour, cc: ContourConfig,
         if wc < 0:
             unresolved.append(UnresolvedCell(cell, wc, "negative winding in pole-free cell"))
             continue
-        walker = _Walker(fn, cc, zip(pts, vals))    # the evaluation budget is per cell
+        walker = _Walker(fn, cc, (pts, vals))    # the evaluation budget is per cell
         size = max(cell.width, cell.height)
         if wc == 1:
             hit = _newton_refine(walker, cell, cc, _boundary_scale(vals),
@@ -766,7 +784,7 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
     def scan(k):
         """The count at each T, with the scan pushed outward by k jitters."""
         shift = _JITTER * k
-        counts_at, acc, edge = {}, 0, {}
+        counts_at, acc, edge = {}, 0, ((), ())
         t_lo = t_floor + shift
         for t in steps:
             base, span = t_lo, t + shift - t_lo
@@ -777,7 +795,8 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
                 tile = Rectangle(sigma0 - shift, sigma_cap + shift, t_lo, t_hi)
                 acc += _stable_winding(walker, tile)[0]
                 # This tile's top edge is the next one's bottom edge.
-                edge = {z: v for z, v in walker.values.items() if z.imag == t_hi}
+                on = walker.zs.imag == t_hi
+                edge = walker.zs[on], walker.vs[on]
                 t_lo = t_hi
             counts_at[t] = acc
         return counts_at

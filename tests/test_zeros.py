@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zetazeros.config import EvalConfig, DEFAULT_CONFIG
 from zetazeros.errors import DepthExceeded, NearZeroOnContour, PoleProximity
@@ -180,7 +180,7 @@ def test_density_scan_repeated_T(monkeypatch):
     # the scan without the repeat, and the repeat gets the same count.
     batched = []
     monkeypatch.setattr(zeros, "eval_batch",
-                        lambda e, zs, cfg: batched.append(zs) or eval_batch(e, zs, cfg))
+                        lambda e, zs, cfg: batched.append(zs.tolist()) or eval_batch(e, zs, cfg))
     e = parse_expr("zeta(s)^2-zeta(2*s)")
     assert density_scan(e, 0.55, (50.0, 50.0, 100.0)).counts == (3, 3, 13)
     repeated, batched[:] = batched[:], []
@@ -287,6 +287,29 @@ def test_wind_names_first_near_zero_and_bisects_wide_segments():
     assert exc.value.point == pts[5]
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(logs=st.lists(st.floats(-12.0, 1.0), min_size=3, max_size=40))
+def test_near_zero_check_matches_the_pointwise_definition(logs):
+    # Sample i of the closed contour is near zero when |F_i| <= 10 * zero_tol
+    # * min(1, max(|F_{i-1}|, |F_{i+1}|)), its neighbours taken cyclically.
+    # The check raises at the first such sample in contour order, or not at
+    # all.  The values are positive reals, so no segment is bisected.
+    mags = [10.0**x for x in logs]
+    pts = [complex(k, 1.0) for k in range(len(mags))] + [1j]
+    vals = mags + mags[:1]
+    n, floor = len(mags), 10.0 * DEFAULT_CONTOUR.zero_tol
+    first = next((i for i in range(n)
+                  if mags[i] <= floor * min(1.0, max(mags[i - 1], mags[(i + 1) % n]))), None)
+    walker = _Walker(None, DEFAULT_CONTOUR)
+    if first is None:
+        assert not walker.increments(pts, vals).any()
+    else:
+        with pytest.raises(NearZeroOnContour) as exc:
+            walker.increments(pts, vals)
+        assert exc.value.point == pts[first]
+    assert walker.evals == 0
+
+
 # A coordinate relative to the rectangle, off its edges at 0 and 1.
 UNIT = st.floats(-0.5, 1.5).filter(lambda u: abs(u) > 1e-3 and abs(u - 1.0) > 1e-3)
 
@@ -323,6 +346,7 @@ def _pole_walker(*poles):
 def _edges(rect, pts):
     """rect's contour samples pts cut at its corners: four runs, each from
     one corner to the next in contour order, both corners included."""
+    pts = pts.tolist()
     idx = [pts.index(c) for c in rect.corners()] + [len(pts) - 1]
     return [pts[a:b + 1] for a, b in zip(idx, idx[1:])]
 
@@ -374,6 +398,71 @@ def test_graded_samples_bound_the_angle_a_near_pole_sees(geometry, edge, level):
             continue
         seen = [abs(cmath.phase((b - pole) / (a - pole))) for a, b in zip(run, run[1:])]
         assert max(seen) <= theta + 1e-8
+
+
+def _reference_points(walker, rect, level):
+    """boundary_points built point by point with Python complex arithmetic."""
+    theta = zeros._POLE_ANGLE / 2**level
+    pts, corners = [], rect.corners()
+    for i in range(4):
+        z0, z1 = corners[i], corners[(i + 1) % 4]
+        lo, hi = (z0, z1) if i < 2 else (z1, z0)
+        n = zeros._edge_samples(abs(hi - lo), level)
+        fracs = [k / n for k in range(1, n)]
+        graded = walker._graded(lo, hi, n, theta)
+        if graded:
+            fracs = sorted(set(fracs).union(graded))
+        inner = [lo + (hi - lo) * f for f in fracs]
+        if graded:
+            inner = [z for z in dict.fromkeys(inner) if z != lo and z != hi]
+        pts += [z0, *(inner if i < 2 else reversed(inner))]
+    return pts + [corners[0]]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(geometry=_near_pole(), edge=st.integers(0, 3), level=st.integers(0, 2),
+       offset=st.floats(-200.0, 200.0))
+@example(geometry=(Rectangle(0.0, 1.0, 1e6, 1e6 + 1e-9), 0.5, 1e-11), edge=1, level=0,
+         offset=0.0)
+def test_boundary_points_match_the_pointwise_construction(geometry, edge, level, offset):
+    # The array construction gives bitwise the points that Python complex
+    # arithmetic gives one by one, graded or not.  In the example the right
+    # edge spans a few ulps of t, so graded fractions round onto one point
+    # and onto its corners.
+    rect, u, d = geometry
+    rect = Rectangle(rect.sigma_lo, rect.sigma_hi, rect.t_lo + offset, rect.t_hi + offset)
+    for walker in (_pole_walker(_outside(rect, edge, u, d)), _pole_walker()):
+        pts = walker.boundary_points(rect, level)
+        assert [(z.real.hex(), z.imag.hex()) for z in pts.tolist()] == \
+            [(z.real.hex(), z.imag.hex()) for z in _reference_points(walker, rect, level)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rounds=st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=40),
+                       min_size=1, max_size=4),
+       seen=st.lists(st.integers(0, 30), max_size=10))
+def test_sample_evaluates_each_new_point_once_in_first_appearance_order(rounds, seen):
+    # Against a dict store: each sample returns F at every point, and its one
+    # batch holds the points not seen before, each once, in the order they
+    # first appear.
+    pool = [complex(k % 7, k // 7) * 0.25 for k in range(31)]
+    fn = lambda z: complex(z) ** 2 + 1j
+    batches = []
+    fn.batch = lambda zs: batches.append(zs.tolist()) or [fn(z) for z in zs]
+    start = [pool[k] for k in seen]
+    walker = _Walker(fn, DEFAULT_CONTOUR, (start, [fn(z) for z in start]))
+    known = dict.fromkeys(start)
+    for ks in rounds:
+        pts = [pool[k] for k in ks]
+        batches.clear()
+        vals = walker.sample(np.array(pts))
+        assert vals.tolist() == [fn(z) for z in pts]
+        new = [z for z in dict.fromkeys(pts) if z not in known]
+        assert batches == ([new] if new else [])
+        known.update(dict.fromkeys(new))
+    assert walker.evals == len(known) - len(set(start))
+    assert sorted(walker.zs.tolist(), key=lambda z: (z.real, z.imag)) == \
+        sorted(known, key=lambda z: (z.real, z.imag))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -475,11 +564,14 @@ def test_split_cell_hands_children_their_samples():
     for child, w, (pts, vals, dphi) in kids:
         fresh = _Walker(fn, DEFAULT_CONTOUR)
         fresh_pts, fresh_vals = fresh.boundary(child)
-        assert pts == fresh_pts
-        assert vals == fresh_vals
+        assert pts.tobytes() == fresh_pts.tobytes()
+        assert vals.tobytes() == fresh_vals.tobytes()
         assert dphi.tobytes() == fresh.increments(fresh_pts, fresh_vals).tobytes()
         assert zeros._turns(dphi) == w
         assert _boundary_scale(vals) == _boundary_scale(fresh_vals)
+        # The median is the element that sorting the magnitudes puts there.
+        mags = sorted(abs(v) for v in vals.tolist()[:-1])
+        assert _boundary_scale(vals) == mags[len(mags) // 2]
 
 
 def test_split_samples_children_in_one_batch_on_shared_edges(monkeypatch):
@@ -487,7 +579,7 @@ def test_split_samples_children_in_one_batch_on_shared_edges(monkeypatch):
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
     w = _winding(walker, rect)
-    known = set(walker.values)
+    known = set(walker.zs.tolist())
     batches = []
     monkeypatch.setattr(zeros, "eval_batch",
                         lambda e, zs, cfg: batches.append(len(zs)) or eval_batch(e, zs, cfg))
@@ -560,8 +652,9 @@ def _count_evaluations(monkeypatch):
 
 def test_c12_evaluation_counts(monkeypatch):
     # Deterministic work counts of the c12 localisation, so that a lost saving
-    # shows without timing.  Measured: 6,044 batched points and 172 scalar
-    # evaluations (8,869 and 276 while the uniform samples aliased the phase
+    # shows without timing.  Measured: 6,044 batched points and 108 scalar
+    # evaluations (172 scalar while Newton took a central-difference
+    # derivative, three evaluations a step; 8,869 and 276 while the uniform samples aliased the phase
     # on the bottom edge, 1e-3 above the pole at s = 1, so the root winding
     # and its split were accepted only at level 1; 13,425 and 397 while a split quadrisected its cell, which
     # re-sampled the outer edges once per split level, and phase bisection
@@ -575,12 +668,13 @@ def test_c12_evaluation_counts(monkeypatch):
     counts = _count_evaluations(monkeypatch)
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), Rectangle(0.55, 2.0, 1e-3, 100.0))
     assert len(res.records) == 13 and not res.unresolved
-    assert counts == {"batched": 6_044, "scalar": 172}
+    assert counts == {"batched": 6_044, "scalar": 108}
 
 
 def test_c11_evaluation_counts(monkeypatch):
-    # The c11 critical-line check: 3,939 batched points and 96 scalar
-    # evaluations (3,917 and 102 before the graded samples, 9,938 and 145
+    # The c11 critical-line check: 3,939 batched points and 52 scalar
+    # evaluations (96 scalar while Newton took a central-difference
+    # derivative, 3,917 and 102 before the graded samples, 9,938 and 145
     # while a split quadrisected its cell).  The batched count is 22 higher
     # than without graded samples: the simple pole at s = 1/2 sits 1e-3
     # below the window and adds graded points to its bottom edges, although
@@ -588,7 +682,7 @@ def test_c11_evaluation_counts(monkeypatch):
     counts = _count_evaluations(monkeypatch)
     rep = critical_line_check(parse_expr("xi(s+1/2)-xi(s-1/2)"), 50.0, 1e-6)
     assert len(rep.records) == 9 and rep.passed
-    assert counts == {"batched": 3_939, "scalar": 96}
+    assert counts == {"batched": 3_939, "scalar": 52}
 
 
 def test_window_below_a_triple_pole_is_never_complete_without_its_zero():
@@ -609,14 +703,14 @@ def test_one_zero_window_evaluates_each_point_once(monkeypatch):
     # A rectangle of winding 1 is resolved from the contour its winding was
     # accepted from (level 0 here), so its contour is neither evaluated nor
     # bisected again, and Newton from that contour's start point finds the
-    # zero in the rectangle itself.  1,472 batched and 57 scalar while the
-    # phase aliased beside the pole at s = 1 at level 0, so the winding was
-    # accepted at level 1; 68 scalar evaluations while phase
-    # bisection evaluated a midpoint again at each level; 3,064 batched and
-    # 151 scalar
-    # while the cell bisected its level-0 contour, Newton from the centre
-    # failed and the cell was split; 3,676 batched while it also sampled its
-    # contour afresh.
+    # zero in the rectangle itself: 760 batched points and 13 scalar
+    # evaluations.  19 scalar while Newton took a central-difference
+    # derivative; 1,472 batched and 57 scalar while the phase aliased beside
+    # the pole at s = 1 at level 0, so the winding was accepted at level 1;
+    # 68 scalar evaluations while phase bisection evaluated a midpoint again
+    # at each level; 3,064 batched and 151 scalar while the cell bisected its
+    # level-0 contour, Newton from the centre failed and the cell was split;
+    # 3,676 batched while it also sampled its contour afresh.
     batched, scalar = [], []
     monkeypatch.setattr(zeros, "eval_batch",
                         lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
@@ -627,7 +721,51 @@ def test_one_zero_window_evaluates_each_point_once(monkeypatch):
     assert len(res.records) == 1 and not res.unresolved
     assert res.records[0].rect == rect
     assert len(batched) == len(set(batched)) == 760
-    assert len(scalar) == 19
+    assert len(scalar) == 13
+
+
+def _poly_walker(*roots):
+    fn = lambda z: 2.0 * math.prod(z - r for r in roots)
+    return _Walker(fn, DEFAULT_CONTOUR)
+
+
+def test_newton_takes_one_evaluation_per_step():
+    # The secant through the last two iterates, the first pair being the
+    # start point and start + h: one evaluation a step, one more at the start
+    # and one for the residual at the result, 9 over 7 steps here.  The
+    # central-difference loop took three a step and one for the residual,
+    # 16 over 5 steps.
+    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
+    z0 = 0.3 + 0.6j
+    walker = _poly_walker(z0, -1.0 + 2.0j, 3.0)
+    z, resid, steps = zeros._newton_refine(walker, rect, DEFAULT_CONTOUR, 1.0, rect.center)
+    assert abs(z - z0) < 1e-15 and resid < 1e-15
+    assert (steps, walker.evals) == (7, 9)
+
+
+def test_newton_keeps_a_zero_close_to_an_edge_inside_the_cell():
+    # A zero 1e-3 inside each edge of a unit cell, times a phase ramp that
+    # makes F far from linear: Newton from 2e-3 beyond the zero across the
+    # edge, or from 2e-3 short of it, returns the zero, in the cell.
+    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
+    for z0, out in ((0.37 + 1e-3j, -1j), (0.999 + 0.61j, 1), (0.52 + 0.999j, 1j),
+                    (1e-3 + 0.23j, -1)):
+        walker = _Walker(lambda z: (z - z0) * cmath.exp(3.0 * z), DEFAULT_CONTOUR)
+        for start in (z0 + 2e-3 * out, z0 - 2e-3 * out):
+            z, resid, _ = zeros._newton_refine(walker, rect, DEFAULT_CONTOUR, 1.0, start)
+            assert rect.contains(z) and abs(z - z0) < 1e-15
+
+
+def test_newton_gives_up_on_a_zero_slope_or_a_step_out_of_the_expanded_cell():
+    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
+    flat = _Walker(lambda z: 1.0 + 0j, DEFAULT_CONTOUR)
+    assert zeros._newton_refine(flat, rect, DEFAULT_CONTOUR, 1.0, rect.center) is None
+    assert flat.evals == 2
+    # F is linear, so the first secant step lands on its zero, 1.35 right of
+    # the start and 0.3 outside the cell expanded by its size.
+    far = _poly_walker(2.3 + 0.95j)
+    assert zeros._newton_refine(far, rect, DEFAULT_CONTOUR, 1.0, 0.95 + 0.95j) is None
+    assert far.evals == 2
 
 
 def test_start_point_from_bisected_increments():
@@ -662,12 +800,12 @@ def test_stable_winding_evaluates_each_distinct_point_once(monkeypatch):
     distinct = set().union(*(walker.boundary_points(rect, k) for k in range(level + 2)))
     assert level == 0
     assert len(batched) == len(distinct) == 1_880
-    assert set(walker.values) == distinct
+    assert set(walker.zs.tolist()) == distinct
     assert [_winding(_Walker(fn, DEFAULT_CONTOUR), rect, k)
             for k in range(level + 2)][-2:] == [w, w]
     fresh = _Walker(fn, DEFAULT_CONTOUR)
     fresh_pts, fresh_vals = fresh.boundary(rect, level)
-    assert pts == fresh_pts and vals == fresh_vals
+    assert pts.tobytes() == fresh_pts.tobytes() and vals.tobytes() == fresh_vals.tobytes()
     assert dphi.tobytes() == fresh.increments(fresh_pts, fresh_vals, level).tobytes()
     assert zeros._turns(dphi) == w
 
@@ -743,7 +881,7 @@ def test_split_counts_against_the_cell_budget(monkeypatch):
     pts, vals = walker.boundary(rect)
     contour = pts, vals, walker.increments(pts, vals)
     w = zeros._turns(contour[2])
-    before, known = walker.evals, set(walker.values)
+    before, known = walker.evals, set(walker.zs.tolist())
     split = _split_cell(walker, rect, w)
     split_evals = walker.evals - before
     assert split_evals >= len(set().union(*(pts for _, _, (pts, _, _) in split)) - known)
