@@ -21,12 +21,14 @@ evaluate through their families' term lists, polynomials in Hurwitz zetas.
 eval_expr evaluates one point; eval_batch evaluates an array of points in one
 vectorised pass.  Both run the same compiled closure: every node, atom and
 error rule is written with operators only, so a point and an array go
-through the same code.
+through the same code.  majorant folds the tree into pole orders and a
+closed-form bound of |F * prod (s - p)^k| over boxes, for the zero engine.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -49,7 +51,7 @@ from .families import (
     sphere_poly,
     symmat_poly,
 )
-from .zeta import completed_zeta_pair, hurwitz_pair
+from .zeta import completed_zeta_pair, gamma_majorant, hurwitz_majorant, hurwitz_pair
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +422,10 @@ def _paren_if(e, kinds: tuple) -> str:
 
 @dataclass(frozen=True)
 class AtomKind:
-    """One atom name: its argument readers, pole candidates and evaluator.
+    """One atom name: its argument readers, pole candidates, evaluator and
+    majorant.
 
-    ``poles``, ``evaluator`` and ``check`` take the node's arguments.
+    ``poles``, ``evaluator``, ``bound`` and ``check`` take the node's arguments.
     ``evaluator`` returns a closure (s, cfg) -> (value, abs_err) that takes a
     point (a complex) or a 1-D array of points, with the same bits either way;
     it does not guard poles, which eval_expr and eval_batch do from ``poles``.
@@ -430,12 +433,14 @@ class AtomKind:
     structural parameter out of range is an ArityError at parse time.  The
     closures look up their kernel entry (hurwitz_pair, completed_zeta_pair,
     and families.hurwitz_pair for the family factors) in the module globals
-    at call time, so rebinding those names takes effect.
+    at call time, so rebinding those names takes effect.  ``bound`` returns
+    the atom's pole orders and majorant, as majorant does for an expression.
     """
 
     signature: tuple[Callable, ...]
     poles: Callable[..., list]
     evaluator: Callable[..., Callable]
+    bound: Callable[..., tuple]
     check: Callable[..., object] = lambda *args: None
 
 
@@ -458,29 +463,76 @@ def _at_affine(ab, f):
     return lambda s, cfg: f(alpha * s + beta, cfg)
 
 
+def _far(sl, sh, tl, th, p):
+    """The largest distance from the point p to the box [sl, sh] x [tl, th]."""
+    return np.hypot(np.maximum(np.abs(sl - p.real), np.abs(sh - p.real)),
+                    np.maximum(np.abs(tl - p.imag), np.abs(th - p.imag)))
+
+
+def _affine_bound(ab, poles_at, g):
+    """Pole orders and majorant of an atom f(alpha*s + beta) whose argument w
+    has simple poles at poles_at: g bounds |f(w) * prod (w - p)| over a box of
+    w, and prod (s - s_p) = prod (w - p) / alpha^len(poles_at)."""
+    alpha, beta = float(ab[0]), float(ab[1])
+    orders = {complex(affine_preimage(alpha, beta, p)): 1 for p in poles_at}
+    scale = abs(alpha) ** -len(poles_at)
+
+    def bound(sl, sh, tl, th):
+        box = (alpha * sl + beta, alpha * sh + beta, alpha * tl, alpha * th)
+        return scale * g(*(box if alpha > 0 else (box[1], box[0], box[3], box[2])))
+    return orders, bound
+
+
+def _em_bound(a: float):
+    """Box of w -> a bound of |(w - 1) zeta(w, a)| on it."""
+    return lambda rl, rh, il, ih: hurwitz_majorant(
+        rl, rh, _far(rl, rh, il, ih, 0j), _far(rl, rh, il, ih, 1 + 0j), a)
+
+
+def _xi_bound(rl, rh, il, ih):
+    """|w (w-1) pi^{-w/2} Gamma(w/2) zeta(w)| = 2 |pi^{-w/2}| |Gamma(w/2 + 1)|
+    |(w-1) zeta(w)|, bounded factor by factor on the box of w."""
+    gamma = gamma_majorant(0.5 * rl + 1.0, 0.5 * rh + 1.0, 0.5 * il, 0.5 * ih)
+    return 2.0 * math.pi ** (-0.5 * rl) * gamma * _em_bound(1.0)(rl, rh, il, ih)
+
+
+def _poly_tree(poly):
+    """A ZetaPoly's live terms as a tree of hurwitz atoms, whose majorant is
+    the family atom's: scale * 2^{exp2*s} is the Dirichlet term
+    scale * exp(-(-exp2 log 2) s)."""
+    terms = Add(tuple(Mul((Const(complex(c)), *(Atom("hurwitz", ((alpha, beta), a))
+                                                for alpha, beta, a in fs)))
+                      for c, fs in poly.terms if c != 0))
+    return Mul((DirichletPoly(((complex(poly.scale), -poly.exp2 * math.log(2.0)),)), terms))
+
+
 def _family(poly) -> dict:
-    """Pole candidates and evaluator of a family atom from its ZetaPoly, which
-    poly builds from the atom's arguments."""
+    """Pole candidates, evaluator and majorant of a family atom from its
+    ZetaPoly, which poly builds from the atom's arguments."""
     return dict(poles=lambda *p: [loc for loc, _ in poly(*p).poles],
-                evaluator=lambda *p: poly(*p).pair)
+                evaluator=lambda *p: poly(*p).pair,
+                bound=lambda *p: majorant(_poly_tree(poly(*p))))
 
 
 ATOMS: dict[str, AtomKind] = {
     "zeta": AtomKind(
         (_Parser.affine,),
         poles=lambda ab: [affine_preimage(*ab, 1.0)],
-        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: hurwitz_pair(z, 1.0, cfg))),
+        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: hurwitz_pair(z, 1.0, cfg)),
+        bound=lambda ab: _affine_bound(ab, (1.0,), _em_bound(1.0))),
     "hurwitz": AtomKind(
         (_Parser.affine, _Parser.rational),
         poles=lambda ab, a: [affine_preimage(*ab, 1.0)],
         evaluator=lambda ab, a: _at_affine(
             ab, lambda z, cfg, a=float(a): hurwitz_pair(z, a, cfg)),
+        bound=lambda ab, a: _affine_bound(ab, (1.0,), _em_bound(float(a))),
         check=_hurwitz_shift),
     "xi": AtomKind(
         (_Parser.affine,),
         # Gamma-side pole where the argument is 0, next to zeta's at 1
         poles=lambda ab: [affine_preimage(*ab, 1.0), affine_preimage(*ab, 0.0)],
-        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: completed_zeta_pair(z, cfg))),
+        evaluator=lambda ab: _at_affine(ab, lambda z, cfg: completed_zeta_pair(z, cfg)),
+        bound=lambda ab: _affine_bound(ab, (1.0, 0.0), _xi_bound)),
     "ezd": AtomKind(
         (_Parser.integer,), check=hoffman_diagonal_coeffs, **_family(ezd_poly)),
     "barnes": AtomKind(
@@ -577,6 +629,42 @@ def _compile(e):
             return -v, ev
         return neg
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def majorant(e):
+    """(orders, bound) of the expression e, for the zero engine's segment
+    test, which builds it once per scan (evaluation does no work for it):
+    orders maps each pole candidate p to an order k, and bound(sl, sh, tl,
+    th) bounds |e(s) * prod (s - p)^k|, a function without poles, over the
+    box [sl, sh] x [tl, th] (floats or arrays of boxes).  Const gives |c|
+    and DirichletPoly sum |a| e^{-l sigma} at the worse sigma; an atom gives
+    its registry bound.  Neg keeps its child's; Mul adds orders and
+    multiplies bounds; Pow multiplies both by k; Add takes each candidate's
+    largest order and sums its children's bounds, each times the largest
+    |s - p| on the box to the orders its child lacks."""
+    if isinstance(e, (Const, DirichletPoly)):
+        pairs = [(abs(a), lam)
+                 for a, lam in ([(e.value, 0.0)] if isinstance(e, Const) else e.pairs)]
+        return {}, lambda sl, sh, tl, th: sum(c * np.exp(-lam * (sl if lam > 0 else sh))
+                                              for c, lam in pairs)
+    if isinstance(e, Atom):
+        return ATOMS[e.kind].bound(*e.args)
+    if isinstance(e, Neg):
+        return majorant(e.child)
+    if isinstance(e, Pow):
+        (orders, base), k = majorant(e.base), e.k
+        return {p: n * k for p, n in orders.items()}, lambda *box: base(*box) ** k
+    kids = [majorant(c) for c in e.children]
+    orders: dict = {}
+    for sub, _ in kids:
+        for p, n in sub.items():
+            orders[p] = orders.get(p, 0) + n if isinstance(e, Mul) else max(orders.get(p, 0), n)
+    if isinstance(e, Mul):
+        return orders, lambda *box: math.prod(b(*box) for _, b in kids)
+
+    return orders, lambda *box: sum(
+        b(*box) * math.prod(_far(*box, p) ** (n - sub.get(p, 0))
+                            for p, n in orders.items() if n > sub.get(p, 0)) for sub, b in kids)
 
 
 def eval_expr(e, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:

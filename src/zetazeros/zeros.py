@@ -1,65 +1,54 @@
 """Zero location and counting in axis-aligned rectangles.
 
-Winding numbers come from boundary phase tracking: walk the contour
-counter-clockwise, accumulate principal-branch phase increments of F, and
-bisect any segment whose increment exceeds _MAX_PHASE_STEP.  The closed-loop
-total is 2*pi*(zeros - poles) counted with multiplicity.  Zero localization
-cuts a cell of winding w into w + 1 strips across its longer side until each
-cell holds winding 1, then polishes with Newton's method, whose slope at
-each step is the secant through its last two iterates, so that a step costs
-one evaluation.
+Winding numbers are certified, segment by segment (Ying & Katz, J. Comput.
+Phys. 77, 1988).  Let G = F * prod (s - p)^k over the expression's pole
+candidates p, with the orders k of expr.majorant (Mul adds them, Pow
+multiplies them, Add takes the largest): G has no poles.  A contour segment
+[z0, z1] of length L is accepted when the distance from 0 to the chord
+[G(z0), G(z1)] exceeds L^2 M / (4 rho^2) + err(z0) + err(z1), where M bounds
+|G| on the segment's box grown by rho = _RHO (the closed-form majorant of
+expr.majorant) and err = abs_err * |prod (z - p)^k|.  Cauchy's estimate keeps
+G that close to the chord, so G stays in an open half-plane along the
+segment and its principal increment is the true one, on the segment and on
+any piece of it.  F's increment is G's less each pole candidate's, k times
+the exact angle the segment subtends from p.  The closed-loop total is
+2*pi*(zeros - poles) counted with multiplicity.  This is a proof only while
+abs_err bounds the evaluation error, which the kernel estimates rather than
+proves (ROADMAP item 5).
 
-Newton starts at the argument-principle estimate of the cell's one zero,
-z_start - (1/2 pi i) * contour integral of log F dz, taken by the trapezoid
-rule over the contour samples that also give the cell's |F| scale, with the
-phase continued along the phase increments that winding uses, bisected
-where a segment's principal increment exceeds the step, so that a zero
-close to an edge is resolved.  Each cell takes the samples, values and
-increments of the contour its winding was accepted from (a strip those its
-split computed), so no cell's contour is evaluated or bisected again.
-Newton starts at the cell centre instead when those increments do not make
-one turn, or when the estimate falls outside the cell.
+Inside a cell whose contour is certified, |G| is at most three times its
+largest sample (the cell's hull, by the maximum principle).  That gives a second,
+local majorant for the cuts of its splits, with rho the segment's distance
+from the cell's boundary: near a multiple zero the closed-form majorant
+alone would need segments shorter than rounding allows.
 
-Contours are numpy arrays from sampling to the Newton start point: the
-samples, their values and phase increments, the walker's value store, the
-hand-off of a split to its strips, the |F| scale and the start point all
-work on arrays.  A contour's samples are evaluated in one batch, which
-eval_batch takes at most _BATCH_POINTS points at a time, and the near-zero
-check and phase increments run over the sample array at once.  A split
-evaluates all its strips' contours in one batch: each edge's points are
-generated from its lower end, so strips that share a cut share its points,
-and the batch evaluates each of them once.  Each strip is handed the values
-and phase increments on its boundary.  Phase bisection and Newton are
-sequential and evaluate single points through eval_expr; the walker keeps
-each bisection midpoint's value in a dict apart from the contour samples, so
-no midpoint of a decision is evaluated twice.
+Every edge gets uniform samples _SAMPLES_PER_UNIT apart (at least its two
+corners), evaluated in one batch; the segments that fail the test are
+bisected breadth-first, one eval_batch per depth over every failing segment
+of the decision, and a segment still failing at _MAX_DEPTH raises
+DepthExceeded, which leaves its cell unresolved.  A cell's certified contour
+(samples, values, errors and increments) goes with it: zero localization
+cuts a cell of winding w into w + 1 strips across its longer side, samples
+and certifies only the cuts, and hands each strip the parent's nodes on its
+sides, cut at the strip's ends, until each cell holds winding 1.  Strip
+windings must conserve the parent's; only a fault can break that, so a
+failure leaves the cell unresolved.  A density scan hands each tile's
+certified top edge to the tile above as its bottom edge.
 
-Each edge is sampled uniformly and, beside every pole candidate of the
-expression within reach of it, at graded points (_Walker.boundary_points):
-seen from the pole, no segment between consecutive samples then subtends
-more than theta = _POLE_ANGLE / 2**level, so an order-k pole adds at most
-k * theta to a segment's phase increment.  At level 0 poles of order up to
-4 stay within the phase step, and up to 7 they cannot alias a segment.
-Scans start 1e-3 above the real axis, where every implemented atom's pole
-candidates sit, so this settles the windings beside them at level 0.
+Each winding-1 cell is polished with Newton's method, whose slope at each
+step is the secant through its last two iterates, so that a step costs one
+evaluation.  Newton starts at the argument-principle estimate of the cell's
+one zero, z_start - (1/2 pi i) * contour integral of log F dz, taken by the
+trapezoid rule over the certified contour, with the phase continued along
+its increments; an estimate outside the cell is projected onto it, and the
+centre is taken only when the increments do not make one turn.
 
-A winding is accepted once two consecutive sampling densities (levels)
-agree.  Each decision has one walker: the level is an argument of its
-sampling, and the walker keeps F at every contour sample it has evaluated or
-been handed, so no contour point of the decision is evaluated twice; on long
-edges the levels sample the same points (see _stable_winding).  A cell's
-walker starts with the samples of the contour its winding was accepted from,
-so its split knows the parent's corners.  A density scan seeds each tile's
-walker with the values on its bottom edge, which the tile below sampled as
-its top edge, and adds each tile's winding to the count of its T step as it
-goes.  The split of the scanned rectangle starts at the coarser of its two
-agreeing levels, with the accepted winding; every other split starts at
-level 0.  A split whose strips fail to conserve the parent's winding goes
-on to the next denser level.  Every evaluation a split makes counts against
-its cell's evaluation budget, and a contour of more points than that budget
-is refused before its points are made.  A density scan is refused before its
-first tile when its tiles' level-0 contours together hold more points than
-that budget.
+Contours are numpy arrays from sampling to the Newton start point.
+eval_batch takes at most _BATCH_POINTS points a call.  Every evaluation a
+cell makes counts against its evaluation budget, and a contour of more
+points than that budget is refused before its points are made; a density
+scan is refused before its first tile when its tiles' contours together
+hold more points than that budget.
 
 A near-zero sample is retried by one rule, _jittered: attempt k of at most
 _JITTER_RETRIES + 1 pushes the scanned rectangle or the density scan outward
@@ -69,16 +58,15 @@ magnitude of the neighbouring samples when those sit below 1, so that
 exponentially small functions (completed-zeta combinations at height t)
 remain scannable.
 
-The engine's settings are the module constants below (_INIT_SAMPLES_PER_EDGE,
-_MAX_PHASE_STEP, _POLE_ANGLE, _MAX_DEPTH, _MIN_CELL, _JITTER and the
-budgets); a caller sets only ContourConfig.zero_tol.  Scans run in the
-calling thread.  The ``threads`` keyword of the scan functions is accepted
-for compatibility and has no effect.
+The engine's settings are the module constants below (_SAMPLES_PER_UNIT,
+_RHO, _MAX_DEPTH, _MIN_CELL, _JITTER and the budgets); a caller sets only
+ContourConfig.zero_tol.  Scans run in the calling thread.  The ``threads``
+keyword of the scan functions is accepted for compatibility and has no
+effect.
 """
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import math
 from dataclasses import dataclass
@@ -93,13 +81,11 @@ from .errors import (
     PoleProximity,
     ZetaError,
 )
-from .expr import eval_batch, eval_expr, pole_set
+from .expr import eval_batch, eval_expr, majorant, pole_set
 
-_INIT_SAMPLES_PER_EDGE = 64  # least samples per edge, at level 0
-_SAMPLES_PER_UNIT = 8.0      # extra boundary samples per unit of edge length
-_MAX_PHASE_STEP = math.pi / 2  # largest unbisected phase increment, at level 0
-_POLE_ANGLE = math.pi / 8    # largest angle a segment subtends from a near pole, at level 0
-_MAX_DEPTH = 40              # phase bisection depth
+_SAMPLES_PER_UNIT = 8.0      # uniform contour samples per unit of edge length
+_RHO = 0.4                   # growth of a segment's box for its majorant
+_MAX_DEPTH = 40              # segment bisection depth
 _MIN_CELL = 1e-9             # a cell this small is reported, not split
 _JITTER = 1e-7               # near-zero retry step
 _TILE_HEIGHT = 25.0          # density-scan strip height
@@ -229,55 +215,56 @@ class CriticalLineReport:
 
 
 # ---------------------------------------------------------------------------
-# Phase tracking
+# Certified phase tracking
 # ---------------------------------------------------------------------------
 
-def _edge_samples(length: float, level: int) -> int:
-    """The uniform sample count n of an edge at ``level``: its uniform points
-    sit at the fractions k/n of it, k = 1, ..., n - 1."""
-    return max(_INIT_SAMPLES_PER_EDGE << level, math.ceil(length * _SAMPLES_PER_UNIT))
+def _edge_samples(length: float) -> int:
+    """The number of uniform segments of an edge: its points sit at the
+    fractions k/n of it, k = 0, ..., n."""
+    return max(1, math.ceil(length * _SAMPLES_PER_UNIT))
 
 
-def _contour_size(width: float, height: float, level: int = 0, poles: int = 0) -> int:
-    """An upper bound on the samples of a width x height contour at ``level``,
-    the closing repeat included, with room on every edge for the graded
-    samples of ``poles`` pole candidates: 2 * ceil((pi/2) / theta) + 1 each,
-    where _Walker.boundary_points adds at most the foot and ceil((pi/2) /
-    theta) - 1 points on each side of it."""
-    graded = poles * (2 * math.ceil(math.pi / 2 / (_POLE_ANGLE / 2**level)) + 1)
-    return 1 + sum(_edge_samples(d, level) + graded for d in (width, height) * 2)
+def _contour_size(width: float, height: float) -> int:
+    """The samples of a width x height contour, the closing repeat included."""
+    return 1 + sum(_edge_samples(d) for d in (width, height) * 2)
+
+
+def _edge(lo: complex, hi: complex) -> np.ndarray:
+    """The uniform points of the edge from lo to hi, both ends included and
+    exact: lo + (hi - lo) * k/n, measured from lo whichever way a walk runs
+    the edge, so that cells sharing an edge share its points bit for bit."""
+    n = _edge_samples(abs(hi - lo))
+    return np.concatenate(([lo], lo + (hi - lo) * (np.arange(1, n) / n), [hi]))
+
+
+def _on_contour(rect: Rectangle, pts: np.ndarray, *arrays) -> list:
+    """The points of pts in the closed rect, all on its boundary, in contour
+    order from the lower-left corner and closed, with the same entries of
+    each of arrays: ordered by their distance along the boundary."""
+    x, y, w, h = pts.real, pts.imag, rect.width, rect.height
+    arc = np.select([y == rect.t_lo, x == rect.sigma_hi, y == rect.t_hi],
+                    [x - rect.sigma_lo, w + (y - rect.t_lo), (w + h) + (rect.sigma_hi - x)],
+                    (w + h + w) + (rect.t_hi - y))
+    inside = np.flatnonzero((x >= rect.sigma_lo) & (x <= rect.sigma_hi)
+                            & (y >= rect.t_lo) & (y <= rect.t_hi))
+    order = inside[np.argsort(arc[inside], kind="stable")]
+    return [a[np.append(order, order[0])] for a in (pts, *arrays)]
 
 
 class _Walker:
-    """Boundary phase tracker for one winding decision; counts evaluations.
+    """Contour sampler and winding certifier for one decision; counts evaluations.
 
-    ``fn`` comes from expression_fn: fn(z) evaluates one point (bisection
-    midpoints, Newton), fn.batch(zs) a point list (contour samples), and
-    fn.poles holds the expression's pole candidates (none when fn has no
-    such attribute), which boundary_points grades its samples around.
-    The value store is two arrays, the points ``zs`` and F at each of them
-    ``vs``: every contour sample the walker has evaluated or been handed
-    (``seen``, a pair of point and value arrays).  sample consults it, so no
-    contour point of the decision is evaluated twice, and leaves it sorted
-    and distinct.  ``midpoints`` holds F at every phase-bisection midpoint,
-    apart from the store so that a contour sample keeps its batch value;
-    bisection is scalar, so it is a dict.  Every evaluation counts against
-    one budget.  ``level`` k samples with _INIT_SAMPLES_PER_EDGE
-    << k, graded points at most theta = _POLE_ANGLE / 2**k apart as seen
-    from a pole candidate within reach, and a phase step of _MAX_PHASE_STEP
-    / 2**k.  A segment that subtends at most theta from an order-m pole gets
-    at most m * theta of its phase increment from it: within the step
-    (pi/2 / 2**k = 4 * theta) for m <= 4, so the pole forces no bisection,
-    and below pi for m <= 7, so it cannot alias the segment.
+    ``fn`` comes from expression_fn: fn(z) evaluates one point (Newton),
+    fn.batch(zs) an array of points, as (values, abs_errs); fn.poles maps the
+    expression's pole candidates p to orders k (none when fn has no such
+    attribute) and fn.bound is the majorant of G = F * prod (s - p)^k, an
+    entire function (expr.majorant).  Every evaluation counts against one
+    budget.
     """
 
-    def __init__(self, fn, cc: ContourConfig, seen=((), ())):
-        self.fn = fn
-        self.poles = getattr(fn, "poles", ())
-        self.cc = cc
-        self.zs, self.vs = (np.asarray(a, dtype=complex) for a in seen)
-        self.midpoints = {}
-        self.evals = 0
+    def __init__(self, fn, cc: ContourConfig):
+        self.fn, self.cc, self.evals = fn, cc, 0
+        self.poles = getattr(fn, "poles", {})
 
     def _count(self, n: int) -> None:
         self.evals += n
@@ -288,79 +275,21 @@ class _Walker:
         self._count(1)
         return self.fn(z)
 
-    def sample(self, pts: np.ndarray) -> np.ndarray:
-        """F at every point of the array pts, as an array.  One np.unique over
-        the store and pts finds the distinct points of pts not in the store;
-        they are evaluated in one batch, in the order they first appear in pts
-        (the order in which fn.batch cuts a long batch), and added to it."""
-        known = self.zs.size
-        buf = np.concatenate([self.zs, pts])
-        uniq, first, inv = np.unique(buf, return_index=True, return_inverse=True)
-        new = np.sort(first[first >= known])      # where the unknown points first appear
-        if new.size:
-            self._count(new.size)
-            buf[new] = self.fn.batch(buf[new])
-        buf[:known] = self.vs       # buf now holds F wherever a point of uniq first appears
-        self.zs, self.vs = uniq, buf[first]
-        return self.vs[inv[known:]]
+    def sample(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F and its abs_err at every point of the array pts, in one batch."""
+        self._count(len(pts))
+        return tuple(np.asarray(x) for x in self.fn.batch(pts))
 
-    def boundary_points(self, rect: Rectangle, level: int = 0) -> np.ndarray:
+    def boundary_points(self, rect: Rectangle) -> np.ndarray:
         """Counter-clockwise contour samples from the lower-left corner, closed
-        by repeating it, as an array.  Each edge's points are lo + (hi - lo) * f
-        for fractions f of the edge measured from its lower end lo (left to
-        right, bottom to top) whichever way the walk runs it, so cells that
-        share an edge sample bitwise-identical points on it; corners are
-        exact.  An edge of uniform spacing h gets the fractions k/n and, for
-        each pole candidate at distance 0 < d < h / tan(theta) from its line,
-        graded points at the foot x of the pole on that line and at x +- d *
-        tan(j * theta), j = 1, 2, ..., while the gap between them is below h,
-        where theta = _POLE_ANGLE / 2**level.
-        Each segment then subtends at most theta from the pole (see _Walker).
-        A contour of more points than the evaluation budget is refused before
-        any point is made."""
-        if _contour_size(rect.width, rect.height, level, len(self.poles)) > _CELL_EVAL_BUDGET:
+        by repeating it: each edge's _edge points, corners exact.  A contour
+        of more points than the evaluation budget is refused before any point
+        is made."""
+        if _contour_size(rect.width, rect.height) > _CELL_EVAL_BUDGET:
             raise DepthExceeded("per-cell evaluation budget exhausted")
-        theta = _POLE_ANGLE / 2**level
-        corners = rect.corners()
-        edges = []
-        for i in range(4):
-            z0, z1 = corners[i], corners[(i + 1) % 4]
-            lo, hi = (z0, z1) if i < 2 else (z1, z0)
-            n = _edge_samples(abs(hi - lo), level)
-            fracs = np.arange(1, n) / n
-            graded = self._graded(lo, hi, n, theta)
-            if graded:
-                fracs = np.unique(np.concatenate([fracs, graded]))
-            inner = lo + (hi - lo) * fracs
-            if graded:      # two fractions may round to one point, or onto a corner
-                keep = np.append(inner[1:] != inner[:-1], True)     # equal points are adjacent
-                inner = inner[keep & (inner != lo) & (inner != hi)]
-            edges += [[z0], inner if i < 2 else inner[::-1]]
-        return np.concatenate(edges + [[corners[0]]])
-
-    def _graded(self, lo: complex, hi: complex, n: int, theta: float) -> list[float]:
-        """The graded fractions, strictly between 0 and 1, that the pole
-        candidates within reach add to the edge from lo to hi of n uniform
-        steps."""
-        length = abs(hi - lo)
-        h = length / n
-        out = []
-        for p in self.poles:
-            rel = p - lo
-            x, d = (rel.real, abs(rel.imag)) if lo.imag == hi.imag else (rel.imag, abs(rel.real))
-            # On the edge's line the pole is on the contour or sees the edge
-            # at angle 0; far from it the uniform spacing is fine enough.
-            if d == 0.0 or d * math.tan(theta) >= h:
-                continue
-            offsets = [0.0]
-            for j in range(1, math.ceil(math.pi / 2 / theta)):
-                o = d * math.tan(j * theta)
-                if o - offsets[-1] >= h:
-                    break
-                offsets.append(o)
-            out.extend(f for o in offsets for f in ((x - o) / length, (x + o) / length)
-                       if 0.0 < f < 1.0)
-        return out
+        c = rect.corners()
+        return np.concatenate([_edge(c[0], c[1])[:-1], _edge(c[1], c[2])[:-1],
+                               _edge(c[3], c[2])[:0:-1], _edge(c[0], c[3])[:0:-1], c[:1]])
 
     def _near_zero_floor(self, neighbour_mag):
         # Relative to the local magnitude so that exponentially small but
@@ -368,50 +297,94 @@ class _Walker:
         # neighbour_mag may be a float or an array.
         return 10.0 * self.cc.zero_tol * np.minimum(1.0, neighbour_mag)
 
-    def boundary(self, rect: Rectangle, level: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """The contour samples of rect and F at each of them."""
-        pts = self.boundary_points(rect, level)
-        return pts, self.sample(pts)
-
-    def increments(self, pts: np.ndarray, vals: np.ndarray, level: int = 0) -> np.ndarray:
-        """Phase increments of F along the closed contour samples, summing to
-        2*pi times the winding number.
-
-        The near-zero check and the principal phase increments are computed
-        over the whole sample array, a sample's neighbours taken from two
-        slices of the closed array (the first sample's are the second and the
-        last but one); only the segments whose increment exceeds the step are
-        bisected, in contour order, and their increments are the bisected
-        sums.  The principal increments multiply out to vals[-1] /
-        vals[0] = 1, and a bisected sum differs from the increment it replaces
-        by 2*pi*k, so the total is a multiple of 2*pi up to rounding."""
-        z, v = np.asarray(pts), np.asarray(vals)
-        mag = np.abs(v)               # v[-1] == v[0]: the contour is closed
-        local = np.concatenate(([max(mag[1], mag[-2])], np.maximum(mag[:-2], mag[2:])))
-        for i in np.flatnonzero(mag[:-1] <= self._near_zero_floor(local))[:1]:
+    def near_zero(self, pts, vals, closed: bool = True) -> None:
+        """Raise NearZeroOnContour at the first sample whose |F| is at most
+        _near_zero_floor of its larger neighbour: on a closed contour the
+        first sample's neighbours are the second and the last but one, on an
+        open polyline an end has its one neighbour."""
+        z, mag = np.asarray(pts), np.abs(np.asarray(vals))
+        n = len(mag) - closed           # a closed contour's last sample repeats its first
+        ext = np.concatenate(([mag[-2] if closed else 0.0], mag, [mag[1] if closed else 0.0]))
+        local = np.maximum(ext[:-2], ext[2:])[:n]
+        for i in np.flatnonzero(mag[:n] <= self._near_zero_floor(local))[:1]:
             raise NearZeroOnContour(f"|F|={mag[i]:.3g} at {z[i]:.8g}", point=complex(z[i]))
 
-        dphi = np.angle(v[1:] / v[:-1])
-        step = _MAX_PHASE_STEP / 2**level
-        for i in np.flatnonzero(np.abs(dphi) > step).tolist():
-            (z0, z1), (v0, v1) = z[i:i + 2].tolist(), v[i:i + 2].tolist()
-            dphi[i] = self._segment_phase(z0, v0, z1, v1, step, 0)
-        return dphi
+    def _regular(self, z):
+        """prod (z - p)^k over the pole candidates: G = F times this."""
+        return math.prod(((z - p) ** k for p, k in self.poles.items()), start=1.0)
 
-    def _segment_phase(self, z0, v0, z1, v1, step, depth) -> float:
-        dphi = cmath.phase(v1 / v0)
-        if abs(dphi) <= step:
-            return dphi
-        if depth >= _MAX_DEPTH:
-            raise DepthExceeded(f"phase bisection depth > {_MAX_DEPTH} at {z0:.8g}")
-        zm = 0.5 * (z0 + z1)
-        vm = self.midpoints.get(zm)
-        if vm is None:
-            vm = self.midpoints[zm] = self(zm)
-        if abs(vm) <= self._near_zero_floor(max(abs(v0), abs(v1))):
-            raise NearZeroOnContour(f"|F|={abs(vm):.3g} at {zm:.8g}", point=zm)
-        return (self._segment_phase(z0, v0, zm, vm, step, depth + 1)
-                + self._segment_phase(zm, vm, z1, v1, step, depth + 1))
+    def _certified(self, z0, z1, v0, v1, e0, e1, hulls=()) -> np.ndarray:
+        """The segment test, over arrays of segments [z0, z1] with F and
+        abs_err at their ends: G's values a and b and errors ea and eb there,
+        and M bounding |G| on the segment's box grown by rho = _RHO.  Cauchy's
+        estimate |G''| <= 2M/rho^2 keeps G within L^2 M / (4 rho^2) of the
+        chord from a to b, so a segment whose value chord keeps a larger
+        distance than that plus ea + eb from 0 keeps G in an open half-plane:
+        its principal increment is the true one.  Each (rect, H) of
+        ``hulls`` (a cell holding the segments and its hull) gives the same
+        estimate with M = H and rho the segment's distance from rect's
+        boundary; the smallest is taken."""
+        q0, q1 = self._regular(z0), self._regular(z1)
+        a, u = v0 * q0, v1 * q1 - v0 * q0
+        tau = np.clip(-(a * u.conjugate()).real / np.maximum(np.abs(u) ** 2, 1e-300), 0.0, 1.0)
+        gap = np.abs(a + tau * u) - e0 * np.abs(q0) - e1 * np.abs(q1)
+        sl, sh = np.minimum(z0.real, z1.real), np.maximum(z0.real, z1.real)
+        tl, th = np.minimum(z0.imag, z1.imag), np.maximum(z0.imag, z1.imag)
+        m = self.fn.bound(sl - _RHO, sh + _RHO, tl - _RHO, th + _RHO) / _RHO**2
+        for rect, h in hulls:
+            eta = np.minimum(np.minimum(sl - rect.sigma_lo, rect.sigma_hi - sh),
+                             np.minimum(tl - rect.t_lo, rect.t_hi - th))
+            m = np.minimum(m, np.where(eta > 0, h / np.where(eta > 0, eta, 1.0) ** 2, np.inf))
+        return gap > 0.25 * np.abs(z1 - z0) ** 2 * m
+
+    def certify(self, pts, vals, errs, todo=None, hulls=()):
+        """The polyline pts, with F and abs_err at each point, refined until
+        every segment flagged in the boolean array todo (every segment for
+        None) passes the test (_certified, with ``hulls``): the segments that
+        fail are bisected breadth-first, their midpoints evaluated in one
+        batch per depth, and their halves tested in turn.  A midpoint whose
+        |F| is at most _near_zero_floor of its segment's ends raises
+        NearZeroOnContour, and a segment still failing at _MAX_DEPTH raises
+        DepthExceeded.  Returns the refined (pts, vals, errs)."""
+        todo = np.ones(len(pts) - 1, bool) if todo is None else todo
+        for depth in range(_MAX_DEPTH + 1):
+            i = np.flatnonzero(todo)
+            ends = (x[j] for x in (pts, vals, errs) for j in (i, i + 1))
+            b = i[~self._certified(*ends, hulls)]
+            if not b.size:
+                return pts, vals, errs
+            if depth == _MAX_DEPTH:
+                raise DepthExceeded(f"phase bisection depth > {_MAX_DEPTH} at {pts[b[0]]:.8g}")
+            zm = 0.5 * (pts[b] + pts[b + 1])
+            vm, em = self.sample(zm)
+            floor = self._near_zero_floor(np.maximum(np.abs(vals[b]), np.abs(vals[b + 1])))
+            for j in np.flatnonzero(np.abs(vm) <= floor)[:1]:
+                raise NearZeroOnContour(f"|F|={abs(vm[j]):.3g} at {zm[j]:.8g}",
+                                        point=complex(zm[j]))
+            todo = np.zeros(len(pts) + len(b) - 1, bool)
+            halves = b + np.arange(len(b))          # where each left half starts
+            todo[halves] = todo[halves + 1] = True
+            pts, vals, errs = (np.insert(x, b + 1, y)
+                               for x, y in ((pts, zm), (vals, vm), (errs, em)))
+
+    def increments(self, pts, vals) -> np.ndarray:
+        """Phase increments of F along certified contour samples: G's
+        principal increment less each pole candidate's, k times the exact
+        angle its segment subtends from p; they sum to 2*pi times the
+        winding number."""
+        z = np.asarray(pts)
+        g = np.asarray(vals) * self._regular(z)
+        return np.angle(g[1:] / g[:-1]) - sum(k * np.angle((z[1:] - p) / (z[:-1] - p))
+                                              for p, k in self.poles.items())
+
+    def wind(self, pts, vals, errs, todo=None):
+        """The winding of F around the closed contour samples and the
+        certified contour (pts, vals, errs, dphi) it came from; todo as for
+        certify."""
+        self.near_zero(pts, vals)
+        pts, vals, errs = self.certify(pts, vals, errs, todo)
+        dphi = self.increments(pts, vals)
+        return _turns(dphi), (pts, vals, errs, dphi)
 
 
 def _turns(dphi: np.ndarray) -> int:
@@ -420,45 +393,31 @@ def _turns(dphi: np.ndarray) -> int:
 
 
 def expression_fn(e, cfg: EvalConfig):
-    """z -> F(z) through eval_expr; ``fn.batch`` maps a point list to its
-    values through eval_batch, _BATCH_POINTS points a call, which bounds the
-    arrays a large split allocates (eval_batch's values do not depend on how
-    a list is cut), and ``fn.poles`` holds the distinct locations of
-    pole_set(e), which _Walker.boundary_points grades its samples around."""
+    """z -> F(z) through eval_expr; ``fn.batch`` maps a point array to its
+    values and abs_errs through eval_batch, _BATCH_POINTS points a call, which
+    bounds the arrays a large contour allocates (eval_batch's values do not
+    depend on how a list is cut); ``fn.poles`` and ``fn.bound`` are the pole
+    orders and majorant of expr.majorant."""
     def fn(z: complex) -> complex:
         return eval_expr(e, z, cfg).z
-    fn.batch = lambda zs: np.concatenate([eval_batch(e, zs[i:i + _BATCH_POINTS], cfg)[0]
-                                          for i in range(0, len(zs), _BATCH_POINTS)])
-    fn.poles = tuple(dict.fromkeys(c.location for c in pole_set(e)))
+
+    fn.batch = lambda zs: tuple(np.concatenate(x) for x in zip(*(
+        eval_batch(e, zs[i:i + _BATCH_POINTS], cfg) for i in range(0, len(zs), _BATCH_POINTS))))
+    fn.poles, fn.bound = majorant(e)
     return fn
 
 
-def _stable_winding(walker: _Walker, rect: Rectangle):
-    """Winding accepted only once two consecutive sampling levels agree.
-
-    Guards against phase aliasing from zeros hugging the contour from either
-    side; each level doubles the samples per edge and halves the phase step
-    and the angle of the graded samples beside pole candidates.
-    The walker keeps every value it samples, so a level evaluates only the
-    points the walker does not already know (the values of the levels below,
-    and any it was handed).  An edge longer than _INIT_SAMPLES_PER_EDGE /
-    _SAMPLES_PER_UNIT gets ceil(length * _SAMPLES_PER_UNIT) samples at every
-    level whose own count is below that, so those levels sample the same
-    points there and the second level checks nothing new on that edge (the
-    100-unit edges of the c12 rectangle get 800 samples at levels 0 to 3).
-    Returns (winding, level, contour): level is the coarser of the two
-    agreeing levels, and contour the (pts, vals, dphi) the winding came from
-    there: the samples, F at each of them and the bisected phase increments.
-    """
-    prev = None, None
-    for level in range(4):
-        pts, vals = walker.boundary(rect, level)
-        dphi = walker.increments(pts, vals, level)
-        w = _turns(dphi)
-        if w == prev[0]:
-            return w, level - 1, prev[1]
-        prev = w, (pts, vals, dphi)
-    raise ContourError(f"winding did not stabilize under refinement on {rect}")
+def _certified_winding(walker: _Walker, rect: Rectangle, bottom=((), (), ())):
+    """The winding of F around rect and the certified contour it came from:
+    rect's uniform samples, evaluated in one batch (the closing corner once),
+    then refined by _Walker.certify.  ``bottom``, the certified (pts, vals,
+    errs) of rect's bottom edge from left to right, when given, replaces
+    that edge's samples, and its segments are not tested again."""
+    pts = walker.boundary_points(rect)
+    fresh = pts[_edge_samples(rect.width) + 1 if len(bottom[0]) else 0:-1]
+    body = [np.concatenate((h, x)) for h, x in zip(bottom, (fresh, *walker.sample(fresh)))]
+    todo = np.arange(len(body[0])) >= len(bottom[0]) - 1
+    return walker.wind(*(np.append(x, x[0]) for x in body), todo)
 
 
 def winding_number(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
@@ -474,7 +433,7 @@ def winding_number(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
                 f"pole candidate {cand.location:.6g} within jitter of the contour",
                 location=cand.location, source=cand.source,
             )
-    return _stable_winding(_Walker(expression_fn(e, cfg), cc), rect)[0]
+    return _certified_winding(_Walker(expression_fn(e, cfg), cc), rect)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -495,20 +454,20 @@ def _jittered(attempt):
 
 
 def _winding_with_expansion(fn, rect: Rectangle, cc: ContourConfig):
-    """_stable_winding's (winding, level, contour) and the rectangle they were
+    """_certified_winding's (winding, contour) and the rectangle they were
     measured on: rect, pushed outward by k jitters on the k-th attempt."""
     jit = _effective_jitter(rect)
 
     def attempt(k):
         cur = rect.expand(jit * k) if k else rect
-        return (*_stable_winding(_Walker(fn, cc), cur), cur)
+        return (*_certified_winding(_Walker(fn, cc), cur), cur)
     return _jittered(attempt)
 
 
 _SPLIT_FRAC = (math.sqrt(5.0) - 1.0) / 2.0   # avoids cuts along symmetry lines
 
 
-def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, level: int = 0):
+def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, contour, hulls=()):
     """Cut the cell into m = w_par + 1 strips across its longer side (t when
     the height is at least the width, else sigma), with deterministically
     jittered, asymmetric cuts.
@@ -516,78 +475,52 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, level: int = 0):
     One zero per strip is usual, so most cells resolve after one split.  Cut
     j (1 <= j < m) sits at lo + L * (j - 1 + _SPLIT_FRAC) / m along the side
     [lo, lo + L], off the centre so that zeros on natural symmetry lines
-    (e.g. Re = 1/2) stay strictly inside one strip.  The first and last
-    strips keep the parent's two edges across the cut side, but each strip
-    samples its piece of the two sides along it afresh, so conservation
-    compares new samples with the parent's.  Each attempt samples the strips'
-    contours in one batch; strips that share a cut sample the same points on
-    it, which the batch evaluates once, and the points the walker already
-    knows (the parent's contour, earlier rounds) are not evaluated again.
-    Strip windings must conserve the parent's.  A round makes the attempts of
-    _jittered: only a near-zero hit on a strip contour moves every cut (by
-    the jitter) for another attempt at the same level.  A conservation
-    failure (a zero close enough to an edge to alias the phase samples, which
-    a jitter-sized move cannot repair on the outer edges), or cuts that leave
-    the cell, end the round.  The next round re-measures the parent's contour
-    at the next denser level, as _stable_winding measures a level, and splits
-    there; the split gives up after three rounds with the last failure.  The
-    first round samples at ``level`` and takes w_par as measured there; the
-    number of strips stays that of the w_par given.  Every evaluation counts
-    against ``walker``'s budget.  Returns (strip, winding, (pts, vals, dphi))
-    triples, bottom to top or left to right: the strip's contour samples at
-    the accepted level, F at each of them and the bisected phase increments
-    its winding came from, all arrays; pts and vals are views of the one
-    sample array of the accepted attempt and of its values.  The strip's
-    scale, Newton start point and own split reuse them.
+    (e.g. Re = 1/2) stay strictly inside one strip.  Only the cuts are
+    sampled, in one batch, and certified together, one batch per depth, with
+    the ``hulls`` (rect, H) of the cell and of the cells it was cut from,
+    which keep the cost of a cut near a multiple zero in check; each
+    strip takes the parent's certified ``contour`` (pts, vals, errs, dphi) on
+    its sides, cut at the strip's ends, since a piece of a certified segment
+    is certified (_on_contour).  A near-zero hit on a cut moves every cut by one more
+    jitter (_jittered).  Strip windings must conserve w_par; with every
+    segment certified only a fault can break that, so a failure is raised
+    at once as ContourError, as are cuts that leave the cell.  Every
+    evaluation counts against ``walker``'s budget.  Returns (strip, winding,
+    (pts, vals, errs, dphi)) triples, bottom to top or left to right.
     """
     jit = max(_effective_jitter(rect), 1e-12 * max(rect.width, rect.height))
     across_t = rect.height >= rect.width
     lo, hi = (rect.t_lo, rect.t_hi) if across_t else (rect.sigma_lo, rect.sigma_hi)
-    m = w_par + 1
-    cuts = [lo + (hi - lo) * (j - 1 + _SPLIT_FRAC) / m for j in range(1, m)]
+    cuts = [lo + (hi - lo) * (j - 1 + _SPLIT_FRAC) / (w_par + 1) for j in range(1, w_par + 1)]
+    pool = [x[:-1] for x in contour[:3]]       # the parent's nodes, the closing one once
 
-    def attempt(lvl, w_par, k):
+    def attempt(k):
         ends = [lo, *(c + jit * k for c in cuts), hi]
         if not all(a < b for a, b in zip(ends, ends[1:])):
-            return None
-        strips = [Rectangle(rect.sigma_lo, rect.sigma_hi, a, b) if across_t
-                  else Rectangle(a, b, rect.t_lo, rect.t_hi)
-                  for a, b in zip(ends, ends[1:])]
-        contours = [walker.boundary_points(c, lvl) for c in strips]
-        cut = np.cumsum([len(pts) for pts in contours[:-1]])
-        pts = np.concatenate(contours)      # each strip's samples and values are views
-        contours = np.split(pts, cut)
-        vals = np.split(walker.sample(pts), cut)
+            raise ContourError("split point exhausted the cell")
+        lines = [_edge(complex(rect.sigma_lo, c), complex(rect.sigma_hi, c)) if across_t
+                 else _edge(complex(c, rect.t_lo), complex(c, rect.t_hi)) for c in ends[1:-1]]
+        joins = np.cumsum([len(line) for line in lines])[:-1]
+        pts = np.concatenate(lines)
+        vals, errs = walker.sample(pts)
+        for line, v in zip(lines, np.split(vals, joins)):
+            walker.near_zero(line, v, closed=False)
+        todo = ~np.isin(np.arange(len(pts) - 1), joins - 1)     # not from one cut to the next
+        done = walker.certify(pts, vals, errs, todo, hulls)
+        nodes = [np.concatenate(x) for x in zip(pool, done)]
         measured = []
-        for c, pts, v in zip(strips, contours, vals):
-            dphi = walker.increments(pts, v, lvl)
-            measured.append((c, _turns(dphi), (pts, v, dphi)))
+        for a, b in zip(ends, ends[1:]):
+            strip = (Rectangle(rect.sigma_lo, rect.sigma_hi, a, b) if across_t
+                     else Rectangle(a, b, rect.t_lo, rect.t_hi))
+            p, v, e = _on_contour(strip, *nodes)
+            dphi = walker.increments(p, v)
+            measured.append((strip, _turns(dphi), (p, v, e, dphi)))
         windings = [w for _, w, _ in measured]
         if sum(windings) != w_par:
             raise ContourError(f"strip windings {windings} do not conserve parent {w_par}")
         return measured
 
-    last_exc: Exception = ContourError("split point exhausted the cell")
-    try:
-        for lvl in range(level, level + 3):
-            if lvl > level:
-                try:
-                    pts, vals = walker.boundary(rect, lvl)
-                    w_par = _turns(walker.increments(pts, vals, lvl))
-                except (NearZeroOnContour, DepthExceeded) as exc:
-                    last_exc = exc
-                    continue
-            try:
-                measured = _jittered(lambda k: attempt(lvl, w_par, k))
-                if measured is not None:
-                    return measured
-            except (NearZeroOnContour, ContourError) as exc:
-                last_exc = exc
-        raise last_exc
-    finally:
-        # A kept exception's traceback holds this frame, and with it the
-        # walker and every contour: drop it so the cycle is not left to gc.
-        del last_exc
+    return _jittered(attempt)
 
 
 def _newton_refine(walker: _Walker, rect: Rectangle, cc: ContourConfig, scale: float,
@@ -597,13 +530,11 @@ def _newton_refine(walker: _Walker, rect: Rectangle, cc: ContourConfig, scale: f
     The slope at each step is the secant through the last two iterates; the
     first pair is z and z + h, with h = 1e-6 times the cell size.  So a
     refinement of k steps evaluates F k + 2 times: at z, at z + h, at each
-    later iterate and at the result.  z is the cell's start point: the
-    argument-principle estimate of its zero from _start_point, or the centre
-    where that estimate is not usable.  Returns (zero, residual, steps), or
-    None when the slope vanishes or is too flat (a step longer than twice
-    the cell size), a step leaves the expanded cell, or the result is
-    outside rect or has a residual above the tolerance scaled by the contour
-    magnitude ``scale``.
+    later iterate and at the result.  z is the cell's start point from
+    _start_point.  Returns (zero, residual, steps), or None when the slope
+    vanishes or is too flat (a step longer than twice the cell size), a
+    step leaves the expanded cell, or the result is outside rect or has a
+    residual above the tolerance scaled by the contour magnitude ``scale``.
     """
     size = max(rect.width, rect.height)
     tol_resid = cc.zero_tol * min(1.0, max(scale, 1e-300))
@@ -642,60 +573,57 @@ def _start_point(rect: Rectangle, pts: np.ndarray, vals: np.ndarray,
     gives the zero as z_start - (1/2 pi i) * contour integral of log F dz,
     with log F continued along the contour from z_start = pts[0] (Delves &
     Lyness, Math. Comp. 21, 1967).  The integral is the trapezoid rule over
-    the closed contour samples, with log F = log|F| + i * (phase unwrapped
-    from the increments ``dphi``, as _Walker.increments bisects them so that
-    a zero close to an edge is resolved), so it costs no evaluation.  The
-    centre is returned instead when the increments do not make one turn (the
-    samples do not resolve one winding) or the estimate falls outside rect.
+    the closed certified contour samples, with log F = log|F| + i * (phase
+    unwrapped from the certified increments ``dphi``), so it costs no
+    evaluation.  An estimate outside rect is projected onto it; the centre
+    is returned when the increments do not make one turn.
     """
     if _turns(dphi) != 1:
         return rect.center
     log_f = np.log(np.abs(vals)) + 1j * np.concatenate(([0.0], np.cumsum(dphi)))
     moment = complex(np.sum(0.5 * (log_f[1:] + log_f[:-1]) * np.diff(pts)))
     z0 = complex(pts[0]) - moment / (2j * math.pi)
-    return z0 if rect.contains(z0) else rect.center
+    return complex(min(max(z0.real, rect.sigma_lo), rect.sigma_hi),
+                   min(max(z0.imag, rect.t_lo), rect.t_hi))
 
 
-def _resolve_cell(fn, rect: Rectangle, w: int, contour, cc: ContourConfig,
-                  level: int = 0):
+def _resolve_cell(fn, rect: Rectangle, w: int, contour, cc: ContourConfig):
     """Fully resolve one pole-free cell of known winding.  Each cell comes
-    with the (pts, vals, dphi) its winding was accepted from: rect with
-    ``contour`` (from _stable_winding, at ``level``), a strip with the one
-    its split handed it.  A cell's walker starts with that contour's samples,
-    and its split at the contour's level: ``level`` for rect, 0 for a strip."""
+    with the certified (pts, vals, errs, dphi) its winding came from: rect
+    with ``contour`` (from _certified_winding), a strip with the one its
+    split handed it, and the hulls (cell, H) of the cells it was cut from."""
     records: list[ZeroRecord] = []
     unresolved: list[UnresolvedCell] = []
-    stack = [(rect, w, level, contour)]
+    stack = [(rect, w, contour, ())]
     while stack:
-        cell, wc, lvl, (pts, vals, dphi) = stack.pop()
+        cell, wc, contour, hulls = stack.pop()
         if wc == 0:
             continue
         if wc < 0:
             unresolved.append(UnresolvedCell(cell, wc, "negative winding in pole-free cell"))
             continue
-        walker = _Walker(fn, cc, (pts, vals))    # the evaluation budget is per cell
-        size = max(cell.width, cell.height)
+        walker = _Walker(fn, cc)    # the evaluation budget is per cell
+        pts, vals, _, dphi = contour
         if wc == 1:
             hit = _newton_refine(walker, cell, cc, _boundary_scale(vals),
                                  _start_point(cell, pts, vals, dphi))
             if hit is not None:
                 z, resid, steps = hit
-                records.append(ZeroRecord(
-                    location=ComplexValue.of(z, 10.0 * abs(z) * 1e-16 + resid),
-                    residual=resid, winding_mult=1, rect=cell, refine_steps=steps,
-                ))
+                records.append(ZeroRecord(ComplexValue.of(z, 10.0 * abs(z) * 1e-16 + resid),
+                                          resid, 1, cell, steps))
                 continue
-        if size <= _MIN_CELL:
-            center = cell.center
-            resid = abs(walker(center))
-            records.append(ZeroRecord(
-                location=ComplexValue.of(center, size),
-                residual=resid, winding_mult=wc, rect=cell, refine_steps=0,
-            ))
+        if max(cell.width, cell.height) <= _MIN_CELL:
+            records.append(ZeroRecord(ComplexValue.of(cell.center, max(cell.width, cell.height)),
+                                      abs(walker(cell.center)), wc, cell, 0))
             continue
+        # A certified segment keeps G closer to its chord than the chord is to
+        # 0, so |G| there is below twice its larger end value; on a piece of
+        # the parent's segment, cut at the strip's end C, below |G(C)| + 2
+        # times the inner end's.  So |G| <= 3 max |G| over the contour's
+        # samples, and inside the cell by the maximum principle.
+        hulls = (*hulls, (cell, 3.0 * float(np.max(np.abs(vals * walker._regular(pts))))))
         try:
-            stack.extend((strip, w_strip, 0, contour)
-                         for strip, w_strip, contour in _split_cell(walker, cell, wc, lvl))
+            stack += [(*strip, hulls) for strip in _split_cell(walker, cell, wc, contour, hulls)]
         except (NearZeroOnContour, ContourError, DepthExceeded) as exc:
             unresolved.append(UnresolvedCell(cell, wc, f"{type(exc).__name__}: {exc}"))
     return records, unresolved
@@ -721,8 +649,8 @@ def localize_zeros(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
     """
     _assert_pole_free(e, rect)
     fn = expression_fn(e, cfg)
-    w_root, level, contour, root = _winding_with_expansion(fn, rect, cc)
-    records, unresolved = _resolve_cell(fn, root, w_root, contour, cc, level)
+    w_root, contour, root = _winding_with_expansion(fn, rect, cc)
+    records, unresolved = _resolve_cell(fn, root, w_root, contour, cc)
     records.sort(key=lambda r: (r.location.im, r.location.re, r.winding_mult))
     unresolved.sort(key=lambda u: (u.rect.t_lo, u.rect.sigma_lo))
     return LocalizeResult(tuple(records), tuple(unresolved))
@@ -739,9 +667,7 @@ def _fit_slope(ts, counts) -> float:
     tm = sum(t for t, _ in pairs) / len(pairs)
     cm = sum(c for _, c in pairs) / len(pairs)
     den = sum((t - tm) ** 2 for t, _ in pairs)
-    if den == 0:
-        return 0.0
-    return sum((t - tm) * (c - cm) for t, c in pairs) / den
+    return sum((t - tm) * (c - cm) for t, c in pairs) / den if den else 0.0
 
 
 def _tile_count(span: float) -> int:
@@ -769,14 +695,12 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
     if not all(map(math.isfinite, ts)) or sorted(ts) != ts:
         raise ValueError("T_values must be finite and non-decreasing")
     steps = list(dict.fromkeys(t for t in ts if t > t_floor))   # a repeated T adds no cut
-    fn = expression_fn(e, cfg)
-    need = 0
-    for lo, hi in zip([t_floor] + steps, steps):
-        n = _tile_count(hi - lo)
-        need += n * _contour_size(sigma_cap - sigma0, (hi - lo) / n, 0, len(fn.poles))
+    need = sum(n * _contour_size(sigma_cap - sigma0, (hi - lo) / n)
+               for lo, hi in zip([t_floor] + steps, steps) for n in [_tile_count(hi - lo)])
     if need > _CELL_EVAL_BUDGET:
         raise DepthExceeded("density scan evaluation budget exhausted")
 
+    fn = expression_fn(e, cfg)
     for loc in fn.poles:
         if abs(loc.imag) > 1e-12:
             raise ValueError(f"non-real pole candidate {loc:.6g}; pre-split not supported")
@@ -784,19 +708,18 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
     def scan(k):
         """The count at each T, with the scan pushed outward by k jitters."""
         shift = _JITTER * k
-        counts_at, acc, edge = {}, 0, ((), ())
+        counts_at, acc, edge = {}, 0, ((), (), ())
         t_lo = t_floor + shift
         for t in steps:
             base, span = t_lo, t + shift - t_lo
             n = _tile_count(span)
             for j in range(1, n + 1):
                 t_hi = base + span * j / n if j < n else t + shift  # land exactly on T
-                walker = _Walker(fn, cc, edge)
                 tile = Rectangle(sigma0 - shift, sigma_cap + shift, t_lo, t_hi)
-                acc += _stable_winding(walker, tile)[0]
-                # This tile's top edge is the next one's bottom edge.
-                on = walker.zs.imag == t_hi
-                edge = walker.zs[on], walker.vs[on]
+                w, (pts, *rest) = _certified_winding(_Walker(fn, cc), tile, edge)
+                acc += w
+                # This tile's certified top edge is the next one's bottom edge.
+                edge = tuple(x[:-1][pts[:-1].imag == t_hi][::-1] for x in (pts, *rest[:2]))
                 t_lo = t_hi
             counts_at[t] = acc
         return counts_at

@@ -28,6 +28,10 @@ Every point keeps its own cutoff N, and its prefix row is zero-padded to a
 length that depends on N alone before the pairwise sum, so a value never
 depends on which other points share the batch; the tail rounds as the scalar
 path does, so the two agree bit for bit wherever their cutoffs agree.
+
+hurwitz_majorant and gamma_majorant bound |(w-1) zeta(w, a)| and |Gamma(u)|
+over boxes in closed form, with no loop over the prefix, for the zero
+engine's segment test (expr.majorant).
 """
 
 from __future__ import annotations
@@ -343,3 +347,73 @@ def completed_zeta_pair(s, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
 def completed_zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """pi^{-s/2} Gamma(s/2) zeta(s); simple poles at s = 0 and s = 1."""
     return ComplexValue.of(*completed_zeta_pair(complex(s), cfg))
+
+
+# ---------------------------------------------------------------------------
+# Majorants: closed-form upper bounds of |value| over boxes, for the zero
+# engine's segment test.  Every argument is a float or an array of boxes.
+# ---------------------------------------------------------------------------
+
+_MAJORANT_TERMS = 4      # least Bernoulli terms m of the Euler-Maclaurin majorant
+
+
+def _power_integral(lo, hi, sigma):
+    """The integral of u^-sigma over [lo, hi] (0 where hi <= lo), for lo > 0."""
+    span = np.log(np.maximum(hi, lo) / lo)
+    y = (1.0 - sigma) * span
+    ratio = np.where(np.abs(y) < 1e-8, 1.0 + 0.5 * y, np.expm1(y) / np.where(y == 0.0, 1.0, y))
+    return lo ** (1.0 - sigma) * span * ratio
+
+
+def hurwitz_majorant(sigma, sigma_hi, r, w1, a: float):
+    """An upper bound of |(w-1) zeta(w, a)| over sigma <= Re w <= sigma_hi,
+    |w| <= r and |w - 1| <= w1, for a > 0.
+
+    Euler-Maclaurin with m = max(4, floor((1-sigma)/2) + 1) Bernoulli terms,
+    so that sigma + 2m > 1 (one m for all the boxes of an array, from the
+    least sigma), at x = N + a >= max(1, 0.7 (r + 2m) / pi):
+
+        w1 [P + x^-sigma / 2 + sum_k |B_2k/(2k)!| prod_{j<2k-1} (r+j) x^{-sigma-2k+1}
+            + R_m] + x^{1-sigma},
+
+    where P bounds the prefix sum_{n<N} (n+a)^-Re(w) by its first term at the
+    worse end of [sigma, sigma_hi] plus an integral (from a to x - 1 for
+    sigma >= 0, to x below), and R_m = 4 prod_{j<2m} (r+j) / (2 pi)^{2m} *
+    x^{1-sigma-2m} / (sigma + 2m - 1) is Johansson's remainder bound
+    (arXiv:1309.2877, section 2).  Closed form: no loop over the prefix."""
+    m = max(_MAJORANT_TERMS, math.floor((1.0 - np.min(sigma, initial=1.0)) / 2.0) + 1)
+    n_cut = np.maximum(np.ceil(np.maximum(1.0, 0.7 * (r + 2.0 * m) / math.pi) - a), 0.0)
+    x = n_cut + a
+    prefix = ((n_cut >= 1) * np.maximum(a ** -sigma, a ** -sigma_hi)
+              + _power_integral(a, x - (sigma >= 0), sigma))
+    xs = x ** -sigma
+    poch, decay, terms = r, xs / x, 0.5 * xs    # prod_{j<2k-1} (r+j) and x^{-sigma-2k+1}
+    for k in range(1, m + 1):
+        terms = terms + abs(bernoulli_over_factorial()[2 * k]) * poch * decay
+        poch, decay = poch * (r + 2 * k - 1) * (r + 2 * k), decay / (x * x)
+    # R_m from prod_{j<2m} (r+j) and x^{1-sigma-2m}, the loop having gone one step on.
+    rest = 4 * poch / (r + 2 * m) * decay * x * x / (2 * math.pi) ** (2 * m) / (sigma + 2 * m - 1)
+    return w1 * (prefix + terms + rest) + x * xs
+
+
+def gamma_majorant(re_lo, re_hi, im_lo, im_hi):
+    """An upper bound of |Gamma(u)| over the box re_lo <= Re u <= re_hi,
+    im_lo <= Im u <= im_hi (inf where the box meets a pole).
+
+    Gamma(u) = Gamma(u + n) / prod_{j<n} (u + j) with n the least shift that
+    puts Re u + n >= 1 on every box; each |u + j| is bounded below by the
+    distance from -j to the box.  On the shifted box Stirling's formula with
+    its first remainder bound, |E| <= sec^2(arg/2) / (12|U|) <= 1/(6|U|) for
+    Re U >= 1, gives log|Gamma(U)| <= (Re U - 1/2) log|U| - |Im U| |arg U| -
+    Re U + log(2 pi)/2 + 1/(6|U|), each term bounded at its worst corner
+    (Re U - 1/2 and log|U| are positive there)."""
+    shift = max(0.0, math.ceil(1.0 - np.min(re_lo, initial=1.0)))
+    im_min = np.maximum(0.0, np.maximum(im_lo, -im_hi))     # least |Im u| on the box
+    denom = math.prod((np.hypot(np.maximum(0.0, np.maximum(re_lo + j, -j - re_hi)), im_min)
+                       for j in range(int(shift))), start=1.0)
+    lo, hi = re_lo + shift, re_hi + shift
+    mod_lo, mod_hi = np.hypot(lo, im_min), np.hypot(hi, np.maximum(np.abs(im_lo), np.abs(im_hi)))
+    log_bound = ((hi - 0.5) * np.log(mod_hi) - im_min * np.arctan2(im_min, hi) - lo
+                 + _HALF_LOG_2PI + 1.0 / (6.0 * mod_lo))
+    with np.errstate(divide="ignore"):
+        return np.exp(log_bound) / denom

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import zetazeros.expr as X
 import zetazeros.families as F
@@ -371,3 +372,80 @@ def test_ezd12_evaluates_each_factor_once(monkeypatch):
     calls.clear()
     eval_batch(e, [2.5 + 30j, 1.5 - 4j, 3.0 + 0.5j])
     assert calls == ["hurwitz_batch"] * 12
+
+
+# Every ATOMS entry and every node kind, for the majorant check.
+MAJORANT_CASES = [
+    "zeta(2*s-1/2)", "hurwitz(s+1/3,1/3)", "xi(s)", "ezd(3)", "barnes(2,1/3)", "sphere(4)",
+    "symmat(3,Ln,+1,+1)", "symmat(3,Ln*,-1,+1)",
+    "7", "dirichlet[(1,0),(-2,0.7),(0.5,-0.3)]", "-zeta(s)", "zeta(s)+zeta(2*s)",
+    "zeta(s)*hurwitz(s,1/2)", "zeta(s)^3", "3*zeta(s)^2-xi(s-1/2)*dirichlet[(1,0),(1,0.5)]",
+]
+
+FAMILY_POLYS = {
+    "ezd": lambda r: F.ezd_poly(r),
+    "barnes": lambda r, a: F.barnes_poly(r, float(a)),
+    "sphere": lambda n: F.sphere_poly(n),
+    "symmat": lambda *p: F.symmat_poly(SymMatrixParams(*p)),
+}
+
+
+def _mp_value(e, s):
+    """The expression at s from mpmath's zeta and gamma; a family atom
+    through its term list."""
+    from mpmath import mp
+    if isinstance(e, Const):
+        return mp.mpc(e.value)
+    if isinstance(e, DirichletPoly):
+        return sum(mp.mpc(a) * mp.exp(-mp.mpf(lam) * s) for a, lam in e.pairs)
+    if isinstance(e, Neg):
+        return -_mp_value(e.child, s)
+    if isinstance(e, Pow):
+        return _mp_value(e.base, s) ** e.k
+    if isinstance(e, Add):
+        return sum(_mp_value(c, s) for c in e.children)
+    if isinstance(e, Mul):
+        return mp.fprod(_mp_value(c, s) for c in e.children)
+    if e.kind in FAMILY_POLYS:
+        poly = FAMILY_POLYS[e.kind](*e.args)
+        terms = sum(mp.mpf(c) * mp.fprod(mp.zeta(mp.mpf(alpha) * s + mp.mpf(beta), mp.mpf(a))
+                                          for alpha, beta, a in fs) for c, fs in poly.terms)
+        return mp.mpf(poly.scale) * mp.power(2, mp.mpf(poly.exp2) * s) * terms
+    alpha, beta = e.args[0]
+    w = mp.mpf(alpha.numerator) / alpha.denominator * s + mp.mpf(beta.numerator) / beta.denominator
+    if e.kind == "zeta":
+        return mp.zeta(w)
+    if e.kind == "hurwitz":
+        return mp.zeta(w, mp.mpf(e.args[1].numerator) / e.args[1].denominator)
+    return mp.power(mp.pi, -w / 2) * mp.gamma(w / 2) * mp.zeta(w)
+
+
+def test_majorant_cases_cover_every_atom_and_node():
+    nodes = [parse_expr(text) for text in MAJORANT_CASES]
+    assert {e.kind for e in nodes if isinstance(e, Atom)} == set(ATOMS)
+
+    def kinds(e):
+        yield type(e)
+        for c in getattr(e, "children", ()) + tuple(
+                getattr(e, name) for name in ("child", "base") if hasattr(e, name)):
+            yield from kinds(c)
+    assert set().union(*(set(kinds(e)) for e in nodes)) == {
+        Const, DirichletPoly, Atom, Neg, Add, Mul, Pow}
+
+
+@pytest.mark.parametrize("text", MAJORANT_CASES)
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(sigma=st.floats(-1.0, 3.0), t=st.floats(-5.0, 60.0), width=st.floats(1e-3, 1.5),
+       height=st.floats(1e-3, 1.5), u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0))
+def test_majorant_bounds_the_regularised_expression(text, sigma, t, width, height, u, v):
+    # At a point of a box, |G| = |F(s) * prod (s - p)^k| over the pole
+    # candidates p with the fold's orders k, from mpmath at 30 digits, is at
+    # most the majorant of the box, with no slack.
+    from mpmath import mp
+    e = parse_expr(text)
+    orders, bound = X.majorant(e)
+    s = complex(sigma + u * width, t + v * height)
+    assume(all(abs(s - p) > 1e-6 for p in orders))
+    with mp.workdps(30):
+        g = _mp_value(e, mp.mpc(s)) * mp.fprod(mp.mpc(s - p) ** k for p, k in orders.items())
+        assert abs(g) <= float(bound(sigma, sigma + width, t, t + height))

@@ -1,16 +1,16 @@
 import cmath
-import gc
 import math
 import tracemalloc
-import weakref
+from functools import lru_cache
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from zetazeros.config import EvalConfig, DEFAULT_CONFIG
-from zetazeros.errors import DepthExceeded, NearZeroOnContour, PoleProximity
+from zetazeros.errors import ContourError, DepthExceeded, NearZeroOnContour, PoleProximity
 from zetazeros.expr import eval_batch, eval_expr, parse_expr
 import zetazeros.zeros as zeros
 from zetazeros.zeros import (
@@ -18,8 +18,8 @@ from zetazeros.zeros import (
     DEFAULT_CONTOUR,
     Rectangle,
     _boundary_scale,
+    _certified_winding,
     _split_cell,
-    _stable_winding,
     _start_point,
     _Walker,
     critical_line_check,
@@ -32,10 +32,28 @@ from zetazeros.zeros import (
 ZETA = parse_expr("zeta(s)")
 
 
-def _winding(walker, rect, level=0):
-    """The winding of F around rect's contour samples at ``level``."""
-    pts, vals = walker.boundary(rect, level)
-    return zeros._turns(walker.increments(pts, vals, level))
+def _far(sl, sh, tl, th, p):
+    """The largest distance from p to the box [sl, sh] x [tl, th]."""
+    return np.hypot(np.maximum(abs(sl - p.real), abs(sh - p.real)),
+                    np.maximum(abs(tl - p.imag), abs(th - p.imag)))
+
+
+def _poly_fn(*roots, scale=1.0, poles=()):
+    """F = scale * prod (z - r) / prod (z - p), with the batch, pole orders and
+    majorant of expression_fn: G = scale * prod (z - r) is bounded on a box
+    by scale * prod of each root's largest distance from it."""
+    fn = lambda z: scale * math.prod(z - r for r in roots) / math.prod(z - p for p in poles)
+    fn.batch = lambda zs: ([fn(z) for z in zs], [0.0] * len(zs))
+    fn.poles = {}
+    for p in poles:
+        fn.poles[p] = fn.poles.get(p, 0) + 1
+    fn.bound = lambda *box: abs(scale) * math.prod(_far(*box, r) for r in roots) + 0.0 * box[0]
+    return fn
+
+
+def _winding(walker, rect):
+    """The certified winding of F around rect."""
+    return _certified_winding(walker, rect)[0]
 
 
 def test_rectangle_validation():
@@ -73,10 +91,14 @@ def test_subdivision_conservation():
     e = parse_expr("zeta(s)^2-zeta(2*s)")
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
-    w = _winding(walker, rect)
-    kids = _split_cell(walker, rect, w)
+    w, contour = _certified_winding(walker, rect)
+    kids = _split_cell(walker, rect, w, contour)
     assert sum(wc for _, wc, _ in kids) == w
     assert w >= 1
+    # Strips of certified contours conserve the winding, so a parent winding
+    # they cannot conserve is a fault, raised at once, not retried.
+    with pytest.raises(ContourError, match="do not conserve"):
+        _split_cell(walker, rect, w + 1, contour)
 
 
 def test_localize_first_zeta_zero():
@@ -161,18 +183,20 @@ def test_density_scan_basic():
 
 
 def test_density_scan_evaluates_each_point_once(monkeypatch):
-    # Each tile's top edge is the next tile's bottom edge; its values are
-    # handed on, so no point of the scan is evaluated twice (11,248 batched
-    # points for 9,313 distinct ones while each tile sampled its own edges;
-    # 9,313 while the first tile's level 0 aliased the phase beside the pole
-    # at s = 1, so its winding waited for levels 1 and 2 to agree).
+    # Each tile's certified top edge is the next tile's bottom edge; its
+    # values are handed on, so no point of the scan is evaluated twice.
+    # 22,084 points, certified: the majorant sum |(n+a)^-s| overstates |zeta|
+    # on the left edge, so its segments are bisected.  8,585 while two
+    # sampling levels had to agree; 11,248 batched for 9,313 distinct ones
+    # while each tile sampled its own edges; 9,313 while the first tile's
+    # level 0 aliased the phase beside the pole at s = 1.
     batched = []
     monkeypatch.setattr(zeros, "eval_batch",
                         lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
     scan = density_scan(parse_expr("zeta(s)^2-zeta(2*s)"), 0.55, (100.0, 200.0, 400.0),
                         t_floor=1e-3)
     assert scan.counts == (13, 34, 86)
-    assert len(batched) == len(set(batched)) == 8_585
+    assert len(batched) == len(set(batched)) == 22_084
 
 
 def test_density_scan_repeated_T(monkeypatch):
@@ -190,7 +214,7 @@ def test_density_scan_repeated_T(monkeypatch):
 
 
 def test_density_scan_over_the_budget_raises_before_evaluating(monkeypatch):
-    # About 4e10 tiles of 528 level-0 samples each: refused before any
+    # About 4e10 tiles of 425 samples each: refused before any
     # evaluation.  The c9 scan, 16 tiles to T = 400, is far below the budget.
     def fail(*args):
         raise AssertionError("evaluated")
@@ -270,20 +294,22 @@ def test_near_zero_error_carries_point():
 
 
 def test_wind_names_first_near_zero_and_bisects_wide_segments():
-    walker = _Walker(lambda z: z, DEFAULT_CONTOUR)
+    walker = _Walker(_poly_fn(0j), DEFAULT_CONTOUR)
     rect = Rectangle(-1.0, 1.0, -1.0, 1.0)
-    # F(z) = z on a triangle around 0: every increment is 2pi/3, above the
-    # pi/2 step, so each segment is bisected with fresh evaluations.
-    pts = [cmath.exp(2j * math.pi * k / 3) for k in (0, 1, 2, 0)]
-    assert zeros._turns(walker.increments(pts, pts)) == 1
-    assert walker.evals >= 3
+    # F(z) = z on a triangle around 0: each chord keeps 1/2 from 0, within
+    # L^2 M / (4 rho^2) of a side of length sqrt(3), so each segment is
+    # bisected with fresh evaluations until its pieces pass.
+    pts = np.array([cmath.exp(2j * math.pi * k / 3) for k in (0, 1, 2, 0)])
+    w, (refined, *_) = walker.wind(pts, pts, np.zeros(4))
+    assert w == 1
+    assert walker.evals == len(refined) - len(pts) >= 3
     # Two samples below the near-zero floor: the error names the first in
     # contour order, not the smaller one.
     pts = walker.boundary_points(rect)
-    vals = [1 + 0j] * len(pts)
+    vals = np.ones(len(pts), dtype=complex)
     vals[9], vals[5] = 1e-15, 1e-12
     with pytest.raises(NearZeroOnContour) as exc:
-        walker.increments(pts, vals)
+        walker.wind(pts, vals, np.zeros(len(pts)))
     assert exc.value.point == pts[5]
 
 
@@ -293,7 +319,8 @@ def test_near_zero_check_matches_the_pointwise_definition(logs):
     # Sample i of the closed contour is near zero when |F_i| <= 10 * zero_tol
     # * min(1, max(|F_{i-1}|, |F_{i+1}|)), its neighbours taken cyclically.
     # The check raises at the first such sample in contour order, or not at
-    # all.  The values are positive reals, so no segment is bisected.
+    # all.  The values are positive reals, so every increment is 0.  On an
+    # open polyline an end has its one neighbour.
     mags = [10.0**x for x in logs]
     pts = [complex(k, 1.0) for k in range(len(mags))] + [1j]
     vals = mags + mags[:1]
@@ -302,11 +329,20 @@ def test_near_zero_check_matches_the_pointwise_definition(logs):
                   if mags[i] <= floor * min(1.0, max(mags[i - 1], mags[(i + 1) % n]))), None)
     walker = _Walker(None, DEFAULT_CONTOUR)
     if first is None:
+        walker.near_zero(pts, vals)
         assert not walker.increments(pts, vals).any()
     else:
         with pytest.raises(NearZeroOnContour) as exc:
-            walker.increments(pts, vals)
+            walker.near_zero(pts, vals)
         assert exc.value.point == pts[first]
+    near = [mags[i] <= floor * min(1.0, max(mags[i - 1] if i else 0.0,
+                                            mags[i + 1] if i + 1 < n else 0.0)) for i in range(n)]
+    if any(near):
+        with pytest.raises(NearZeroOnContour) as exc:
+            walker.near_zero(pts[:-1], mags, closed=False)
+        assert exc.value.point == pts[near.index(True)]
+    else:
+        walker.near_zero(pts[:-1], mags, closed=False)
     assert walker.evals == 0
 
 
@@ -318,29 +354,22 @@ UNIT = st.floats(-0.5, 1.5).filter(lambda u: abs(u) > 1e-3 and abs(u - 1.0) > 1e
 @given(roots=st.lists(st.tuples(UNIT, UNIT), min_size=1, max_size=6),
        poles=st.lists(st.tuples(UNIT, UNIT), max_size=3), scale=st.floats(0.1, 10.0),
        sigma=st.floats(-1.0, 1.0), t=st.floats(-1.0, 1.0),
-       width=st.floats(0.1, 2.0), height=st.floats(0.1, 2.0), level=st.integers(0, 2))
-def test_increments_total_a_multiple_of_two_pi(roots, poles, scale, sigma, t, width, height,
-                                               level):
-    # Principal and bisected phase increments around a closed contour of a
-    # polynomial or rational F add up to 2*pi*n up to rounding, so the
-    # winding needs no check that the total is near a multiple of 2*pi.
+       width=st.floats(0.1, 2.0), height=st.floats(0.1, 2.0))
+def test_increments_total_a_multiple_of_two_pi(roots, poles, scale, sigma, t, width, height):
+    # Certified phase increments around a closed contour of a polynomial or
+    # rational F (G's principal increments less the poles' exact angles) add
+    # up to 2*pi*n up to rounding, so the winding needs no check that the
+    # total is near a multiple of 2*pi.
     rect = Rectangle(sigma, sigma + width, t, t + height)
     zs, ps = ([complex(sigma + u * width, t + v * height) for u, v in uv]
               for uv in (roots, poles))
-    fn = lambda z: scale * math.prod(z - a for a in zs) / math.prod(z - b for b in ps)
-    fn.batch = lambda zs: [fn(z) for z in zs]
-    walker = _Walker(fn, DEFAULT_CONTOUR)
-    with mock.patch.object(zeros, "_INIT_SAMPLES_PER_EDGE", 4):
-        pts, vals = walker.boundary(rect, level)
+    walker = _Walker(_poly_fn(*zs, scale=scale, poles=ps), DEFAULT_CONTOUR)
+    with mock.patch.object(zeros, "_SAMPLES_PER_UNIT", 2.0):
+        pts = walker.boundary_points(rect)
+    vals, errs = walker.sample(pts)
     assume(all(v != 0 and cmath.isfinite(v) for v in vals))
-    total = float(walker.increments(pts, vals, level).sum())
+    total = float(walker.wind(pts, vals, errs)[1][3].sum())
     assert abs(total - 2 * math.pi * round(total / (2 * math.pi))) <= 1e-9
-
-
-def _pole_walker(*poles):
-    fn = lambda z: z
-    fn.poles = poles
-    return _Walker(fn, DEFAULT_CONTOUR)
 
 
 def _edges(rect, pts):
@@ -351,130 +380,41 @@ def _edges(rect, pts):
     return [pts[a:b + 1] for a, b in zip(idx, idx[1:])]
 
 
-def _within_reach(run, i, pole, level):
-    """Whether the pole is within reach of the graded samples on edge run i:
-    off the edge's line, and closer to it than h / tan(theta)."""
-    d = abs(pole.imag - run[0].imag) if i % 2 == 0 else abs(pole.real - run[0].real)
-    length = abs(run[-1] - run[0])
-    h = length / zeros._edge_samples(length, level)
-    return 0.0 < d and d * math.tan(zeros._POLE_ANGLE / 2**level) < h
-
-
 @st.composite
-def _near_pole(draw):
-    """A rectangle, and the fraction u along one of its edges and the
-    distance 1e-6 <= d <= 1 of a pole candidate from it, u running from half
-    an edge before the edge to half an edge after it."""
+def _rects(draw):
+    """A rectangle 0.01 to 4 wide and high near the origin."""
     sigma, t = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
-    rect = Rectangle(sigma, sigma + draw(st.floats(0.01, 4.0)),
+    return Rectangle(sigma, sigma + draw(st.floats(0.01, 4.0)),
                      t, t + draw(st.floats(0.01, 4.0)))
-    return rect, draw(st.floats(-0.5, 1.5)), 10.0 ** draw(st.floats(-6.0, 0.0))
 
 
-def _outside(rect, edge, u, d):
-    """The point at fraction u along rect's edge (0 bottom, then
-    counter-clockwise), d outside it."""
-    c = rect.corners()
-    return c[edge] + (c[(edge + 1) % 4] - c[edge]) * u + (-1j, 1, 1j, -1)[edge] * d
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(geometry=_near_pole(), edge=st.integers(0, 3), level=st.integers(0, 2))
-def test_graded_samples_bound_the_angle_a_near_pole_sees(geometry, edge, level):
-    # On every edge within reach of the pole, each segment between
-    # consecutive samples subtends at most theta from it, so an order-k pole
-    # adds at most k * theta to the segment's phase increment.  The 1e-8
-    # allows for the rounding of the points, which moves an angle seen from
-    # 1e-6 away by about 1e-9.  An edge out of reach gets the uniform points
-    # alone.
-    rect, u, d = geometry
-    pole = _outside(rect, edge, u, d)
-    theta = zeros._POLE_ANGLE / 2**level
-    graded = _edges(rect, _pole_walker(pole).boundary_points(rect, level))
-    uniform = _edges(rect, _pole_walker().boundary_points(rect, level))
-    for i, (run, plain) in enumerate(zip(graded, uniform)):
-        if not _within_reach(run, i, pole, level):
-            assert run == plain
-            continue
-        seen = [abs(cmath.phase((b - pole) / (a - pole))) for a, b in zip(run, run[1:])]
-        assert max(seen) <= theta + 1e-8
-
-
-def _reference_points(walker, rect, level):
+def _reference_points(rect):
     """boundary_points built point by point with Python complex arithmetic."""
-    theta = zeros._POLE_ANGLE / 2**level
     pts, corners = [], rect.corners()
     for i in range(4):
         z0, z1 = corners[i], corners[(i + 1) % 4]
         lo, hi = (z0, z1) if i < 2 else (z1, z0)
-        n = zeros._edge_samples(abs(hi - lo), level)
-        fracs = [k / n for k in range(1, n)]
-        graded = walker._graded(lo, hi, n, theta)
-        if graded:
-            fracs = sorted(set(fracs).union(graded))
-        inner = [lo + (hi - lo) * f for f in fracs]
-        if graded:
-            inner = [z for z in dict.fromkeys(inner) if z != lo and z != hi]
+        n = zeros._edge_samples(abs(hi - lo))
+        inner = [lo + (hi - lo) * (k / n) for k in range(1, n)]
         pts += [z0, *(inner if i < 2 else reversed(inner))]
     return pts + [corners[0]]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(geometry=_near_pole(), edge=st.integers(0, 3), level=st.integers(0, 2),
-       offset=st.floats(-200.0, 200.0))
-@example(geometry=(Rectangle(0.0, 1.0, 1e6, 1e6 + 1e-9), 0.5, 1e-11), edge=1, level=0,
-         offset=0.0)
-def test_boundary_points_match_the_pointwise_construction(geometry, edge, level, offset):
+@given(rect=_rects(), offset=st.floats(-200.0, 200.0))
+@example(rect=Rectangle(0.0, 1.0, 1e6, 1e6 + 1e-9), offset=0.0)
+def test_boundary_points_match_the_pointwise_construction(rect, offset):
     # The array construction gives bitwise the points that Python complex
-    # arithmetic gives one by one, graded or not.  In the example the right
-    # edge spans a few ulps of t, so graded fractions round onto one point
-    # and onto its corners.
-    rect, u, d = geometry
+    # arithmetic gives one by one.  Each sample is a corner or lies strictly
+    # inside its edge: every run from one corner to the next stays on the
+    # edge's line and moves strictly along it, and the contour holds
+    # _contour_size points.  In the example the right edge spans a few ulps
+    # of t, so it has no inner points.
     rect = Rectangle(rect.sigma_lo, rect.sigma_hi, rect.t_lo + offset, rect.t_hi + offset)
-    for walker in (_pole_walker(_outside(rect, edge, u, d)), _pole_walker()):
-        pts = walker.boundary_points(rect, level)
-        assert [(z.real.hex(), z.imag.hex()) for z in pts.tolist()] == \
-            [(z.real.hex(), z.imag.hex()) for z in _reference_points(walker, rect, level)]
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(rounds=st.lists(st.lists(st.integers(0, 30), min_size=1, max_size=40),
-                       min_size=1, max_size=4),
-       seen=st.lists(st.integers(0, 30), max_size=10))
-def test_sample_evaluates_each_new_point_once_in_first_appearance_order(rounds, seen):
-    # Against a dict store: each sample returns F at every point, and its one
-    # batch holds the points not seen before, each once, in the order they
-    # first appear.
-    pool = [complex(k % 7, k // 7) * 0.25 for k in range(31)]
-    fn = lambda z: complex(z) ** 2 + 1j
-    batches = []
-    fn.batch = lambda zs: batches.append(zs.tolist()) or [fn(z) for z in zs]
-    start = [pool[k] for k in seen]
-    walker = _Walker(fn, DEFAULT_CONTOUR, (start, [fn(z) for z in start]))
-    known = dict.fromkeys(start)
-    for ks in rounds:
-        pts = [pool[k] for k in ks]
-        batches.clear()
-        vals = walker.sample(np.array(pts))
-        assert vals.tolist() == [fn(z) for z in pts]
-        new = [z for z in dict.fromkeys(pts) if z not in known]
-        assert batches == ([new] if new else [])
-        known.update(dict.fromkeys(new))
-    assert walker.evals == len(known) - len(set(start))
-    assert sorted(walker.zs.tolist(), key=lambda z: (z.real, z.imag)) == \
-        sorted(known, key=lambda z: (z.real, z.imag))
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(geometry=_near_pole(), edge=st.integers(0, 3), level=st.integers(0, 2))
-def test_graded_samples_lie_inside_their_edges(geometry, edge, level):
-    # Each sample is a corner or lies strictly inside its edge: every run
-    # from one corner to the next stays on the edge's line and moves strictly
-    # along it, and the contour is no longer than _contour_size says.
-    rect, u, d = geometry
-    pole = _outside(rect, edge, u, d)
-    pts = _pole_walker(pole).boundary_points(rect, level)
-    assert len(pts) <= zeros._contour_size(rect.width, rect.height, level, 1)
+    pts = _Walker(None, DEFAULT_CONTOUR).boundary_points(rect)
+    assert [(z.real.hex(), z.imag.hex()) for z in pts.tolist()] == \
+        [(z.real.hex(), z.imag.hex()) for z in _reference_points(rect)]
+    assert len(pts) == zeros._contour_size(rect.width, rect.height)
     assert pts[0] == pts[-1] and len(set(pts)) == len(pts) - 1
     for i, run in enumerate(_edges(rect, pts)):
         along = [z.real if i % 2 == 0 else z.imag for z in run]
@@ -483,47 +423,22 @@ def test_graded_samples_lie_inside_their_edges(geometry, edge, level):
         assert along == sorted(set(along), reverse=i >= 2)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(geometry=_near_pole(), cut=st.floats(0.05, 0.95), across_t=st.booleans(),
-       side=st.sampled_from((-1.0, 1.0)), level=st.integers(0, 2))
-def test_graded_samples_are_shared_by_strips_on_a_cut(geometry, cut, across_t, side, level):
-    # Two strips that share a cut sample bitwise-identical points on it,
-    # with the pole d from the cut on either side of it, since each edge's
-    # points are fractions of it measured from its lower end.
-    rect, u, d = geometry
-    if across_t:
-        cut_at = rect.t_lo + cut * rect.height
-        a = Rectangle(rect.sigma_lo, rect.sigma_hi, rect.t_lo, cut_at)
-        b = Rectangle(rect.sigma_lo, rect.sigma_hi, cut_at, rect.t_hi)
-        edge_a, edge_b = 2, 0
-    else:
-        cut_at = rect.sigma_lo + cut * rect.width
-        a = Rectangle(rect.sigma_lo, cut_at, rect.t_lo, rect.t_hi)
-        b = Rectangle(cut_at, rect.sigma_hi, rect.t_lo, rect.t_hi)
-        edge_a, edge_b = 1, 3
-    # Outside a's cut edge is inside b, and the other way round.
-    pole = _outside(a, edge_a, u, d) if side > 0 else _outside(b, edge_b, u, d)
-    walker = _pole_walker(pole)
-    first = _edges(a, walker.boundary_points(a, level))[edge_a]
-    second = _edges(b, walker.boundary_points(b, level))[edge_b]
-    first, second = (first[::-1], second) if across_t else (first, second[::-1])
-    assert [(z.real.hex(), z.imag.hex()) for z in first] == \
-        [(z.real.hex(), z.imag.hex()) for z in second]
-
-
 def test_contour_size_bounds_a_contour_beside_a_pole():
     # A rectangle 1e-3 above the pole of zeta at s = 1, and the c12 root
-    # rectangle 1e-3 above the poles at s = 1/2 and 1: the graded points
-    # beside the poles keep the contour within _contour_size at every level.
+    # rectangle 1e-3 above the poles at s = 1/2 and 1: G = F * prod (s - p)^k
+    # has no pole, so the contour beside them is the plain uniform one, of
+    # _contour_size points, and its certification keeps them in order.
     for text, rect in (("zeta(s)", Rectangle(0.5, 1.5, 1e-3, 1.001)),
                        ("zeta(s)^2-zeta(2*s)", Rectangle(0.55, 2.0, 1e-3, 100.0))):
         fn = expression_fn(parse_expr(text), DEFAULT_CONFIG)
-        for level in range(4):
-            pts = _Walker(fn, DEFAULT_CONTOUR).boundary_points(rect, level)
-            plain = _Walker(None, DEFAULT_CONTOUR).boundary_points(rect, level)
-            assert len(plain) < len(pts)
-            assert len(pts) <= zeros._contour_size(rect.width, rect.height, level,
-                                                   len(fn.poles))
+        pts = _Walker(fn, DEFAULT_CONTOUR).boundary_points(rect)
+        plain = _Walker(None, DEFAULT_CONTOUR).boundary_points(rect)
+        assert pts.tobytes() == plain.tobytes()
+        assert len(pts) == zeros._contour_size(rect.width, rect.height)
+        refined = _certified_winding(_Walker(fn, DEFAULT_CONTOUR), rect)[1][0]
+        assert np.isin(pts, refined).all()
+        assert np.flatnonzero(np.isin(refined, pts)).tolist() == \
+            sorted(np.flatnonzero(np.isin(refined, pts)).tolist())
 
 
 def test_contour_config_rejects_nonpositive_tolerances():
@@ -534,14 +449,14 @@ def test_contour_config_rejects_nonpositive_tolerances():
 
 
 def test_eval_batch_split_invariance():
-    # The distinct contour samples of the c12 root rectangle at all four
-    # sampling levels: a value must not depend on the order or grouping of
-    # the batch it is evaluated in.
+    # The distinct samples of the c12 root rectangle's certified contour,
+    # bisection midpoints included: a value must not depend on the order or
+    # grouping of the batch it is evaluated in.
     e = parse_expr("zeta(s)^2-zeta(2*s)")
     rect = Rectangle(0.55, 2.0, 1e-3, 100.0)
-    walker = _Walker(None, DEFAULT_CONTOUR)
-    zs = np.array(list(dict.fromkeys(
-        z for k in range(4) for z in walker.boundary_points(rect, k))))
+    walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
+    zs = _certified_winding(walker, rect)[1][0][:-1]
+    assert len(zs) == len(set(zs.tolist())) > zeros._contour_size(rect.width, rect.height)
     values, errs = eval_batch(e, zs)
     rev_values, rev_errs = eval_batch(e, zs[::-1])
     assert rev_values[::-1].tobytes() == values.tobytes()
@@ -553,22 +468,28 @@ def test_eval_batch_split_invariance():
 
 
 def test_split_cell_hands_children_their_samples():
-    # Each child gets its contour samples, values and bisected increments,
-    # equal to a fresh evaluation and bisection of its contour.
+    # Each child gets its contour samples, values, errors and increments:
+    # its corners in contour order, the cuts' certified nodes and, elsewhere,
+    # the parent's nodes on its sides.  Values and errors equal a fresh
+    # evaluation, and the increments a fresh computation from them.
     fn = expression_fn(parse_expr("zeta(s)^2-zeta(2*s)"), DEFAULT_CONFIG)
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(fn, DEFAULT_CONTOUR)
-    w = _winding(walker, rect)
-    kids = _split_cell(walker, rect, w)
+    w, contour = _certified_winding(walker, rect)
+    kids = _split_cell(walker, rect, w, contour)
     assert len(kids) == w + 1
-    for child, w, (pts, vals, dphi) in kids:
-        fresh = _Walker(fn, DEFAULT_CONTOUR)
-        fresh_pts, fresh_vals = fresh.boundary(child)
-        assert pts.tobytes() == fresh_pts.tobytes()
+    parent = set(contour[0].tolist())
+    for child, w, (pts, vals, errs, dphi) in kids:
+        fresh_vals, fresh_errs = fn.batch(pts)
         assert vals.tobytes() == fresh_vals.tobytes()
-        assert dphi.tobytes() == fresh.increments(fresh_pts, fresh_vals).tobytes()
+        assert errs.tobytes() == fresh_errs.tobytes()
+        assert dphi.tobytes() == walker.increments(pts, vals).tobytes()
         assert zeros._turns(dphi) == w
-        assert _boundary_scale(vals) == _boundary_scale(fresh_vals)
+        corners = [pts.tolist().index(c) for c in child.corners()]
+        assert corners == sorted(corners) and pts[0] == pts[-1] == child.corners()[0]
+        assert all(child.boundary_distance(z) == 0.0 for z in pts.tolist())
+        off_cuts = (pts.imag != child.t_lo) & (pts.imag != child.t_hi)
+        assert set(pts[off_cuts].tolist()) <= parent
         # The median is the element that sorting the magnitudes puts there.
         mags = sorted(abs(v) for v in vals.tolist()[:-1])
         assert _boundary_scale(vals) == mags[len(mags) // 2]
@@ -578,24 +499,29 @@ def test_split_samples_children_in_one_batch_on_shared_edges(monkeypatch):
     e = parse_expr("zeta(s)^2-zeta(2*s)")
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(expression_fn(e, DEFAULT_CONFIG), DEFAULT_CONTOUR)
-    w = _winding(walker, rect)
-    known = set(walker.zs.tolist())
+    w, contour = _certified_winding(walker, rect)
+    known = set(contour[0].tolist())
     batches = []
     monkeypatch.setattr(zeros, "eval_batch",
-                        lambda e, zs, cfg: batches.append(len(zs)) or eval_batch(e, zs, cfg))
-    split = _split_cell(walker, rect, w)
+                        lambda e, zs, cfg: batches.append(zs.tolist()) or eval_batch(e, zs, cfg))
+    split = _split_cell(walker, rect, w, contour)
     kids = [child for child, _, _ in split]
-    measured = {child: dict(zip(pts, vals)) for child, _, (pts, vals, _) in split}
+    measured = {child: dict(zip(pts.tolist(), vals.tolist()))
+                for child, _, (pts, vals, _, _) in split}
     # The cell is taller than wide: w + 1 strips stacked in t, cut across
     # the whole width.
     assert len(kids) == w + 1 >= 3
     assert all((k.sigma_lo, k.sigma_hi) == (rect.sigma_lo, rect.sigma_hi) for k in kids)
     assert [k.t_lo for k in kids[1:]] == [k.t_hi for k in kids[:-1]]
-    # The bottom and top edges are the parent's, whose samples the walker
-    # knows; every other strip point is evaluated once, in one batch.
-    ends = {z for z in known if z.imag in (rect.t_lo, rect.t_hi)}
-    assert set().union(*measured.values()) & known == ends
-    assert batches == [len(set().union(*measured.values()) - known)]
+    # Only the cuts are evaluated: their uniform points in the first batch,
+    # then their bisection midpoints, each once; the strips take the rest of
+    # their nodes from the parent's contour.
+    cut_points = [z for k in kids[1:] for z in zeros._edge(complex(rect.sigma_lo, k.t_lo),
+                                                             complex(rect.sigma_hi, k.t_lo)).tolist()]
+    assert batches[0] == cut_points
+    batched = [z for b in batches for z in b]
+    assert len(batched) == len(set(batched))
+    assert set().union(*measured.values()) - known == set(batched)
     # Neighbouring strips share their cut: both hold the same points and
     # values there.
     for a, b in zip(kids, kids[1:]):
@@ -625,12 +551,23 @@ def test_start_point_falls_back_to_centre():
     # Increments summing to 4pi (a double zero) or to 0 (no zero inside).
     for vals in ([(z - 0.3) ** 2 for z in pts], [z - 5.0 for z in pts]):
         assert _start_point(rect, pts, vals, _principal(vals)) == rect.center
-    # Winding 1 from two zeros and a pole inside: the moment a + b - c lies
-    # outside the rectangle.
+
+
+def test_start_point_projects_an_estimate_outside_the_cell():
+    # Winding 1 from two zeros and a pole inside: the moment a + b - c =
+    # 4.3+2.8i lies outside the rectangle, and is projected onto its nearest
+    # point, the upper-right corner, instead of falling back to the centre.
+    rect = Rectangle(-1.0, 2.0, -0.5, 1.5)
+    pts = _Walker(None, DEFAULT_CONTOUR).boundary_points(rect)
     a, b, c = 1.8 + 1.3j, 1.7 + 1.2j, -0.8 - 0.3j
-    assert not rect.contains(a + b - c)
     vals = [(z - a) * (z - b) / (z - c) for z in pts]
-    assert _start_point(rect, pts, vals, _principal(vals)) == rect.center
+    assert _start_point(rect, pts, vals, _principal(vals)) == 2.0 + 1.5j
+    # The moment of two zeros and a pole inside, -0.95 + 1.0 - 1.1 + 0.5i,
+    # lies just left of the cell: the start point moves onto its left edge.
+    a, b, c = -0.95 + 0.5j, 1.0 + 0.2j, 1.1 + 0.2j
+    vals = [(z - a) * (z - b) / (z - c) for z in pts]
+    start = _start_point(rect, pts, vals, _principal(vals))
+    assert start.real == rect.sigma_lo and abs(start - (-1.0 + 0.5j)) < 1e-2
 
 
 def _count_evaluations(monkeypatch):
@@ -652,8 +589,11 @@ def _count_evaluations(monkeypatch):
 
 def test_c12_evaluation_counts(monkeypatch):
     # Deterministic work counts of the c12 localisation, so that a lost saving
-    # shows without timing.  Measured: 6,044 batched points and 108 scalar
-    # evaluations (172 scalar while Newton took a central-difference
+    # shows without timing.  Measured: 2,896 batched points and 79 scalar
+    # evaluations with certified windings, splits that sample only their cuts
+    # and start points projected onto the cell (6,044 and 108 while two
+    # sampling levels had to agree and strips sampled their sides afresh;
+    # 172 scalar while Newton took a central-difference
     # derivative, three evaluations a step; 8,869 and 276 while the uniform samples aliased the phase
     # on the bottom edge, 1e-3 above the pole at s = 1, so the root winding
     # and its split were accepted only at level 1; 13,425 and 397 while a split quadrisected its cell, which
@@ -668,21 +608,20 @@ def test_c12_evaluation_counts(monkeypatch):
     counts = _count_evaluations(monkeypatch)
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), Rectangle(0.55, 2.0, 1e-3, 100.0))
     assert len(res.records) == 13 and not res.unresolved
-    assert counts == {"batched": 6_044, "scalar": 108}
+    assert counts == {"batched": 2_896, "scalar": 79}
 
 
 def test_c11_evaluation_counts(monkeypatch):
-    # The c11 critical-line check: 3,939 batched points and 52 scalar
-    # evaluations (96 scalar while Newton took a central-difference
-    # derivative, 3,917 and 102 before the graded samples, 9,938 and 145
-    # while a split quadrisected its cell).  The batched count is 22 higher
-    # than without graded samples: the simple pole at s = 1/2 sits 1e-3
-    # below the window and adds graded points to its bottom edges, although
-    # it never aliased the phase there.
+    # The c11 critical-line check: 1,757 batched points and 55 scalar
+    # evaluations with certified windings (3,939 and 52 with graded samples
+    # beside the pole at s = 1/2 and two agreeing sampling levels; 96 scalar
+    # while Newton took a central-difference derivative, 3,917 and 102
+    # before the graded samples, 9,938 and 145 while a split quadrisected its
+    # cell).
     counts = _count_evaluations(monkeypatch)
     rep = critical_line_check(parse_expr("xi(s+1/2)-xi(s-1/2)"), 50.0, 1e-6)
     assert len(rep.records) == 9 and rep.passed
-    assert counts == {"batched": 3_939, "scalar": 52}
+    assert counts == {"batched": 1_757, "scalar": 55}
 
 
 def test_window_below_a_triple_pole_is_never_complete_without_its_zero():
@@ -692,7 +631,9 @@ def test_window_below_a_triple_pole_is_never_complete_without_its_zero():
     # samples of the root winding to 15, one short, at levels 0 and 1: a
     # quadrisecting split then reported 15 zeros without this one and called
     # the window complete, and a strip split reported its bottom strip
-    # unresolved.  The graded samples beside the pole give the window's 16.
+    # unresolved.  Graded samples beside the pole gave the window's 16; the
+    # certified winding of G = F * (s - 1)^3 * (s - 1/3) gives them with
+    # uniform samples.
     z0 = 0.80491628230602 + 23.12524293569138j
     res = localize_zeros(parse_expr("zeta(s)^3-2*zeta(3*s)"), Rectangle(0.55, 2.5, 1e-3, 100.0))
     assert res.complete and len(res.records) == 16
@@ -701,10 +642,11 @@ def test_window_below_a_triple_pole_is_never_complete_without_its_zero():
 
 def test_one_zero_window_evaluates_each_point_once(monkeypatch):
     # A rectangle of winding 1 is resolved from the contour its winding was
-    # accepted from (level 0 here), so its contour is neither evaluated nor
-    # bisected again, and Newton from that contour's start point finds the
-    # zero in the rectangle itself: 760 batched points and 13 scalar
-    # evaluations.  19 scalar while Newton took a central-difference
+    # certified on, so its contour is neither evaluated nor bisected again,
+    # and Newton from that contour's start point finds the zero in the
+    # rectangle itself: 595 batched points and 8 scalar evaluations.  760
+    # and 13 while two sampling levels had to agree; 19 scalar while Newton
+    # took a central-difference
     # derivative; 1,472 batched and 57 scalar while the phase aliased beside
     # the pole at s = 1 at level 0, so the winding was accepted at level 1;
     # 68 scalar evaluations while phase bisection evaluated a midpoint again
@@ -720,8 +662,8 @@ def test_one_zero_window_evaluates_each_point_once(monkeypatch):
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), rect)
     assert len(res.records) == 1 and not res.unresolved
     assert res.records[0].rect == rect
-    assert len(batched) == len(set(batched)) == 760
-    assert len(scalar) == 13
+    assert len(batched) == len(set(batched)) == 595
+    assert len(scalar) == 8
 
 
 def _poly_walker(*roots):
@@ -769,51 +711,29 @@ def test_newton_gives_up_on_a_zero_slope_or_a_step_out_of_the_expanded_cell():
 
 
 def test_start_point_from_bisected_increments():
-    # A zero 0.004 above the bottom edge, midway between two samples, times a
-    # phase ramp exp(64iz): that segment's increment exceeds pi, so the
-    # principal increments sum to 0, while wind's bisected ones resolve it.
+    # A zero 0.004 above the bottom edge, midway between two of 16 samples
+    # per unit, times a phase ramp exp(16iz): that segment's increment
+    # exceeds pi, so the principal increments sum to 0, while the certified
+    # ones resolve it.  |(z - z0) exp(16iz)| is at most the largest |z - z0|
+    # times exp(-16 t_lo) on a box.
     rect = Rectangle(0.0, 1.0, 0.0, 1.0)
-    z0 = complex(20.5 / 64, 0.004)
-    walker = _Walker(lambda z: (z - z0) * cmath.exp(64j * z), DEFAULT_CONTOUR)
-    pts = walker.boundary_points(rect)
-    vals = [walker.fn(z) for z in pts]
+    z0 = complex(5.5 / 16, 0.004)
+    fn = lambda z: (z - z0) * cmath.exp(16j * z)
+    fn.batch = lambda zs: ([fn(z) for z in zs], [0.0] * len(zs))
+    fn.bound = lambda sl, sh, tl, th: _far(sl, sh, tl, th, z0) * np.exp(-16.0 * tl)
+    walker = _Walker(fn, DEFAULT_CONTOUR)
+    with mock.patch.object(zeros, "_SAMPLES_PER_UNIT", 16.0):
+        pts = walker.boundary_points(rect)
+    vals, errs = walker.sample(pts)
     assert _start_point(rect, pts, vals, _principal(vals)) == rect.center
-    start = _start_point(rect, pts, vals, walker.increments(pts, vals))
+    _, (pts, vals, _, dphi) = walker.wind(pts, vals, errs)
+    start = _start_point(rect, pts, vals, dphi)
     assert rect.contains(start) and abs(start - z0) < 1e-3
 
 
-def test_stable_winding_evaluates_each_distinct_point_once(monkeypatch):
-    # The c12 root contour: the walker keeps the values of the levels below,
-    # so the levels together evaluate only their distinct points, and the
-    # winding equals that of fresh walkers at every level.  The contour
-    # returned is the one at the accepted level, here level 0 (2,112 points
-    # while the bottom edge's phase aliased at level 0, beside the pole at
-    # s = 1, and the winding was accepted at level 1).
-    e = parse_expr("zeta(s)^2-zeta(2*s)")
-    rect = Rectangle(0.55, 2.0, 1e-3, 100.0)
-    fn = expression_fn(e, DEFAULT_CONFIG)
-    batched = []
-    monkeypatch.setattr(zeros, "eval_batch",
-                        lambda e, zs, cfg: batched.extend(zs) or eval_batch(e, zs, cfg))
-    walker = _Walker(fn, DEFAULT_CONTOUR)
-    w, level, (pts, vals, dphi) = _stable_winding(walker, rect)
-    distinct = set().union(*(walker.boundary_points(rect, k) for k in range(level + 2)))
-    assert level == 0
-    assert len(batched) == len(distinct) == 1_880
-    assert set(walker.zs.tolist()) == distinct
-    assert [_winding(_Walker(fn, DEFAULT_CONTOUR), rect, k)
-            for k in range(level + 2)][-2:] == [w, w]
-    fresh = _Walker(fn, DEFAULT_CONTOUR)
-    fresh_pts, fresh_vals = fresh.boundary(rect, level)
-    assert pts.tobytes() == fresh_pts.tobytes() and vals.tobytes() == fresh_vals.tobytes()
-    assert dphi.tobytes() == fresh.increments(fresh_pts, fresh_vals, level).tobytes()
-    assert zeros._turns(dphi) == w
-
-
 def _linear_fn(z0):
-    fn = lambda z: z - z0
-    fn.batch = lambda zs: [z - z0 for z in zs]
-    return fn
+    """F = z - z0, bounded on a box by its largest distance from z0."""
+    return _poly_fn(z0)
 
 
 def test_split_near_zero_hit_moves_the_split_point():
@@ -822,75 +742,50 @@ def test_split_near_zero_hit_moves_the_split_point():
     # contours pass through the zero, so the cut moves by one jitter step.
     rect = Rectangle(0.0, 1.0, 0.0, 1.0)
     cut = zeros._SPLIT_FRAC / 2
-    kids = _split_cell(_Walker(_linear_fn(complex(0.5, cut)), DEFAULT_CONTOUR), rect, 1)
+    walker = _Walker(_linear_fn(complex(0.5, cut)), DEFAULT_CONTOUR)
+    kids = _split_cell(walker, rect, 1, _certified_winding(walker, rect)[1])
     assert [k.t_hi for k, _, _ in kids] == [cut + zeros._JITTER, rect.t_hi]
     assert [w for _, w, _ in kids] == [1, 0]
 
 
-def test_split_conservation_failure_densifies_at_once():
-    # A parent winding of 2 that the three strips (one zero) cannot conserve:
-    # the round ends after one attempt, and the next re-measures the parent
-    # at the denser level and splits at the same cuts without jitter.
-    rect = Rectangle(0.0, 1.0, 0.0, 1.0)
-    fn = _linear_fn(0.3 + 0.3j)
-    batches = []
-    batch = fn.batch
-    fn.batch = lambda zs: batches.append(len(zs)) or batch(zs)
-    walker = _Walker(fn, DEFAULT_CONTOUR)
-    dead = weakref.ref(walker)
-    gc.disable()
-    try:
-        kids = _split_cell(walker, rect, 2)
-        del walker
-        # The caught conservation failure keeps no reference to the split's
-        # frame, so the walker and its contours go without a gc pass.
-        assert dead() is None
-    finally:
-        gc.enable()
-    assert len(batches) == 3        # strips, then parent and strips denser
-    frac = zeros._SPLIT_FRAC
-    assert [k.t_hi for k, _, _ in kids] == [frac / 3, (1 + frac) / 3, rect.t_hi]
-    assert [w for _, w, _ in kids] == [0, 1, 0]
-
-
 def test_resolve_cell_takes_the_split_increments(monkeypatch):
-    # Two zeros in different strips: the split bisects the three strip
-    # contours once, and each winding-1 strip starts Newton from the handed
-    # increments instead of bisecting its contour again.
+    # Two zeros in different strips: the split certifies its cuts once and
+    # takes the three strips' increments, and each winding-1 strip starts
+    # Newton from the handed increments instead of certifying its contour
+    # again.
     z1, z2 = 0.3 + 0.3j, 0.8 + 0.8j
-    fn = lambda z: (z - z1) * (z - z2)
-    fn.batch = lambda zs: [fn(z) for z in zs]
+    fn = _poly_fn(z1, z2)
     rect = Rectangle(0.0, 1.0, 0.0, 1.0)
-    walker = _Walker(fn, DEFAULT_CONTOUR)
-    w, level, contour = _stable_winding(walker, rect)
+    w, contour = _certified_winding(_Walker(fn, DEFAULT_CONTOUR), rect)
     assert w == 2
     calls = []
-    increments = _Walker.increments
-    monkeypatch.setattr(_Walker, "increments",
-                        lambda self, *args: calls.append(args[0]) or increments(self, *args))
-    records, unresolved = zeros._resolve_cell(fn, rect, w, contour, DEFAULT_CONTOUR, level)
+    for name in ("increments", "certify"):
+        method = getattr(_Walker, name)
+        monkeypatch.setattr(_Walker, name, lambda self, *args, name=name, method=method:
+                            calls.append(name) or method(self, *args))
+    records, unresolved = zeros._resolve_cell(fn, rect, w, contour, DEFAULT_CONTOUR)
     assert not unresolved
     assert sorted(abs(r.location.z - z1) < 1e-12 for r in records) == [False, True]
-    assert len(calls) == 3
+    assert calls == ["certify"] + ["increments"] * 3
 
 
 def test_split_counts_against_the_cell_budget(monkeypatch):
     fn = expression_fn(parse_expr("zeta(s)^2-zeta(2*s)"), DEFAULT_CONFIG)
     rect = Rectangle(0.55, 2.0, 30.0, 60.0)
     walker = _Walker(fn, DEFAULT_CONTOUR)
-    pts, vals = walker.boundary(rect)
-    contour = pts, vals, walker.increments(pts, vals)
-    w = zeros._turns(contour[2])
-    before, known = walker.evals, set(walker.zs.tolist())
-    split = _split_cell(walker, rect, w)
+    w, contour = _certified_winding(walker, rect)
+    before, known = walker.evals, set(contour[0].tolist())
+    # The cell's hull, as _resolve_cell splits it.
+    hulls = ((rect, 3.0 * float(np.max(np.abs(contour[1] * walker._regular(contour[0]))))),)
+    split = _split_cell(walker, rect, w, contour, hulls)
     split_evals = walker.evals - before
-    assert split_evals >= len(set().union(*(pts for _, _, (pts, _, _) in split)) - known)
+    assert split_evals == len(set().union(*(pts.tolist() for _, _, (pts, *_) in split)) - known)
     # The split alone fits this budget, but not on top of the cell's contour.
     monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", walker.evals - 1)
     walker = _Walker(fn, DEFAULT_CONTOUR)
     _winding(walker, rect)
     with pytest.raises(DepthExceeded, match="budget"):
-        _split_cell(walker, rect, w)
+        _split_cell(walker, rect, w, contour, hulls)
     # A cell whose split exhausts the budget is reported, with the reason.
     monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", split_evals - 1)
     records, unresolved = zeros._resolve_cell(fn, rect, w, contour, DEFAULT_CONTOUR)
@@ -907,9 +802,9 @@ def test_density_scan_gives_up_after_the_jitter_retries(monkeypatch):
     # Each attempt shifts the scan outward by one more jitter and fails on
     # its first tile; after the last the scan is reported incomplete.
     calls = []
-    stable = zeros._stable_winding
-    monkeypatch.setattr(zeros, "_stable_winding",
-                        lambda walker, rect: calls.append(rect) or stable(walker, rect))
+    certified = zeros._certified_winding
+    monkeypatch.setattr(zeros, "_certified_winding",
+                        lambda walker, rect, *rest: calls.append(rect) or certified(walker, rect, *rest))
     scan = density_scan(ZERO, 0.6, (10.0, 60.0))
     assert scan.counts == (0, 0) and not scan.complete
     assert len(calls) == zeros._JITTER_RETRIES + 1 == 9
@@ -929,61 +824,110 @@ def test_localize_raises_the_last_near_zero_hit():
 
 def test_split_gives_up_when_every_split_point_is_a_zero():
     # Nine roots, one on a sample of each of the nine jittered positions of
-    # the lowest of the ten strips' cuts: every attempt of each of the three
-    # rounds hits one on a strip contour, and the cell is reported with the
-    # last hit.
+    # the lowest of the ten strips' cuts: every attempt hits one on a cut,
+    # and the cell is reported with the last hit.
     c = zeros._SPLIT_FRAC
     roots = [complex(0.5, c / 10 + 1e-7 * k) for k in range(9)]
-    fn = lambda z: math.prod(z - r for r in roots)
+    fn = _poly_fn(*roots)
     batches = []
-    fn.batch = lambda zs: batches.append(len(zs)) or [fn(z) for z in zs]
+    batch = fn.batch
+    fn.batch = lambda zs: batches.append(len(zs)) or batch(zs)
     rect = Rectangle(0.0, 1.0, 0.0, 1.0)
-    walker = _Walker(fn, DEFAULT_CONTOUR)
-    pts, vals = walker.boundary(rect)
-    contour = pts, vals, walker.increments(pts, vals)
-    assert zeros._turns(contour[2]) == 9
+    w, contour = _certified_winding(_Walker(fn, DEFAULT_CONTOUR), rect)
+    assert w == 9
     batches.clear()
     records, unresolved = zeros._resolve_cell(fn, rect, 9, contour, DEFAULT_CONTOUR)
     assert not records
     assert [(u.rect, u.winding) for u in unresolved] == [(rect, 9)]
     assert unresolved[0].reason == "NearZeroOnContour: |F|=0 at 0.5+0.061804199j"
-    # Nine attempts in the first round; a re-measure and nine attempts in
-    # each of the other two.
-    assert len(batches) == 29
-
-
-def test_stable_winding_raises_when_no_two_levels_agree(monkeypatch):
-    turns = iter(range(4))
-    monkeypatch.setattr(zeros, "_turns", lambda dphi: next(turns))
-    walker = _Walker(expression_fn(ZETA, DEFAULT_CONFIG), DEFAULT_CONTOUR)
-    with pytest.raises(zeros.ContourError, match="did not stabilize"):
-        _stable_winding(walker, Rectangle(2.0, 3.0, 1.0, 2.0))
-
-
-def test_split_gives_up_when_the_re_measure_fails(monkeypatch):
-    # The children (one zero) cannot conserve a parent winding of 2, and the
-    # denser re-measures of the parent exceed the cell's budget: each ends
-    # its round, and the split gives up with the budget failure after one
-    # batch, the first round's children.
-    monkeypatch.setattr(zeros, "_CELL_EVAL_BUDGET", 1_000)
-    fn = _linear_fn(0.3 + 0.3j)
-    batches = []
-    batch = fn.batch
-    fn.batch = lambda zs: batches.append(len(zs)) or batch(zs)
-    with pytest.raises(DepthExceeded, match="per-cell evaluation budget exhausted"):
-        _split_cell(_Walker(fn, DEFAULT_CONTOUR), Rectangle(0.0, 1.0, 0.0, 1.0), 2)
-    assert len(batches) == 1
+    # One batch of cut samples per attempt, nine attempts; the near-zero
+    # check runs before any cut is certified.  (29 while a conservation
+    # failure re-measured the parent at two denser levels.)
+    assert len(batches) == 9
 
 
 def test_split_point_outside_a_one_ulp_wide_cell():
     # A cell one ulp wide and less tall is cut across sigma; its cut rounds
-    # onto its left edge, so no round can split it; the two re-measures
-    # still run.
+    # onto its left edge, so it cannot be split, and nothing is evaluated.
+    # (Two batches while a conservation failure re-measured the parent.)
     fn = _linear_fn(-5.0)
-    batches = []
-    batch = fn.batch
-    fn.batch = lambda zs: batches.append(len(zs)) or batch(zs)
     rect = Rectangle(1.0, math.nextafter(1.0, 2.0), 0.0, 1e-16)
+    walker = _Walker(fn, DEFAULT_CONTOUR)
+    contour = _certified_winding(walker, rect)[1]
+    before = walker.evals
     with pytest.raises(zeros.ContourError, match="^split point exhausted the cell$"):
-        _split_cell(_Walker(fn, DEFAULT_CONTOUR), rect, 1)
-    assert len(batches) == 2
+        _split_cell(walker, rect, 1, contour)
+    assert walker.evals == before
+
+
+@pytest.mark.parametrize("text, sigma0", [
+    ("zeta(s)^3", 0.51), ("zeta(s)^2", 0.501), ("zeta(s)^2", 0.5001),
+    ("zeta(s)*zeta(s+1/10000)", 0.501),
+])
+def test_density_scan_beside_the_critical_line_counts_no_zero(text, sigma0):
+    # Every zero of these lies on Re s = 1/2 or just left of it, so none is
+    # in (sigma0, 2) x (1e-3, 30].  Two agreeing sampling levels counted 3
+    # here: a 30-unit edge passing k zeros closely turns the phase by about
+    # k*pi, and both levels aliased alike.
+    scan = density_scan(parse_expr(text), sigma0, (30.0,))
+    assert scan.counts == (0,) and scan.complete
+
+
+def test_double_zeros_beside_an_edge_keep_their_multiplicity():
+    # zeta(s)^2 on [0.499, 2] x [1e-3, 30]: three double zeros 1e-3 inside
+    # the left edge, winding 6.  Two agreeing sampling levels gave winding 3
+    # and three zeros of multiplicity 1, complete.
+    e, rect = parse_expr("zeta(s)^2"), Rectangle(0.499, 2.0, 1e-3, 30.0)
+    assert winding_number(e, rect) == 6
+    res = localize_zeros(e, rect)
+    if res.complete:
+        assert [r.winding_mult for r in res.records] == [2, 2, 2]
+        assert all(abs(r.location.z - _zeta_zero(n)) < 1e-8
+                   for n, r in enumerate(res.records, start=1))
+    else:
+        assert all(r.winding_mult == 2 for r in res.records)
+
+
+@lru_cache(maxsize=None)
+def _zeta_zero(n: int) -> complex:
+    return complex(mpmath.zetazero(n))
+
+
+@settings(derandomize=True, max_examples=24, deadline=None)
+@given(n=st.integers(1, 10), k=st.integers(1, 3), pair=st.booleans(),
+       log_d=st.floats(-6.0, -1.0), side=st.sampled_from((-1.0, 1.0)), vertical=st.booleans())
+# Two sampling levels gave one zero of multiplicity 1 here, and two of four.
+@example(n=5, k=2, pair=False, log_d=-4.0, side=-1.0, vertical=True)
+@example(n=9, k=1, pair=True, log_d=-3.0, side=-1.0, vertical=True)
+def test_planted_zero_beside_an_edge_is_found_with_its_multiplicity(n, k, pair, log_d, side,
+                                                                    vertical):
+    # An edge 1e-6 <= d <= 0.1 from the n-th zero rho of zeta, on either side
+    # of it: the left edge at Re s = 1/2 + side*d, or the bottom edge at
+    # Im s = Im rho + side*d (d >= 1e-3 for zeta(s)^3), of a window 4.5 high
+    # or 0.8 wide, whose edges two sampling levels sampled coarsely enough to
+    # alias.  F is zeta(s)^k, or zeta(s)*zeta(s+1/10000), whose zeros are
+    # those of zeta and the same less 1/10000.  A complete result holds
+    # exactly the zeros inside, with their multiplicities.  Otherwise a cell
+    # is unresolved, or the scan stops at the near-zero hit or the depth it
+    # could not certify; a zero it reports is still a true one.
+    if k == 3 and not pair:
+        log_d = -3.0 + (log_d + 6.0) * 0.4
+    d, rho = 10.0 ** log_d, _zeta_zero(n)
+    rect = (Rectangle(0.5 + side * d, 1.5, rho.imag - 0.5, rho.imag + 4.0) if vertical
+            else Rectangle(0.1, 0.9, rho.imag + side * d, rho.imag + 4.0))
+    zeros_of_zeta = [_zeta_zero(m) for m in range(1, 13)]      # Im up to 56.4
+    planted = ([(z - shift, 1) for z in zeros_of_zeta for shift in (0.0, 1e-4)] if pair
+               else [(z, k) for z in zeros_of_zeta])
+    text = "zeta(s)*zeta(s+1/10000)" if pair else f"zeta(s)^{k}"
+    # A zero within the jitter retries' reach of the edge is on it, to the
+    # scan: either answer is right.
+    assume(all(rect.boundary_distance(z) > 1e-6 for z, _ in planted))
+    inside = [(z, m) for z, m in planted if rect.strictly_contains(z)]
+    try:
+        res = localize_zeros(parse_expr(text), rect)
+    except (NearZeroOnContour, DepthExceeded):
+        return
+    for r in res.records:
+        assert any(abs(r.location.z - z) < 1e-8 and r.winding_mult == m for z, m in inside)
+    if res.complete:
+        assert len(res.records) == len(inside)
