@@ -19,7 +19,7 @@ from . import __version__
 from .config import EvalConfig, DEFAULT_CONFIG
 from .errors import ArityError, ExprSyntaxError, UnknownFamily, ZetaError
 from .families import linear_form_eval, linear_form_from_config
-from .expr import parse_expr, to_text
+from .expr import eval_expr, parse_expr, pole_set, to_text
 from .verify import run_suite
 from .zeros import (
     ContourConfig,
@@ -130,7 +130,6 @@ def cmd_eval(args) -> int:
             return USAGE_ERROR
         expr_text = f"<config:{args.config}>"
     else:
-        from .expr import eval_expr
         expr = parse_expr(args.expr)
         expr_text = to_text(expr)
         for s in args.at:
@@ -154,8 +153,6 @@ def _clear_real_poles(expr, rect: Rectangle, clear: float = 1e-3) -> Rectangle:
     Every implemented atom has only real poles, so nudging t_lo above the axis
     is the whole pre-split story for upper-half-plane rectangles.
     """
-    from .expr import pole_set
-
     adjusted = rect
     for cand in pole_set(expr):
         p = cand.location
@@ -211,9 +208,8 @@ def cmd_zeros(args) -> int:
 
 def cmd_density(args) -> int:
     cfg = _eval_config(args)
-    cc = _contour_config(args)
     expr = parse_expr(args.expr)
-    scan = density_scan(expr, args.sigma0, args.T, cc, cfg,
+    scan = density_scan(expr, args.sigma0, args.T, cfg,
                         sigma_cap=args.sigma_cap, threads=args.threads)
     man = _manifest(args, "density", {
         "expression": to_text(expr),

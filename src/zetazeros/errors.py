@@ -30,7 +30,8 @@ class OutOfRange(ZetaError):
 
 
 class NearZeroOnContour(ZetaError):
-    """|F| dropped below the near-zero threshold at a boundary sample.
+    """A contour meets a zero as far as the error bounds tell: a sample's |F|
+    is within its abs_err, or a segment stays uncertified at the bisection cap.
 
     Callers retry with a deterministic outward jitter.
     """
@@ -41,7 +42,7 @@ class NearZeroOnContour(ZetaError):
 
 
 class DepthExceeded(ZetaError):
-    """Adaptive refinement hit its depth or evaluation cap."""
+    """A cell or a scan exhausted its evaluation budget."""
 
 
 class ContourError(ZetaError):

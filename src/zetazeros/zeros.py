@@ -25,15 +25,14 @@ alone would need segments shorter than rounding allows.
 Every edge gets uniform samples _SAMPLES_PER_UNIT apart (at least its two
 corners), evaluated in one batch; the segments that fail the test are
 bisected breadth-first, one eval_batch per depth over every failing segment
-of the decision, and a segment still failing at _MAX_DEPTH raises
-DepthExceeded, which leaves its cell unresolved.  A cell's certified contour
-(samples, values, errors and increments) goes with it: zero localization
-cuts a cell of winding w into w + 1 strips across its longer side, samples
-and certifies only the cuts, and hands each strip the parent's nodes on its
-sides, cut at the strip's ends, until each cell holds winding 1.  Strip
-windings must conserve the parent's; only a fault can break that, so a
-failure leaves the cell unresolved.  A density scan hands each tile's
-certified top edge to the tile above as its bottom edge.
+of the decision.  A cell's certified contour (samples, values, errors and
+increments) goes with it: zero localization cuts a cell of winding w into
+w + 1 strips across its longer side, samples and certifies only the cuts,
+and hands each strip the parent's nodes on its sides, cut at the strip's
+ends, until each cell holds winding 1.  Strip windings must conserve the
+parent's; only a fault can break that, so a failure leaves the cell
+unresolved.  A density scan hands each tile's certified top edge to the
+tile above as its bottom edge.
 
 Each winding-1 cell is polished with Newton's method, whose slope at each
 step is the secant through its last two iterates, so that a step costs one
@@ -50,19 +49,24 @@ points than that budget is refused before its points are made; a density
 scan is refused before its first tile when its tiles' contours together
 hold more points than that budget.
 
-A near-zero sample is retried by one rule, _jittered: attempt k of at most
-_JITTER_RETRIES + 1 pushes the scanned rectangle or the density scan outward
-by k * _JITTER, or moves a split's cuts by k jitters, and the last attempt's
-hit is raised.  The near-zero threshold is 10 * zero_tol, scaled down by the
-magnitude of the neighbouring samples when those sit below 1, so that
-exponentially small functions (completed-zeta combinations at height t)
-remain scannable.
+A contour meets a zero when the error bounds cannot tell its values from
+0, and the certifier says so by one of two rules, each raising
+NearZeroOnContour: a node (a sample or a bisection midpoint) whose |F| is
+at most its abs_err, the first in polyline order, since no segment from it
+can pass; or a segment still failing at _MAX_DEPTH, named by its end of
+smaller |F|, since at that length (2^-40 of a sample spacing) a failing
+chord lies, as far as the bounds tell, within its end errors of 0.  Either
+hit is retried by one rule, _jittered: attempt k of at most
+_JITTER_RETRIES + 1 pushes the scanned rectangle or the density scan
+outward by k * _JITTER, or moves a split's cuts by k jitters, and the last
+attempt's hit is raised.  DepthExceeded means only an exhausted evaluation
+budget.
 
 The engine's settings are the module constants below (_SAMPLES_PER_UNIT,
 _RHO, _MAX_DEPTH, _MIN_CELL, _JITTER and the budgets); a caller sets only
-ContourConfig.zero_tol.  Scans run in the calling thread.  The ``threads``
-keyword of the scan functions is accepted for compatibility and has no
-effect.
+ContourConfig.zero_tol, Newton's residual tolerance.  Scans run in the
+calling thread.  The ``threads`` keyword of the scan functions is accepted
+for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -155,8 +159,8 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class ContourConfig:
-    """The zero residual tolerance, which also sets the near-zero threshold
-    (CLI --zero-tol); the engine's other settings are module constants."""
+    """The residual tolerance of Newton's method (CLI --zero-tol); the
+    engine's other settings are module constants."""
 
     zero_tol: float = 1e-8
 
@@ -262,8 +266,8 @@ class _Walker:
     budget.
     """
 
-    def __init__(self, fn, cc: ContourConfig):
-        self.fn, self.cc, self.evals = fn, cc, 0
+    def __init__(self, fn):
+        self.fn, self.evals = fn, 0
         self.poles = getattr(fn, "poles", {})
 
     def _count(self, n: int) -> None:
@@ -290,24 +294,6 @@ class _Walker:
         c = rect.corners()
         return np.concatenate([_edge(c[0], c[1])[:-1], _edge(c[1], c[2])[:-1],
                                _edge(c[3], c[2])[:0:-1], _edge(c[0], c[3])[:0:-1], c[:1]])
-
-    def _near_zero_floor(self, neighbour_mag):
-        # Relative to the local magnitude so that exponentially small but
-        # smooth stretches of |F| (completed-zeta combinations) do not trip.
-        # neighbour_mag may be a float or an array.
-        return 10.0 * self.cc.zero_tol * np.minimum(1.0, neighbour_mag)
-
-    def near_zero(self, pts, vals, closed: bool = True) -> None:
-        """Raise NearZeroOnContour at the first sample whose |F| is at most
-        _near_zero_floor of its larger neighbour: on a closed contour the
-        first sample's neighbours are the second and the last but one, on an
-        open polyline an end has its one neighbour."""
-        z, mag = np.asarray(pts), np.abs(np.asarray(vals))
-        n = len(mag) - closed           # a closed contour's last sample repeats its first
-        ext = np.concatenate(([mag[-2] if closed else 0.0], mag, [mag[1] if closed else 0.0]))
-        local = np.maximum(ext[:-2], ext[2:])[:n]
-        for i in np.flatnonzero(mag[:n] <= self._near_zero_floor(local))[:1]:
-            raise NearZeroOnContour(f"|F|={mag[i]:.3g} at {z[i]:.8g}", point=complex(z[i]))
 
     def _regular(self, z):
         """prod (z - p)^k over the pole candidates: G = F times this."""
@@ -342,25 +328,27 @@ class _Walker:
         every segment flagged in the boolean array todo (every segment for
         None) passes the test (_certified, with ``hulls``): the segments that
         fail are bisected breadth-first, their midpoints evaluated in one
-        batch per depth, and their halves tested in turn.  A midpoint whose
-        |F| is at most _near_zero_floor of its segment's ends raises
-        NearZeroOnContour, and a segment still failing at _MAX_DEPTH raises
-        DepthExceeded.  Returns the refined (pts, vals, errs)."""
+        batch per depth, and their halves tested in turn.  The contour meets
+        a zero, and NearZeroOnContour is raised, at the first node in
+        polyline order (of pts, then of each depth's midpoints) whose |F| is
+        at most its abs_err, and at a segment still failing at _MAX_DEPTH,
+        named by its end of smaller |F|.  Returns the refined (pts, vals,
+        errs)."""
         todo = np.ones(len(pts) - 1, bool) if todo is None else todo
+        zm, vm, em = pts, vals, errs        # the nodes to check: all, then the midpoints
         for depth in range(_MAX_DEPTH + 1):
+            for j in np.flatnonzero(np.abs(vm) <= em)[:1]:
+                raise _near_zero(zm[j], vm[j])
             i = np.flatnonzero(todo)
             ends = (x[j] for x in (pts, vals, errs) for j in (i, i + 1))
             b = i[~self._certified(*ends, hulls)]
             if not b.size:
                 return pts, vals, errs
             if depth == _MAX_DEPTH:
-                raise DepthExceeded(f"phase bisection depth > {_MAX_DEPTH} at {pts[b[0]]:.8g}")
+                j = b[0] + (abs(vals[b[0] + 1]) < abs(vals[b[0]]))
+                raise _near_zero(pts[j], vals[j])
             zm = 0.5 * (pts[b] + pts[b + 1])
             vm, em = self.sample(zm)
-            floor = self._near_zero_floor(np.maximum(np.abs(vals[b]), np.abs(vals[b + 1])))
-            for j in np.flatnonzero(np.abs(vm) <= floor)[:1]:
-                raise NearZeroOnContour(f"|F|={abs(vm[j]):.3g} at {zm[j]:.8g}",
-                                        point=complex(zm[j]))
             todo = np.zeros(len(pts) + len(b) - 1, bool)
             halves = b + np.arange(len(b))          # where each left half starts
             todo[halves] = todo[halves + 1] = True
@@ -381,10 +369,14 @@ class _Walker:
         """The winding of F around the closed contour samples and the
         certified contour (pts, vals, errs, dphi) it came from; todo as for
         certify."""
-        self.near_zero(pts, vals)
         pts, vals, errs = self.certify(pts, vals, errs, todo)
         dphi = self.increments(pts, vals)
         return _turns(dphi), (pts, vals, errs, dphi)
+
+
+def _near_zero(z, v) -> NearZeroOnContour:
+    """The error naming the contour point z, where F = v."""
+    return NearZeroOnContour(f"|F|={abs(v):.3g} at {z:.8g}", point=complex(z))
 
 
 def _turns(dphi: np.ndarray) -> int:
@@ -420,8 +412,7 @@ def _certified_winding(walker: _Walker, rect: Rectangle, bottom=((), (), ())):
     return walker.wind(*(np.append(x, x[0]) for x in body), todo)
 
 
-def winding_number(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
-                   cfg: EvalConfig = DEFAULT_CONFIG) -> int:
+def winding_number(e, rect: Rectangle, cfg: EvalConfig = DEFAULT_CONFIG) -> int:
     """(#zeros - #poles) inside rect, counted with multiplicity.
 
     Poles strictly inside are permitted (they count -1 each per order); a pole
@@ -433,7 +424,7 @@ def winding_number(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
                 f"pole candidate {cand.location:.6g} within jitter of the contour",
                 location=cand.location, source=cand.source,
             )
-    return _certified_winding(_Walker(expression_fn(e, cfg), cc), rect)[0]
+    return _certified_winding(_Walker(expression_fn(e, cfg)), rect)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +444,14 @@ def _jittered(attempt):
     return attempt(_JITTER_RETRIES)
 
 
-def _winding_with_expansion(fn, rect: Rectangle, cc: ContourConfig):
+def _winding_with_expansion(fn, rect: Rectangle):
     """_certified_winding's (winding, contour) and the rectangle they were
     measured on: rect, pushed outward by k jitters on the k-th attempt."""
     jit = _effective_jitter(rect)
 
     def attempt(k):
         cur = rect.expand(jit * k) if k else rect
-        return (*_certified_winding(_Walker(fn, cc), cur), cur)
+        return (*_certified_winding(_Walker(fn), cur), cur)
     return _jittered(attempt)
 
 
@@ -481,10 +472,11 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, contour, hulls=())
     which keep the cost of a cut near a multiple zero in check; each
     strip takes the parent's certified ``contour`` (pts, vals, errs, dphi) on
     its sides, cut at the strip's ends, since a piece of a certified segment
-    is certified (_on_contour).  A near-zero hit on a cut moves every cut by one more
-    jitter (_jittered).  Strip windings must conserve w_par; with every
-    segment certified only a fault can break that, so a failure is raised
-    at once as ContourError, as are cuts that leave the cell.  Every
+    is certified (_on_contour).  A cut that meets a zero (NearZeroOnContour)
+    moves every cut by one more jitter (_jittered).  Strip windings must
+    conserve w_par; with every segment certified only a fault can break
+    that, so a failure is raised at once as ContourError, as are cuts that
+    leave the cell.  Every
     evaluation counts against ``walker``'s budget.  Returns (strip, winding,
     (pts, vals, errs, dphi)) triples, bottom to top or left to right.
     """
@@ -503,8 +495,6 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, contour, hulls=())
         joins = np.cumsum([len(line) for line in lines])[:-1]
         pts = np.concatenate(lines)
         vals, errs = walker.sample(pts)
-        for line, v in zip(lines, np.split(vals, joins)):
-            walker.near_zero(line, v, closed=False)
         todo = ~np.isin(np.arange(len(pts) - 1), joins - 1)     # not from one cut to the next
         done = walker.certify(pts, vals, errs, todo, hulls)
         nodes = [np.concatenate(x) for x in zip(pool, done)]
@@ -602,7 +592,7 @@ def _resolve_cell(fn, rect: Rectangle, w: int, contour, cc: ContourConfig):
         if wc < 0:
             unresolved.append(UnresolvedCell(cell, wc, "negative winding in pole-free cell"))
             continue
-        walker = _Walker(fn, cc)    # the evaluation budget is per cell
+        walker = _Walker(fn)    # the evaluation budget is per cell
         pts, vals, _, dphi = contour
         if wc == 1:
             hit = _newton_refine(walker, cell, cc, _boundary_scale(vals),
@@ -649,7 +639,7 @@ def localize_zeros(e, rect: Rectangle, cc: ContourConfig = DEFAULT_CONTOUR,
     """
     _assert_pole_free(e, rect)
     fn = expression_fn(e, cfg)
-    w_root, contour, root = _winding_with_expansion(fn, rect, cc)
+    w_root, contour, root = _winding_with_expansion(fn, rect)
     records, unresolved = _resolve_cell(fn, root, w_root, contour, cc)
     records.sort(key=lambda r: (r.location.im, r.location.re, r.winding_mult))
     unresolved.sort(key=lambda u: (u.rect.t_lo, u.rect.sigma_lo))
@@ -675,9 +665,9 @@ def _tile_count(span: float) -> int:
     return max(1, math.ceil(span / _TILE_HEIGHT))
 
 
-def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR,
-                 cfg: EvalConfig = DEFAULT_CONFIG, sigma_cap: float = 2.0,
-                 threads: int = 1, t_floor: float = 1e-3) -> DensityScan:
+def density_scan(e, sigma0: float, T_values, cfg: EvalConfig = DEFAULT_CONFIG,
+                 sigma_cap: float = 2.0, threads: int = 1,
+                 t_floor: float = 1e-3) -> DensityScan:
     """Count zeros of the expression in (sigma0, sigma_cap) x (t_floor, T] per T.
 
     Every implemented atom has only real pole candidates, so a positive
@@ -716,7 +706,7 @@ def density_scan(e, sigma0: float, T_values, cc: ContourConfig = DEFAULT_CONTOUR
             for j in range(1, n + 1):
                 t_hi = base + span * j / n if j < n else t + shift  # land exactly on T
                 tile = Rectangle(sigma0 - shift, sigma_cap + shift, t_lo, t_hi)
-                w, (pts, *rest) = _certified_winding(_Walker(fn, cc), tile, edge)
+                w, (pts, *rest) = _certified_winding(_Walker(fn), tile, edge)
                 acc += w
                 # This tile's certified top edge is the next one's bottom edge.
                 edge = tuple(x[:-1][pts[:-1].imag == t_hi][::-1] for x in (pts, *rest[:2]))
