@@ -25,10 +25,12 @@ from .zeros import (
     ContourConfig,
     DEFAULT_CONTOUR,
     Rectangle,
+    T_FLOOR,
     _fit_slope,
     density_scan,
     localize_zeros,
 )
+from .zeta import EM_ORDER, MAX_TERMS, POLE_GUARD
 
 USAGE_ERROR = 2
 EVAL_ERROR = 3
@@ -95,7 +97,8 @@ def _manifest(args, command: str, extra: dict) -> dict:
     man = {
         "command": command,
         "artifact_version": __version__,
-        "eval_config": asdict(_eval_config(args)),
+        "eval_config": {**asdict(_eval_config(args)), "em_order": EM_ORDER,
+                        "max_terms": MAX_TERMS, "pole_guard": POLE_GUARD},
     }
     man.update(extra)
     payload = json.dumps(man, sort_keys=True, separators=(",", ":"))
@@ -147,8 +150,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _clear_real_poles(expr, rect: Rectangle, clear: float = 1e-3) -> Rectangle:
-    """Lift a bottom edge sitting on real-axis pole candidates.
+def _clear_real_poles(expr, rect: Rectangle) -> Rectangle:
+    """Lift a bottom edge sitting on real-axis pole candidates to T_FLOOR.
 
     Every implemented atom has only real poles, so nudging t_lo above the axis
     is the whole pre-split story for upper-half-plane rectangles.
@@ -158,11 +161,11 @@ def _clear_real_poles(expr, rect: Rectangle, clear: float = 1e-3) -> Rectangle:
         p = cand.location
         if abs(p.imag) > 1e-12:
             continue
-        near_axis = adjusted.t_lo <= clear and adjusted.t_hi > clear
-        spans = adjusted.sigma_lo - clear <= p.real <= adjusted.sigma_hi + clear
-        if near_axis and spans and abs(adjusted.t_lo - p.imag) < clear:
+        near_axis = adjusted.t_lo <= T_FLOOR and adjusted.t_hi > T_FLOOR
+        spans = adjusted.sigma_lo - T_FLOOR <= p.real <= adjusted.sigma_hi + T_FLOOR
+        if near_axis and spans and abs(adjusted.t_lo - p.imag) < T_FLOOR:
             adjusted = Rectangle(adjusted.sigma_lo, adjusted.sigma_hi,
-                                 clear, adjusted.t_hi)
+                                 T_FLOOR, adjusted.t_hi)
     return adjusted
 
 

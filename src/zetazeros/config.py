@@ -1,4 +1,10 @@
-"""Value-with-error container and the evaluation configuration knobs."""
+"""Value-with-error container, the error target and the error propagation rules.
+
+EvalConfig carries the one evaluation setting a caller chooses, the absolute
+error target.  The others are constants of zeta.py: the Euler-Maclaurin
+order EM_ORDER, the direct-sum term cap MAX_TERMS and the pole guard
+POLE_GUARD.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +13,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tables import BERNOULLI_MAX_INDEX
 
 
 @dataclass(frozen=True)
@@ -41,35 +45,19 @@ class ComplexValue:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Truncation/order/tolerance parameters governing every series evaluation.
+    """The error target of every series evaluation.
 
     target_abs_err: requested absolute error per evaluation.  Euler-Maclaurin
         sums take the smallest cutoff N whose truncation term meets it, so it
         sets the work done, and a value carries a truncation error near the
         target rather than far below it.
-    em_order: number of Bernoulli correction terms in Euler-Maclaurin sums,
-        at most (BERNOULLI_MAX_INDEX - 2) // 2 = 33.
-    max_terms: hard cap on direct-sum terms.
-    pole_guard: minimum allowed distance to a known pole.
     """
 
     target_abs_err: float = 1e-12
-    em_order: int = 12
-    max_terms: int = 10**7
-    pole_guard: float = 1e-8
 
     def __post_init__(self):
         if not self.target_abs_err > 0:
             raise ValueError("target_abs_err must be > 0")
-        if self.em_order < 1:
-            raise ValueError("em_order must be >= 1")
-        if self.em_order > (BERNOULLI_MAX_INDEX - 2) // 2:
-            raise ValueError(f"em_order must be <= {(BERNOULLI_MAX_INDEX - 2) // 2}: "
-                             f"the Bernoulli table stops at B_{BERNOULLI_MAX_INDEX}")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if not self.pole_guard > 0:
-            raise ValueError("pole_guard must be > 0")
 
 
 DEFAULT_CONFIG = EvalConfig()

@@ -6,7 +6,7 @@ class ZetaError(Exception):
 
 
 class PoleProximity(ZetaError):
-    """Requested point is within pole_guard of a known pole candidate.
+    """Requested point is within zeta.POLE_GUARD of a known pole candidate.
 
     ``source`` names the offending atom or factor when known.
     """

@@ -51,7 +51,7 @@ from .families import (
     sphere_poly,
     symmat_poly,
 )
-from .zeta import completed_zeta_pair, gamma_majorant, hurwitz_majorant, hurwitz_pair
+from .zeta import POLE_GUARD, completed_zeta_pair, gamma_majorant, hurwitz_majorant, hurwitz_pair
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +674,7 @@ def eval_expr(e, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     s = complex(s)
     guard, fn = e._plan
     for location, source in guard:
-        if abs(s - location) < cfg.pole_guard:
+        if abs(s - location) < POLE_GUARD:
             raise _guard_error(s, location, source)
     z, err = fn(s, cfg)
     return ComplexValue(z.real, z.imag, err)
@@ -708,7 +708,7 @@ def eval_batch(e, zs, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.
     guard, fn = e._plan
     if guard and s.size:
         locations = np.array([loc for loc, _ in guard])
-        near = np.abs(s[None, :] - locations[:, None]) < cfg.pole_guard
+        near = np.abs(s[None, :] - locations[:, None]) < POLE_GUARD
         hit = near.any(axis=0)
         if hit.any():
             i = int(np.argmax(hit))

@@ -29,7 +29,7 @@ from .errors import (
     PoleProximity,
 )
 from .tables import bernoulli, bernoulli_over_factorial
-from .zeta import hurwitz_pair, hurwitz_zeta_shifted, rpow
+from .zeta import MAX_TERMS, POLE_GUARD, hurwitz_pair, hurwitz_zeta_shifted, rpow
 
 HOFFMAN_MAX_R = 12
 BARNES_MAX_R = 12
@@ -90,11 +90,11 @@ class ZetaPoly:
         return self.scale * z, abs(self.scale) * err
 
     def value(self, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
-        """The polynomial at the point s; a point within cfg.pole_guard of a
+        """The polynomial at the point s; a point within POLE_GUARD of a
         factor's pole raises PoleProximity naming the factor."""
         s = complex(s)
         for loc, factor in self.poles:
-            if abs(s - loc) < cfg.pole_guard:
+            if abs(s - loc) < POLE_GUARD:
                 raise PoleProximity(
                     f"{factor} has a pole at s={loc:g}", location=complex(loc), source=factor,
                 )
@@ -182,7 +182,7 @@ def _zbar(sigma: float, n: float) -> float:
     return n ** (1.0 - sigma) / (sigma - 1.0) + n ** (-sigma)
 
 
-def _expand_sum_pow_zeta(s: complex, w: complex, n_floor: float):
+def _expand_sum_pow_zeta(s: complex, w: complex):
     """sum_{m>=n} m^{-s} zeta(w, m) as zeta atoms at n, plus an error term.
 
     Uses zeta(w, m) = m^{1-w}/(w-1) + m^{-w}/2
@@ -215,7 +215,7 @@ def _tail_step(s_j: complex, atoms, err, c_next: complex, n_floor: float,
         sig = s_j.real + v
         new_err.append((b * (1.0 / (sig - 1.0) + 1.0), sig - 1.0))
     for w, a in atoms.items():
-        sub_atoms, sub_err = _expand_sum_pow_zeta(s_j, w, n_floor)
+        sub_atoms, sub_err = _expand_sum_pow_zeta(s_j, w)
         for u, c in sub_atoms.items():
             new_atoms[u] = new_atoms.get(u, 0j) - a * c
         for b, v in sub_err:
@@ -395,7 +395,7 @@ def barnes_direct(p: BarnesParams, s: complex, cfg: EvalConfig = DEFAULT_CONFIG)
     k_cut = 2048
     while True:
         rem = _barnes_em_remainder(poly, s, a, k_cut)
-        if rem <= cfg.target_abs_err or (k_cut * 2) ** 1 > cfg.max_terms:
+        if rem <= cfg.target_abs_err or 2 * k_cut > MAX_TERMS:
             break
         k_cut *= 2
 
@@ -683,7 +683,7 @@ def linear_form_eval(spec: LinearFormSeries, s_values,
     """Direct multi-sum over an index box with a crude separable tail bound.
 
     abs_err reports the certified truncation bound; it is best-effort under
-    cfg.max_terms rather than forced below cfg.target_abs_err.
+    MAX_TERMS rather than forced below cfg.target_abs_err.
     """
     s_list = tuple(complex(s) for s in s_values)
     if len(s_list) != spec.m:
@@ -706,7 +706,7 @@ def linear_form_eval(spec: LinearFormSeries, s_values,
     # enumerates only ~box^r / r! tuples, so it earns a larger box.
     denom = math.factorial(spec.r) if spec.strict_order else 1
     box = 2
-    while (box * 2) ** spec.r // denom <= cfg.max_terms:
+    while (box * 2) ** spec.r // denom <= MAX_TERMS:
         box *= 2
         if _lf_tail_bound(spec, tau, lam_const, box) <= cfg.target_abs_err:
             break

@@ -10,7 +10,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-BERNOULLI_MAX_INDEX = 68   # B_0 .. B_68; the kernel reads B_{2M+2}, so em_order M <= 33
+# B_0 .. B_68.  The kernel reads B_{2M+2} at M = zeta.EM_ORDER, and
+# zeta.hurwitz_majorant B_{2m} for its m terms, which it refuses past this.
+BERNOULLI_MAX_INDEX = 68
 
 
 @lru_cache(maxsize=1)

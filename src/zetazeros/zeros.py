@@ -97,6 +97,7 @@ _NEWTON_MAX_STEPS = 60
 _JITTER_RETRIES = 8
 _CELL_EVAL_BUDGET = 4_000_000
 _BATCH_POINTS = 2048         # most points per eval_batch call
+T_FLOOR = 1e-3               # bottom edge that scans start at, above the real poles
 
 
 @dataclass(frozen=True)
@@ -667,7 +668,7 @@ def _tile_count(span: float) -> int:
 
 def density_scan(e, sigma0: float, T_values, cfg: EvalConfig = DEFAULT_CONFIG,
                  sigma_cap: float = 2.0, threads: int = 1,
-                 t_floor: float = 1e-3) -> DensityScan:
+                 t_floor: float = T_FLOOR) -> DensityScan:
     """Count zeros of the expression in (sigma0, sigma_cap) x (t_floor, T] per T.
 
     Every implemented atom has only real pole candidates, so a positive
@@ -731,7 +732,7 @@ def density_scan(e, sigma0: float, T_values, cfg: EvalConfig = DEFAULT_CONFIG,
 def critical_line_check(e, t_max: float, tol: float,
                         cc: ContourConfig = DEFAULT_CONTOUR,
                         cfg: EvalConfig = DEFAULT_CONFIG, threads: int = 1,
-                        t_floor: float = 1e-3) -> CriticalLineReport:
+                        t_floor: float = T_FLOOR) -> CriticalLineReport:
     """Localize zeros with 0 < Im <= t_max, 0.1 < Re < 0.9 and measure the
     largest |Re - 1/2|; PASS means every zero sits within tol of the line."""
     rect = Rectangle(0.1, 0.9, t_floor, t_max)

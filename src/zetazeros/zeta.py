@@ -14,10 +14,11 @@ abs_err) pair, at a point or at an array of points; hurwitz_zeta,
 hurwitz_zeta_shifted and riemann_zeta wrap its point form in a ComplexValue.
 completed_zeta_pair does the same for pi^{-s/2} Gamma(s/2) zeta(s).
 
-The cutoff N is chosen from the error target: it is the smallest N at which
-twice the first omitted correction term is at most EvalConfig.target_abs_err
-(and N + a >= |s+2M|/pi).  The target therefore sets the work done, and a
-value carries a truncation error near the target rather than far below it.
+The order M is the constant EM_ORDER.  The cutoff N is chosen from the error
+target: it is the smallest N at which twice the first omitted correction
+term is at most EvalConfig.target_abs_err (and N + a >= |s+2M|/pi).  The
+target therefore sets the work done, and a value carries a truncation error
+near the target rather than far below it.
 The reported abs_err is that truncation term plus a rounding-noise allowance
 for the prefix sum; the allowance is calibrated, not proven, and misses on a
 small share of points (ROADMAP item 3).  One chain of rising factorials per
@@ -45,8 +46,11 @@ import numpy as np
 
 from .config import ComplexValue, EvalConfig, DEFAULT_CONFIG, cabs, cmul
 from .errors import BudgetExceeded, PoleProximity, ZetaError
-from .tables import bernoulli, bernoulli_over_factorial
+from .tables import BERNOULLI_MAX_INDEX, bernoulli, bernoulli_over_factorial
 
+EM_ORDER = 12            # Bernoulli correction terms M of every Euler-Maclaurin sum
+MAX_TERMS = 10**7        # hard cap on direct-sum terms
+POLE_GUARD = 1e-8        # least distance from a point to a pole candidate
 LOG_GAMMA_SHIFT = 12.0   # recurrence target for Re(s) before the Stirling series
 LOG_GAMMA_TERMS = 10
 
@@ -136,14 +140,15 @@ def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order, chain):
 
 def _em_cutoff(s, a: float, cfg: EvalConfig, chain=None):
     """Smallest N at which twice the first omitted term meets the target,
-    2|B_{2M+2}/(2M+2)! (s)_{2M+1}| (N+a)^{-Re(s)-2M-1} <= target_abs_err,
+    2|B_{2M+2}/(2M+2)! (s)_{2M+1}| (N+a)^{-Re(s)-2M-1} <= target_abs_err
+    with M = EM_ORDER,
     solved for N + a in closed form and checked once, since rounding can leave
     the root one short.  N + a is held at least |s+2M|/pi, which keeps each
     correction term at most a quarter of the one before, and N at least 1.
     (s)_{2M+1} is the last entry of chain (default _pochhammer_chain(s, M)).
     Returns N as a float, usable where _cutoff_ok says.  Operators only, the
     ceiling too, so that s may be an array or a complex (N a Python float)."""
-    order = cfg.em_order
+    order = EM_ORDER
     poch = (_pochhammer_chain(s, order) if chain is None else chain)[order]
     factor = 2.0 * abs(bernoulli_over_factorial()[2 * order + 2] * poch)
     # 1 where the order cannot converge, so that the closed form neither
@@ -157,37 +162,37 @@ def _em_cutoff(s, a: float, cfg: EvalConfig, chain=None):
     return n + (factor * (n + a) ** -decay > cfg.target_abs_err)
 
 
-def _cutoff_ok(s, n_cut, cfg: EvalConfig):
+def _cutoff_ok(s, n_cut):
     """Where Euler-Maclaurin may run with cutoff n_cut = _em_cutoff(s, ...):
-    outside the pole guard, at an order that converges, within max_terms.
+    outside the pole guard, at an order that converges, within MAX_TERMS.
     Operators only, like _em_cutoff."""
-    return ((abs(s - 1) >= cfg.pole_guard) & (s.real + 2 * cfg.em_order + 1 > 0.5)
-            & (n_cut <= cfg.max_terms))
+    return ((abs(s - 1) >= POLE_GUARD) & (s.real + 2 * EM_ORDER + 1 > 0.5)
+            & (n_cut <= MAX_TERMS))
 
 
 def _cutoff_error(s: complex, a: float, cfg: EvalConfig) -> ZetaError:
     """The error for a point that _cutoff_ok rejects."""
-    if abs(s - 1) < cfg.pole_guard:
+    if abs(s - 1) < POLE_GUARD:
         return PoleProximity(
             f"s={s:.6g} within pole_guard of the pole at s=1", location=1.0 + 0j,
             source=f"hurwitz({a})",
         )
-    if s.real + 2 * cfg.em_order + 1 <= 0.5:
-        return BudgetExceeded(f"em_order={cfg.em_order} too small for Re(s)={s.real:.3g}")
+    if s.real + 2 * EM_ORDER + 1 <= 0.5:
+        return BudgetExceeded(f"em_order={EM_ORDER} too small for Re(s)={s.real:.3g}")
     return BudgetExceeded(
         f"error target {cfg.target_abs_err:g} unreachable within "
-        f"max_terms={cfg.max_terms} at s={s:.6g}"
+        f"max_terms={MAX_TERMS} at s={s:.6g}"
     )
 
 
 def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> tuple:
     """Pole guard, cutoff, Euler-Maclaurin: (value, abs_err) at the point s, for
     every a > 0."""
-    chain = _pochhammer_chain(s, cfg.em_order)
+    chain = _pochhammer_chain(s, EM_ORDER)
     n_cut = _em_cutoff(s, a, cfg, chain)
-    if not _cutoff_ok(s, n_cut, cfg):
+    if not _cutoff_ok(s, n_cut):
         raise _cutoff_error(s, a, cfg)
-    return _hurwitz_em(s, a, int(n_cut), cfg.em_order, chain)
+    return _hurwitz_em(s, a, int(n_cut), EM_ORDER, chain)
 
 
 def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
@@ -196,9 +201,9 @@ def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.nda
     a > 0.  Prefix rows are grouped by padded length and summed in blocks of at
     most PREFIX_BLOCK entries; a longer row is evaluated on its own by _hurwitz_em."""
     s = np.asarray(s, dtype=complex)
-    chain = _pochhammer_chain(s, cfg.em_order)
+    chain = _pochhammer_chain(s, EM_ORDER)
     n_cut = _em_cutoff(s, a, cfg, chain)
-    for i in np.flatnonzero(~_cutoff_ok(s, n_cut, cfg))[:1]:
+    for i in np.flatnonzero(~_cutoff_ok(s, n_cut))[:1]:
         raise _cutoff_error(complex(s[i]), a, cfg)
     n_cut = n_cut.astype(np.int64)
     width = -(-n_cut // _ROW_PAD) * _ROW_PAD
@@ -215,9 +220,9 @@ def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.nda
             mass[r] = np.abs(terms).sum(axis=1)
     x = n_cut + a
     val, err = _em_tail(s, x, np.exp(-s * np.log(x)), prefix, mass,
-                        np.log2(np.maximum(n_cut, 2)), cfg.em_order, chain)
+                        np.log2(np.maximum(n_cut, 2)), EM_ORDER, chain)
     for i in np.flatnonzero(width > PREFIX_BLOCK):
-        val[i], err[i] = _hurwitz_em(complex(s[i]), a, int(n_cut[i]), cfg.em_order)
+        val[i], err[i] = _hurwitz_em(complex(s[i]), a, int(n_cut[i]), EM_ORDER)
     return val, err
 
 
@@ -249,14 +254,15 @@ def hurwitz_zeta_shifted(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG)
     return ComplexValue.of(*_hurwitz(complex(s), a, cfg))
 
 
-def log_gamma(s: complex, pole_guard: float = 1e-8) -> ComplexValue:
+def log_gamma(s: complex) -> ComplexValue:
     """Principal branch of log Gamma(s), continuous off the ray (-inf, 0].
 
-    Upward recurrence to Re(s) >= 12, then a 10-term Stirling series.
+    Upward recurrence to Re(s) >= 12, then a 10-term Stirling series.  A
+    point within POLE_GUARD of a non-positive integer raises PoleProximity.
     """
     s = complex(s)
     nearest = round(s.real)
-    if nearest <= 0 and abs(s - nearest) < pole_guard:
+    if nearest <= 0 and abs(s - nearest) < POLE_GUARD:
         raise PoleProximity(f"log_gamma pole at non-positive integer {nearest}",
                             location=complex(nearest), source="log_gamma")
     shift = max(0, math.ceil(LOG_GAMMA_SHIFT - s.real))
@@ -309,11 +315,10 @@ def completed_zeta_pair(s, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
     scalar error of its first such point.
     """
     arr = isinstance(s, np.ndarray)
-    guard = cfg.pole_guard
     h = 0.5 * s
     nearest = np.round(h.real) if arr else round(h.real)
-    bad = ((cabs(s) < guard) | (cabs(s - 1) < guard)
-           | ((nearest <= 0) & (cabs(h - nearest) < guard)))
+    bad = ((cabs(s) < POLE_GUARD) | (cabs(s - 1) < POLE_GUARD)
+           | ((nearest <= 0) & (cabs(h - nearest) < POLE_GUARD)))
     if arr:
         for i in np.flatnonzero(bad)[:1]:
             completed_zeta_pair(complex(s[i]), cfg)          # raises
@@ -321,7 +326,7 @@ def completed_zeta_pair(s, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
         steps = int(shift.max(initial=0))
     elif bad:
         for p in (0.0, 1.0):
-            if abs(s - p) < guard:
+            if abs(s - p) < POLE_GUARD:
                 raise PoleProximity(f"completed zeta pole at s={p:g}",
                                     location=complex(p), source="xi")
         raise PoleProximity(f"completed zeta Gamma(s/2) pole at s={2 * nearest:g}",
@@ -380,8 +385,12 @@ def hurwitz_majorant(sigma, sigma_hi, r, w1, a: float):
     worse end of [sigma, sigma_hi] plus an integral (from a to x - 1 for
     sigma >= 0, to x below), and R_m = 4 prod_{j<2m} (r+j) / (2 pi)^{2m} *
     x^{1-sigma-2m} / (sigma + 2m - 1) is Johansson's remainder bound
-    (arXiv:1309.2877, section 2).  Closed form: no loop over the prefix."""
+    (arXiv:1309.2877, section 2).  Closed form: no loop over the prefix.
+    Raises BudgetExceeded where m would read past the Bernoulli table."""
     m = max(_MAJORANT_TERMS, math.floor((1.0 - np.min(sigma, initial=1.0)) / 2.0) + 1)
+    if 2 * m > BERNOULLI_MAX_INDEX:
+        raise BudgetExceeded(f"majorant at Re(w) = {np.min(sigma):.3g} needs B_{2 * m}; "
+                             f"the Bernoulli table stops at B_{BERNOULLI_MAX_INDEX}")
     n_cut = np.maximum(np.ceil(np.maximum(1.0, 0.7 * (r + 2.0 * m) / math.pi) - a), 0.0)
     x = n_cut + a
     prefix = ((n_cut >= 1) * np.maximum(a ** -sigma, a ** -sigma_hi)

@@ -123,6 +123,32 @@ def test_values_beginning_with_a_dash(head, option, value, code, tmp_path, capsy
     assert outputs[0] == outputs[1]
 
 
+def test_zeros_majorant_past_the_bernoulli_table_exit_3(capsys):
+    # The segment majorant of zeta(200*s) here would read past B_68.
+    assert run("zeros", "zeta(200*s)", "--rect=-0.05,-0.04,0.001,0.002") == 3
+    assert "the Bernoulli table stops at B_68" in capsys.readouterr().err
+
+
+def test_zeros_lifts_a_bottom_edge_on_the_real_poles(tmp_path, capsys):
+    # README's example: t_lo = 0 meets the poles at s = 1/2 and 1, so the scan
+    # starts at t = 1e-3, and the payload and the manifest say so.
+    out = tmp_path / "zeros.json"
+    assert run("zeros", "zeta(s)^2-zeta(2*s)", "--rect", "0.55,2,0,100",
+               "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    assert payload["rect"] == payload["manifest"]["rect"] == [0.55, 2.0, 0.001, 100.0]
+    assert len(payload["zeros"]) == 13
+    assert payload["unresolved"] == []
+
+
+@pytest.mark.parametrize("tol, target", [((), 1e-12), (("--tol", "1e-10"), 1e-10)])
+def test_manifest_eval_config(tol, target, tmp_path, capsys):
+    out = tmp_path / "eval.json"
+    assert run("eval", "zeta(s)", "--at", "2", "--json", str(out), *tol) == 0
+    assert json.loads(out.read_text())["manifest"]["eval_config"] == {
+        "em_order": 12, "max_terms": 10000000, "pole_guard": 1e-08, "target_abs_err": target}
+
+
 def test_density_scan_over_the_budget_exit_3(capsys):
     assert run("density", "zeta(s)", "--sigma0", "0.55", "--T", "1e12") == 3
     assert "density scan evaluation budget exhausted" in capsys.readouterr().err
@@ -179,6 +205,14 @@ def test_density_byte_stability(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_density_incomplete_strict_exit_4(capsys):
+    # sphere(16)'s samples here have abs_err above their values, so the scan
+    # stops incomplete: a warning, and exit 4 under --strict.
+    assert run("density", "sphere(16)", "--sigma0", "0.6", "--T", "25",
+               "--sigma-cap", "0.9", "--strict") == 4
+    assert "warning: scan incomplete" in capsys.readouterr().err
+
+
 def test_density_zeta_count_zero(tmp_path, capsys):
     out = tmp_path / "d.csv"
     assert run("density", "zeta(s)", "--sigma0", "0.55", "--T", "100",
@@ -193,6 +227,9 @@ def test_verify_suites_exit_codes(capsys):
     assert "PASS" in out and "FAIL" not in out
     assert run("verify", "identities") == 0
     assert run("verify", "oracles") == 0
+    capsys.readouterr()
+    assert run("verify", "all") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "56 checks, 0 failure(s)"
 
 
 def test_eval_family_config(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 import zetazeros.expr as X
 import zetazeros.families as F
 import zetazeros.zeta as zeta
-from zetazeros.config import EvalConfig
 from zetazeros.errors import (
     ArityError,
     BudgetExceeded,
@@ -39,6 +38,7 @@ from zetazeros.families import (
     sphere_spectral,
     symmat_zeta,
 )
+from zetazeros.zeta import POLE_GUARD
 
 
 def test_parse_square_difference():
@@ -157,8 +157,7 @@ def test_eval_conjugation():
 
 
 def test_pole_guard_scaling():
-    cfg = EvalConfig()
-    guard = cfg.pole_guard
+    guard = POLE_GUARD
     for text, pole in [("zeta(s) + zeta(2*s)", 0.5),
                        ("barnes(2, 0.3)", 2.0),
                        ("sphere(2)", 1.0),
@@ -167,9 +166,9 @@ def test_pole_guard_scaling():
                        ("xi(s)", 0.0),
                        ("symmat(3, Ln, +1, +1)", 1.5)]:
         e = parse_expr(text)
-        eval_expr(e, pole + 10 * guard, cfg)          # must succeed
+        eval_expr(e, pole + 10 * guard)          # must succeed
         with pytest.raises(PoleProximity):
-            eval_expr(e, pole + guard / 10, cfg)
+            eval_expr(e, pole + guard / 10)
 
 
 def test_dirichlet_poly_eval():
@@ -207,7 +206,7 @@ def test_registry_cases_cover_every_atom():
 def test_registry_round_trip_and_poles(text):
     e = parse_expr(text)
     assert parse_expr(to_text(e)) == e
-    guard = EvalConfig().pole_guard
+    guard = POLE_GUARD
     locations = [c.location for c in pole_set(e)]
     assert locations
     for loc in locations:
@@ -281,7 +280,7 @@ def test_eval_batch_scaled_arguments_within_abs_err(text):
 
 
 def test_eval_batch_pole_guard_names_first_point():
-    guard = EvalConfig().pole_guard
+    guard = POLE_GUARD
     for text, points, first in [
         ("zeta(s) + zeta(2*s)", [2.0, 3 + 1j, 0.5 + guard / 10, 1 + guard / 10], 2),
         # inside zeta's own guard at its argument s/3 = 1, outside eval_expr's
@@ -311,13 +310,14 @@ def test_xi_gamma_pole_reported_at_s():
             assert (exc.location, exc.source) == (complex(at), "xi")
 
 
-def test_eval_batch_budget_exceeded_matches_eval_expr():
-    cfg = EvalConfig(em_order=1, max_terms=100)
+def test_eval_batch_budget_exceeded_matches_eval_expr(monkeypatch):
+    monkeypatch.setattr(zeta, "EM_ORDER", 1)
+    monkeypatch.setattr(zeta, "MAX_TERMS", 100)
     e = parse_expr("zeta(s)")
     with pytest.raises(BudgetExceeded) as want:
-        eval_expr(e, 2.0, cfg)
+        eval_expr(e, 2.0)
     with pytest.raises(BudgetExceeded) as got:
-        eval_batch(e, [2.0, 2.5], cfg)
+        eval_batch(e, [2.0, 2.5])
     assert str(got.value) == str(want.value)
 
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from zetazeros.config import EvalConfig, DEFAULT_CONFIG
-from zetazeros.errors import ContourError, DepthExceeded, NearZeroOnContour, PoleProximity
+from zetazeros.errors import (
+    BudgetExceeded, ContourError, DepthExceeded, NearZeroOnContour, PoleProximity,
+)
 from zetazeros.expr import eval_batch, eval_expr, parse_expr
 import zetazeros.zeros as zeros
 from zetazeros.zeros import (
@@ -85,6 +87,13 @@ def test_winding_pole_cell():
 def test_winding_rejects_pole_near_contour():
     with pytest.raises(PoleProximity):
         winding_number(ZETA, Rectangle(1.0 - 5e-8, 2.0, -1.0, 1.0))
+
+
+def test_winding_refuses_a_majorant_past_the_bernoulli_table():
+    # Every sample sits near Re w = -10, but the segment box, grown by 0.4 and
+    # scaled by 200, reaches Re w = -90, where the majorant needs B_92.
+    with pytest.raises(BudgetExceeded, match="needs B_92; the Bernoulli table stops at B_68"):
+        winding_number(parse_expr("zeta(200*s)"), Rectangle(-0.05, -0.04, 0.001, 0.002))
 
 
 def test_subdivision_conservation():

@@ -2,6 +2,7 @@ import cmath
 import gc
 import math
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -16,11 +17,21 @@ from zetazeros import (
     riemann_zeta,
 )
 from zetazeros.errors import BudgetExceeded, PoleProximity, ZetaError
-from zetazeros.tables import bernoulli_over_factorial
+from zetazeros.tables import BERNOULLI_MAX_INDEX, bernoulli_over_factorial
 import zetazeros.zeta as zeta
 from zetazeros.zeta import (
-    PREFIX_BLOCK, _em_cutoff, _hurwitz_em, _log_grid, hurwitz_batch, rpow,
+    EM_ORDER, MAX_TERMS, PREFIX_BLOCK, _em_cutoff, _hurwitz_em, _log_grid, hurwitz_batch, rpow,
 )
+
+
+@contextmanager
+def _kernel(order=EM_ORDER, max_terms=MAX_TERMS):
+    """The kernel at another Euler-Maclaurin order and term cap, patched where
+    zeta.py reads them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(zeta, "EM_ORDER", order)
+        mp.setattr(zeta, "MAX_TERMS", max_terms)
+        yield
 
 
 def test_zeta_two():
@@ -134,22 +145,23 @@ def test_pole_guards():
 
 def test_budget_exceeded_unreachable_order():
     # Re(s) + 2M + 1 <= 0.5 can never converge at this order.
-    with pytest.raises(BudgetExceeded):
-        riemann_zeta(-30.0 + 2j, EvalConfig(em_order=2))
-    with pytest.raises(BudgetExceeded):
-        riemann_zeta(0.5 + 50j, EvalConfig(target_abs_err=1e-12, max_terms=16))
+    with _kernel(order=2), pytest.raises(BudgetExceeded):
+        riemann_zeta(-30.0 + 2j)
+    with _kernel(max_terms=16), pytest.raises(BudgetExceeded):
+        riemann_zeta(0.5 + 50j, EvalConfig(target_abs_err=1e-12))
     # The target needs N = 146 here, above max_terms: no cutoff past the cap.
-    with pytest.raises(BudgetExceeded):
-        riemann_zeta(2.0, EvalConfig(em_order=1, max_terms=100))
+    with _kernel(1, 100), pytest.raises(BudgetExceeded):
+        riemann_zeta(2.0)
 
 
 def test_em_order_bounded_by_the_bernoulli_table():
-    # The remainder reads B_(2M+2); the table stops at B_68, so M = 33 is the
-    # largest order, and a larger one is refused before any evaluation.
-    v = riemann_zeta(0.5 + 14j, EvalConfig(em_order=33))
+    # The remainder reads B_(2M+2); the table stops at B_68, so the constant
+    # order's term is inside it, and M = 33, the largest order it allows,
+    # agrees with the constant order.
+    assert 2 * EM_ORDER + 2 <= BERNOULLI_MAX_INDEX == len(bernoulli_over_factorial()) - 1
+    with _kernel(order=33):
+        v = riemann_zeta(0.5 + 14j)
     assert abs(v.z - riemann_zeta(0.5 + 14j).z) < 1e-12
-    with pytest.raises(ValueError, match="em_order must be <= 33"):
-        EvalConfig(em_order=34)
 
 
 def test_log_gamma_values():
@@ -199,24 +211,25 @@ def test_completed_zeta_poles():
 
 
 def test_hurwitz_batch_matches_scalar():
-    # Default and tight (em_order=4, target 1e-15) cutoffs, at several shifts.
+    # Default and tight (order 4, target 1e-15) cutoffs, at several shifts.
     # Rows at t ~ 30000 are wider than one prefix block at every setting, so
-    # they are summed on their own; at em_order=4 so are those at t ~ 7000.
+    # they are summed on their own; at order 4 so are those at t ~ 7000.
     rng = np.random.default_rng(5)
     t = np.concatenate([rng.uniform(-1, 1, 6), rng.uniform(99, 101, 6),
                         rng.uniform(399, 401, 6), [7000.5, -7001.25, 30000.5, -30001.25]])
     s = rng.uniform(-0.5, 3.0, t.size) + 1j * t
-    for cfg in (EvalConfig(), EvalConfig(em_order=4, target_abs_err=1e-15)):
-        for a in (1.0, 0.5, 0.1, 2.5):
-            wide = _em_cutoff(s, a, cfg) > PREFIX_BLOCK
-            assert wide[-2:].all()
-            values, errs = hurwitz_batch(s, a, cfg)
-            for z, v, err, alone in zip(s, values, errs, wide):
-                ref = hurwitz_zeta_shifted(complex(z), a, cfg)
-                if alone:
-                    assert (v, err) == (ref.z, ref.abs_err)      # summed on its own
-                assert abs(v - ref.z) <= 0.25 * ref.abs_err
-                assert abs(err - ref.abs_err) <= 1e-12 * ref.abs_err
+    for order, cfg in ((EM_ORDER, EvalConfig()), (4, EvalConfig(target_abs_err=1e-15))):
+        with _kernel(order):
+            for a in (1.0, 0.5, 0.1, 2.5):
+                wide = _em_cutoff(s, a, cfg) > PREFIX_BLOCK
+                assert wide[-2:].all()
+                values, errs = hurwitz_batch(s, a, cfg)
+                for z, v, err, alone in zip(s, values, errs, wide):
+                    ref = hurwitz_zeta_shifted(complex(z), a, cfg)
+                    if alone:
+                        assert (v, err) == (ref.z, ref.abs_err)      # summed on its own
+                    assert abs(v - ref.z) <= 0.25 * ref.abs_err
+                    assert abs(err - ref.abs_err) <= 1e-12 * ref.abs_err
 
 
 def test_log_grid_keeps_no_row_wider_than_a_block():
@@ -242,9 +255,9 @@ SHIFTS = (1.0, 0.5, 0.1, 2.5, 8.5)
 POINTS = st.builds(complex, st.floats(-15.0, 4.0), st.floats(-800.0, 800.0))
 
 
-def _truncation_term(z, a, n, cfg):
+def _truncation_term(z, a, n):
     """2|B_{2M+2}/(2M+2)! (s)_{2M+1}| (N+a)^{-Re(s)-2M-1}, written out."""
-    m = cfg.em_order
+    m = EM_ORDER
     factor = 2.0 * abs(bernoulli_over_factorial()[2 * m + 2])
     for j in range(2 * m + 1):
         factor *= abs(z + j)
@@ -258,10 +271,10 @@ def test_cutoff_is_smallest_meeting_target(a, zs):
     batch = _em_cutoff(np.array(zs), a, cfg)
     for z, n in zip(zs, batch):
         assert _em_cutoff(z, a, cfg) == n
-        floor = max(math.ceil(abs(z + 2 * cfg.em_order) / math.pi - a), 1)
+        floor = max(math.ceil(abs(z + 2 * EM_ORDER) / math.pi - a), 1)
         assert n >= floor
-        assert _truncation_term(z, a, n, cfg) <= cfg.target_abs_err
-        assert n == floor or _truncation_term(z, a, n - 1, cfg) > cfg.target_abs_err
+        assert _truncation_term(z, a, n) <= cfg.target_abs_err
+        assert n == floor or _truncation_term(z, a, n - 1) > cfg.target_abs_err
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -271,22 +284,22 @@ def test_cutoff_is_smallest_meeting_target(a, zs):
 @example(a=0.5, zs=[4 + 0j, 1 + 1e-9j, -3 + 1j])        # pole guard first
 @example(a=8.5, zs=[4 + 0j, 0.5 + 700j, -3 + 1j])       # max_terms first
 def test_cutoff_errors_match_scalar(a, zs):
-    # em_order=1: Re(s) <= -2.5 is too low for the order, and large |t| needs
-    # more than max_terms.  The batch raises the scalar error of its first
+    # Order 1: Re(s) <= -2.5 is too low for the order, and large |t| needs
+    # more than 100 terms.  The batch raises the scalar error of its first
     # failing point, in input order.
-    cfg = EvalConfig(em_order=1, max_terms=100)
-    want = None
-    for z in zs:
-        try:
-            hurwitz_zeta_shifted(z, a, cfg)
-        except ZetaError as exc:
-            want = exc
-            break
-    if want is None:
-        hurwitz_batch(np.array(zs), a, cfg)
-        return
-    with pytest.raises(type(want)) as got:
-        hurwitz_batch(np.array(zs), a, cfg)
+    with _kernel(1, 100):
+        want = None
+        for z in zs:
+            try:
+                hurwitz_zeta_shifted(z, a)
+            except ZetaError as exc:
+                want = exc
+                break
+        if want is None:
+            hurwitz_batch(np.array(zs), a)
+            return
+        with pytest.raises(type(want)) as got:
+            hurwitz_batch(np.array(zs), a)
     assert str(got.value) == str(want)
 
 
@@ -297,15 +310,15 @@ def test_batch_matches_scalar_everywhere(a, order, zs):
     # max_terms keeps each draw fast; it still lets rows past PREFIX_BLOCK
     # through, which the batch sums on their own.  Points the scalar path
     # rejects are left out (test_cutoff_errors_match_scalar covers them).
-    cfg = EvalConfig(em_order=order, max_terms=4 * PREFIX_BLOCK)
-    refs = {}
-    for z in zs:
-        try:
-            refs[z] = hurwitz_zeta_shifted(z, a, cfg)
-        except ZetaError:
-            pass
-    assume(refs)
-    values, errs = hurwitz_batch(np.array(list(refs)), a, cfg)
+    with _kernel(order, 4 * PREFIX_BLOCK):
+        refs = {}
+        for z in zs:
+            try:
+                refs[z] = hurwitz_zeta_shifted(z, a)
+            except ZetaError:
+                pass
+        assume(refs)
+        values, errs = hurwitz_batch(np.array(list(refs)), a)
     for ref, v, err in zip(refs.values(), values, errs):
         assert abs(v - ref.z) <= 0.25 * ref.abs_err
         assert abs(err - ref.abs_err) <= 1e-12 * ref.abs_err
@@ -321,6 +334,7 @@ def test_pochhammer_chain_built_once_per_call(monkeypatch):
     riemann_zeta(0.5 + 14j)
     assert calls == [12]
     calls.clear()
-    hurwitz_batch(np.array([0.5 + 14j, 2 - 100j, -1 + 400j]), 0.5, EvalConfig(em_order=4))
+    with _kernel(order=4):
+        hurwitz_batch(np.array([0.5 + 14j, 2 - 100j, -1 + 400j]), 0.5)
     assert calls == [4]
     assert type(_em_cutoff(0.5 + 14j, 1.0, EvalConfig(), chain(0.5 + 14j, 12))) is float
