@@ -427,8 +427,9 @@ class AtomKind:
 
     ``poles``, ``evaluator``, ``bound`` and ``check`` take the node's arguments.
     ``evaluator`` returns a closure (s, cfg) -> (value, abs_err) that takes a
-    point (a complex) or a 1-D array of points, with the same bits either way;
-    it does not guard poles, which eval_expr and eval_batch do from ``poles``.
+    point (a complex) or a 1-D array of points and runs one kernel body on
+    either, so the bits are the same either way; it does not guard poles,
+    which eval_expr and eval_batch do from ``poles``.
     The parser runs ``check``, the family's own parameter validator, so that a
     structural parameter out of range is an ArityError at parse time.  The
     closures look up their kernel entry (hurwitz_pair, completed_zeta_pair,
@@ -514,25 +515,29 @@ def _family(poly) -> dict:
                 bound=lambda *p: majorant(_poly_tree(poly(*p))))
 
 
+def _affine(poles_at, g) -> dict:
+    """Pole candidates and majorant of an atom at alpha*s + beta whose argument
+    has simple poles at poles_at; g takes the atom's other arguments and
+    returns the bound _affine_bound takes."""
+    return dict(poles=lambda ab, *p: [affine_preimage(*ab, w) for w in poles_at],
+                bound=lambda ab, *p: _affine_bound(ab, poles_at, g(*p)))
+
+
 ATOMS: dict[str, AtomKind] = {
     "zeta": AtomKind(
         (_Parser.affine,),
-        poles=lambda ab: [affine_preimage(*ab, 1.0)],
         evaluator=lambda ab: _at_affine(ab, lambda z, cfg: hurwitz_pair(z, 1.0, cfg)),
-        bound=lambda ab: _affine_bound(ab, (1.0,), _em_bound(1.0))),
+        **_affine((1.0,), lambda: _em_bound(1.0))),
     "hurwitz": AtomKind(
         (_Parser.affine, _Parser.rational),
-        poles=lambda ab, a: [affine_preimage(*ab, 1.0)],
         evaluator=lambda ab, a: _at_affine(
             ab, lambda z, cfg, a=float(a): hurwitz_pair(z, a, cfg)),
-        bound=lambda ab, a: _affine_bound(ab, (1.0,), _em_bound(float(a))),
-        check=_hurwitz_shift),
+        check=_hurwitz_shift, **_affine((1.0,), lambda a: _em_bound(float(a)))),
     "xi": AtomKind(
         (_Parser.affine,),
-        # Gamma-side pole where the argument is 0, next to zeta's at 1
-        poles=lambda ab: [affine_preimage(*ab, 1.0), affine_preimage(*ab, 0.0)],
         evaluator=lambda ab: _at_affine(ab, lambda z, cfg: completed_zeta_pair(z, cfg)),
-        bound=lambda ab: _affine_bound(ab, (1.0, 0.0), _xi_bound)),
+        # Gamma-side pole where the argument is 0, next to zeta's at 1
+        **_affine((1.0, 0.0), lambda: _xi_bound)),
     "ezd": AtomKind(
         (_Parser.integer,), check=hoffman_diagonal_coeffs, **_family(ezd_poly)),
     "barnes": AtomKind(
@@ -690,12 +695,11 @@ def _guard_error(s: complex, location: complex, source: str) -> PoleProximity:
 def eval_batch(e, zs, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """eval_expr at every point of the 1-D sequence zs: (values, abs_errs).
 
-    The same closure runs on the array as eval_expr runs on a point, so values
-    agree with eval_expr to rounding: bit for bit for xi and the family atoms,
-    whose arithmetic rounds on arrays as on a complex, and within 1e-14 of
-    the value for the other atoms at t <= 400.  Values do not depend on the
-    order of zs or on how a list of points is split into batches.  The pole
-    guard checks every point before any is evaluated and raises eval_expr's
+    The same closure runs on the array as eval_expr runs on a point, and its
+    arithmetic rounds on arrays as on a complex, so each value and abs_err
+    equals eval_expr's bit for bit.  Values do not depend on the order of zs
+    or on how a list of points is split into batches.  The pole guard checks
+    every point before any is evaluated and raises eval_expr's
     PoleProximity for the first offending one.  When evaluation fails, or a
     point's abs_err is not finite, eval_batch raises what eval_expr raises at
     the first point where it fails (ValueError for a non-finite abs_err).

@@ -652,10 +652,14 @@ def _separable_split(spec: LinearFormSeries, sigmas):
     Weights w[l][k] over the variables of each form (summing to 1 per form)
     give  prod_l L_l^{-sigma_l} <= C * prod_k (n_k + a_k)^{-tau_k}  with
     tau_k = sum_l sigma_l w[l][k] and C = prod_{l,k} lambda[l][k]^{-sigma_l w[l][k]}.
-    Returns (tau, C), or None when no reweighting makes every tau_k > 1.
+    The weight of the variable with the least tau_k grows while the least tau_k
+    does; the split where it stops growing is returned as (tau, C), since the
+    tail bound falls as every tau_k moves further above 1.  None when even
+    that split leaves some tau_k <= 1.
     """
     supports = [[k for k in range(spec.r) if spec.lam[l][k] > 0] for l in range(spec.m)]
     u = [1.0] * spec.r
+    best = (-math.inf,)
     for _ in range(400):
         tau = [0.0] * spec.r
         weights = []
@@ -665,17 +669,16 @@ def _separable_split(spec: LinearFormSeries, sigmas):
             weights.append(row)
             for k, w in row.items():
                 tau[k] += sigmas[l] * w
-        worst = min(range(spec.r), key=lambda k: tau[k])
-        if tau[worst] > 1.0001:
-            const = 1.0
-            for l, row in enumerate(weights):
-                for k, w in row.items():
-                    const *= spec.lam[l][k] ** (-sigmas[l] * w)
-            return tau, const
-        u[worst] *= 1.15
-        if u[worst] > 1e6:
+        least = min(tau)
+        if least <= best[0]:
             break
-    return None
+        best = least, tau, weights
+        u[tau.index(least)] *= 1.15
+    least, tau, weights = best
+    if not least > 1.0:
+        return None
+    return tau, math.prod(spec.lam[l][k] ** (-sigmas[l] * w)
+                          for l, row in enumerate(weights) for k, w in row.items())
 
 
 def linear_form_eval(spec: LinearFormSeries, s_values,

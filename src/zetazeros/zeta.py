@@ -24,11 +24,13 @@ for the prefix sum; the allowance is calibrated, not proven, and misses on a
 small share of points (ROADMAP item 3).  One chain of rising factorials per
 point serves the cutoff and the corrections, which are summed in Horner form.
 
-hurwitz_batch evaluates the same formula at an array of s in one numpy pass.
-Every point keeps its own cutoff N, and its prefix row is zero-padded to a
-length that depends on N alone before the pairwise sum, so a value never
-depends on which other points share the batch; the tail rounds as the scalar
-path does, so the two agree bit for bit wherever their cutoffs agree.
+A point and an array run one kernel body, hurwitz_pair and _hurwitz_em.  Every
+point keeps its own cutoff N, and its prefix row is zero-padded to a length
+that depends on N alone before the pairwise sum, so a value never depends on
+which other points share the batch.  Products on arrays round as Python's do
+on a complex (config.cmul), and both forms take their real logs from numpy,
+so a point and an array agree bit for bit by construction; they part only in
+how the prefix rows are laid out.
 
 hurwitz_majorant and gamma_majorant bound |(w-1) zeta(w, a)| and |Gamma(u)|
 over boxes in closed form, with no loop over the prefix, for the zero
@@ -60,7 +62,7 @@ def rpow(x: float, w: complex) -> complex:
     return cmath.exp(w * math.log(x))
 
 
-PREFIX_BLOCK = 1 << 13   # most prefix-matrix entries hurwitz_batch holds at once
+PREFIX_BLOCK = 1 << 13   # most prefix-matrix entries an array's sum holds at once
 _ROW_PAD = 64            # prefix rows are zero-padded to a multiple of this
 
 
@@ -81,45 +83,66 @@ def _log_grid(a: float, n: int) -> np.ndarray:
     return np.log(np.arange(n, dtype=np.float64) + a)
 
 
-def _hurwitz_em(s: complex, a: float, n_cut: int, order: int, chain=None) -> tuple:
-    """Fixed-parameter Euler-Maclaurin evaluation, (value, abs_err); no
-    adaptivity, no pole guard.  The prefix row is zero-padded as in
-    hurwitz_batch, from the same log grid, so both sum the same terms in the
-    same order.  chain: as for _em_cutoff."""
-    terms = np.zeros(-(-n_cut // _ROW_PAD) * _ROW_PAD, dtype=complex)
-    np.exp(-s * _log_grid(a, n_cut), out=terms[:n_cut])
+def _hurwitz_em(s, a: float, n_cut, order: int, chain=None) -> tuple:
+    """Euler-Maclaurin at a fixed cutoff N and order, (value, abs_err), at a
+    point s (N an integer) or at every point of a 1-D complex array s (N an
+    array of them); no adaptivity, no pole guard.  chain: as for _em_cutoff.
+
+    Each prefix row is zero-padded to a multiple of _ROW_PAD and summed
+    pairwise over the one log grid.  An array groups its rows by padded length
+    into blocks of at most PREFIX_BLOCK entries, a wider row being a block of
+    its own, so a value never depends on which other points share the batch;
+    a point lays its one row out alone, which rounds the same at a tenth of
+    the cost.  The layout is the only place where the two forms part."""
+    if isinstance(s, np.ndarray):
+        n_cut = n_cut.astype(np.int64)
+        width = -(-n_cut // _ROW_PAD) * _ROW_PAD
+        prefix, mass = np.zeros(s.shape, dtype=complex), np.zeros(s.shape)
+        for w in np.unique(width).tolist():
+            rows, logs, step = np.flatnonzero(width == w), _log_grid(a, w), max(1, PREFIX_BLOCK // w)
+            for lo in range(0, len(rows), step):
+                r = rows[lo:lo + step]
+                terms = np.exp(-s[r, None] * logs, out=np.zeros((len(r), w), dtype=complex),
+                               where=np.arange(w) < n_cut[r, None])
+                prefix[r], mass[r] = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    else:
+        n_cut = int(n_cut)
+        terms = np.zeros(-(-n_cut // _ROW_PAD) * _ROW_PAD, dtype=complex)
+        np.exp(-s * _log_grid(a, n_cut), out=terms[:n_cut])
+        prefix, mass = complex(np.add.reduce(terms)), float(np.add.reduce(np.abs(terms)))
     x = n_cut + a
-    return _em_tail(s, x, cmath.exp(-s * math.log(x)), complex(np.add.reduce(terms)),
-                    float(np.add.reduce(np.abs(terms))), math.log2(max(n_cut, 2)), order,
+    return _em_tail(s, x, np.log(x), prefix, mass, np.log2(n_cut + (n_cut < 2)), order,
                     _pochhammer_chain(s, order) if chain is None else chain)
 
 
 def _pochhammer_chain(s, order: int) -> list:
     """[(s)_1, (s)_3, ..., (s)_{2M+1}] for M = order, each entry the one before
-    times (s+2k-1), then times (s+2k).  For an array, a product u*(s+j) is
-    taken as u*Re(s+j) + u*i*Im(s+j), which rounds as Python's complex product
-    does, where numpy's may fuse its multiply-adds (see config.cmul)."""
+    times s + (2k-1), then times s + 2k, each factor rounded once from s.  On an
+    array the products are config.cmul, which rounds as Python's complex
+    product does at a point."""
+    mul = cmul if isinstance(s, np.ndarray) else operator.mul
     chain = [s]
-    if isinstance(s, np.ndarray):
-        re, im = s.real + 0j, 1j * s.imag
-        for j in range(1, 2 * order, 2):
-            u = chain[-1] * (re + j) + chain[-1] * im
-            chain.append(u * (re + (j + 1)) + u * im)
-        return chain
     for j in range(1, 2 * order, 2):
-        chain.append(chain[-1] * (s + j) * (s + j + 1))
+        chain.append(mul(mul(chain[-1], s + j), s + (j + 1)))
     return chain
 
 
-def _em_tail(s, x, xs, prefix, prefix_mass, log2n, order, chain):
-    """Value and abs_err from the prefix sum over n < N, x = N + a, xs = x^{-s},
-    log2n = log2(max(N, 2)) and chain = _pochhammer_chain(s, order), for scalars
+def _em_tail(s, x, log_x, prefix, prefix_mass, log2n, order, chain):
+    """Value and abs_err from the prefix sum over n < N, x = N + a, log_x = log x,
+    log2n = log2(max(N, 2)) and chain = _pochhammer_chain(s, order), for points
     and arrays alike.  The corrections are x^{-s-1} times a polynomial in y = x^-2,
     in Horner form (Johansson, arXiv:1309.2877, section 2); the truncation term
     takes the chain's last entry.  Quotients are products by reciprocals, and
     on arrays products and moduli are config.cmul and config.cabs, which round
-    as Python's do on a complex."""
-    mul, mod = (cmul, cabs) if isinstance(s, np.ndarray) else (operator.mul, abs)
+    as Python's do on a complex.  Both logs come from numpy, whose log need not
+    round as the C library's does; a point takes them as Python floats, so that
+    no numpy scalar enters its complex arithmetic."""
+    if isinstance(s, np.ndarray):
+        exp, mul, mod = np.exp, cmul, cabs
+    else:
+        exp, mul, mod = cmath.exp, operator.mul, abs
+        log_x, log2n = float(log_x), float(log2n)
+    xs = exp(-s * log_x)                         # x^{-s}
     bfac = bernoulli_over_factorial()
     y = yk = 1.0 / (x * x)
     corr = bfac[2 * order] * chain[order - 1]
@@ -185,73 +208,38 @@ def _cutoff_error(s: complex, a: float, cfg: EvalConfig) -> ZetaError:
     )
 
 
-def _hurwitz(s: complex, a: float, cfg: EvalConfig) -> tuple:
-    """Pole guard, cutoff, Euler-Maclaurin: (value, abs_err) at the point s, for
-    every a > 0."""
-    chain = _pochhammer_chain(s, EM_ORDER)
-    n_cut = _em_cutoff(s, a, cfg, chain)
-    if not _cutoff_ok(s, n_cut):
-        raise _cutoff_error(s, a, cfg)
-    return _hurwitz_em(s, a, int(n_cut), EM_ORDER, chain)
-
-
-def hurwitz_batch(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(s, a) at every point of the 1-D array s: (values, abs_errs), with the
-    formula, cutoff and roundings of hurwitz_zeta_shifted; no range check on
-    a > 0.  Prefix rows are grouped by padded length and summed in blocks of at
-    most PREFIX_BLOCK entries; a longer row is evaluated on its own by _hurwitz_em."""
-    s = np.asarray(s, dtype=complex)
-    chain = _pochhammer_chain(s, EM_ORDER)
-    n_cut = _em_cutoff(s, a, cfg, chain)
-    for i in np.flatnonzero(~_cutoff_ok(s, n_cut))[:1]:
-        raise _cutoff_error(complex(s[i]), a, cfg)
-    n_cut = n_cut.astype(np.int64)
-    width = -(-n_cut // _ROW_PAD) * _ROW_PAD
-    prefix = np.zeros(s.shape, dtype=complex)
-    mass = np.zeros(s.shape)
-    for w in np.unique(width[width <= PREFIX_BLOCK]).tolist():
-        rows = np.flatnonzero(width == w)
-        logs = _log_grid(a, w)
-        for lo in range(0, len(rows), PREFIX_BLOCK // w):
-            r = rows[lo:lo + PREFIX_BLOCK // w]
-            terms = np.exp(-s[r, None] * logs, out=np.zeros((len(r), w), dtype=complex),
-                           where=np.arange(w) < n_cut[r, None])
-            prefix[r] = terms.sum(axis=1)
-            mass[r] = np.abs(terms).sum(axis=1)
-    x = n_cut + a
-    val, err = _em_tail(s, x, np.exp(-s * np.log(x)), prefix, mass,
-                        np.log2(np.maximum(n_cut, 2)), EM_ORDER, chain)
-    for i in np.flatnonzero(width > PREFIX_BLOCK):
-        val[i], err[i] = _hurwitz_em(complex(s[i]), a, int(n_cut[i]), EM_ORDER)
-    return val, err
-
-
 def hurwitz_pair(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
     """(value, abs_err) of zeta(s, a), a > 0, at a point s (a complex) or at
-    every point of a 1-D array s (hurwitz_batch); no range check on a.  The
-    expression atoms and the family term lists evaluate through this entry."""
-    if isinstance(s, np.ndarray):
-        return hurwitz_batch(s, a, cfg)
-    return _hurwitz(s, a, cfg)
+    every point of a 1-D complex array s; no range check on a.  The one Hurwitz
+    kernel: the chain, the cutoff, the guard, which raises the error of the
+    first rejected point, and _hurwitz_em's sum.  A point and an array run the
+    same code and agree bit for bit; they part only in the prefix row's layout.
+    The expression atoms and the family term lists evaluate through this entry."""
+    chain = _pochhammer_chain(s, EM_ORDER)
+    n_cut = _em_cutoff(s, a, cfg, chain)
+    ok = _cutoff_ok(s, n_cut)
+    if not (ok.all() if isinstance(s, np.ndarray) else ok):
+        raise _cutoff_error(complex(np.ravel(s)[np.argmin(ok)]), a, cfg)
+    return _hurwitz_em(s, a, n_cut, EM_ORDER, chain)
 
 
 def hurwitz_zeta(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta(s, a) = sum_{n>=0} (n+a)^{-s} continued to all s != 1; 0 < a <= 1."""
     if not 0.0 < a <= 1.0:
         raise ValueError(f"hurwitz_zeta requires 0 < a <= 1, got a={a}")
-    return ComplexValue.of(*_hurwitz(complex(s), a, cfg))
+    return ComplexValue.of(*hurwitz_pair(complex(s), a, cfg))
 
 
 def riemann_zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta(s) = sum_{n>=1} n^{-s}, continued to all s != 1."""
-    return ComplexValue.of(*_hurwitz(complex(s), 1.0, cfg))
+    return ComplexValue.of(*hurwitz_pair(complex(s), 1.0, cfg))
 
 
 def hurwitz_zeta_shifted(s: complex, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
     """zeta(s, a) for any a > 0, summed directly at a (no reduction to (0, 1])."""
     if a <= 0:
         raise ValueError(f"requires a > 0, got {a}")
-    return ComplexValue.of(*_hurwitz(complex(s), a, cfg))
+    return ComplexValue.of(*hurwitz_pair(complex(s), a, cfg))
 
 
 def log_gamma(s: complex) -> ComplexValue:
