@@ -127,10 +127,6 @@ def cmd_eval(args) -> int:
             results.append({"s": [ [c.real, c.imag] for c in svals ],
                             "re": v.re, "im": v.im, "abs_err": v.abs_err})
             print(f"F({raw}) = {v.re:.15g} + {v.im:.15g}i  (abs_err {v.abs_err:.3g})")
-        if not args.at_tuple:
-            print("note: --config evaluation needs --at-tuple 's1;s2;...'",
-                  file=sys.stderr)
-            return USAGE_ERROR
         expr_text = f"<config:{args.config}>"
     else:
         expr = parse_expr(args.expr)
@@ -156,17 +152,11 @@ def _clear_real_poles(expr, rect: Rectangle) -> Rectangle:
     Every implemented atom has only real poles, so nudging t_lo above the axis
     is the whole pre-split story for upper-half-plane rectangles.
     """
-    adjusted = rect
-    for cand in pole_set(expr):
-        p = cand.location
-        if abs(p.imag) > 1e-12:
-            continue
-        near_axis = adjusted.t_lo <= T_FLOOR and adjusted.t_hi > T_FLOOR
-        spans = adjusted.sigma_lo - T_FLOOR <= p.real <= adjusted.sigma_hi + T_FLOOR
-        if near_axis and spans and abs(adjusted.t_lo - p.imag) < T_FLOOR:
-            adjusted = Rectangle(adjusted.sigma_lo, adjusted.sigma_hi,
-                                 T_FLOOR, adjusted.t_hi)
-    return adjusted
+    on_poles = rect.t_lo <= T_FLOOR < rect.t_hi and any(
+        abs(p.imag) <= 1e-12 and abs(rect.t_lo - p.imag) < T_FLOOR
+        and rect.sigma_lo - T_FLOOR <= p.real <= rect.sigma_hi + T_FLOOR
+        for p in (cand.location for cand in pole_set(expr)))
+    return Rectangle(rect.sigma_lo, rect.sigma_hi, T_FLOOR, rect.t_hi) if on_poles else rect
 
 
 def cmd_zeros(args) -> int:
@@ -330,10 +320,18 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
-    if args.command == "eval" and not args.config and args.expr is None:
-        ap.error("eval needs an expression or --config")
-    if args.command == "eval" and not args.config and not args.at:
-        ap.error("eval needs at least one --at point")
+    if args.command == "eval" and args.config:
+        if args.expr is not None or args.at:
+            ap.error("eval --config takes --at-tuple points, not an expression or --at")
+        if not args.at_tuple:
+            ap.error("eval --config needs at least one --at-tuple 's1;s2;...'")
+    elif args.command == "eval":
+        if args.at_tuple:
+            ap.error("--at-tuple needs --config")
+        if args.expr is None:
+            ap.error("eval needs an expression or --config")
+        if not args.at:
+            ap.error("eval needs at least one --at point")
     try:
         return args.fn(args)
     except _SYNTAX_ERRORS as exc:

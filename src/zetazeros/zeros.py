@@ -14,7 +14,7 @@ any piece of it.  F's increment is G's less each pole candidate's, k times
 the exact angle the segment subtends from p.  The closed-loop total is
 2*pi*(zeros - poles) counted with multiplicity.  This is a proof only while
 abs_err bounds the evaluation error, which the kernel estimates rather than
-proves (ROADMAP item 5).
+proves (see the ROADMAP item on abs_err as a proven bound).
 
 Inside a cell whose contour is certified, |G| is at most three times its
 largest sample (the cell's hull, by the maximum principle).  That gives a second,

@@ -12,7 +12,9 @@ the correction terms decrease.  (s)_m denotes the rising factorial
 s(s+1)...(s+m-1).  hurwitz_pair evaluates this one formula, as a (value,
 abs_err) pair, at a point or at an array of points; hurwitz_zeta,
 hurwitz_zeta_shifted and riemann_zeta wrap its point form in a ComplexValue.
-completed_zeta_pair does the same for pi^{-s/2} Gamma(s/2) zeta(s).
+completed_zeta_pair, pi^{-s/2} Gamma(s/2) zeta(s), has the kernel's shape:
+one body of operators for a point and an array, a guard that raises the
+error of the first rejected point, and the kernel's sum before Gamma(s/2).
 
 The order M is the constant EM_ORDER.  The cutoff N is chosen from the error
 target: it is the smallest N at which twice the first omitted correction
@@ -21,8 +23,9 @@ target therefore sets the work done, and a value carries a truncation error
 near the target rather than far below it.
 The reported abs_err is that truncation term plus a rounding-noise allowance
 for the prefix sum; the allowance is calibrated, not proven, and misses on a
-small share of points (ROADMAP item 3).  One chain of rising factorials per
-point serves the cutoff and the corrections, which are summed in Horner form.
+small share of points (see the ROADMAP item on abs_err as a proven bound).
+One chain of rising factorials per point serves the cutoff and the
+corrections, which are summed in Horner form.
 
 A point and an array run one kernel body, hurwitz_pair and _hurwitz_em.  Every
 point keeps its own cutoff N, and its prefix row is zero-padded to a length
@@ -42,6 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -290,51 +294,55 @@ def _stirling_coeffs() -> tuple[float, ...]:
     )
 
 
+def _xi_error(s: complex) -> PoleProximity:
+    """The error for a point that completed_zeta_pair's guard rejects."""
+    near = [p for p in (0, 1) if abs(s - p) < POLE_GUARD]
+    at, what = (near[0], "") if near else (2 * round(0.5 * s.real), " Gamma(s/2)")
+    return PoleProximity(f"completed zeta{what} pole at s={at:g}",
+                         location=complex(at), source="xi")
+
+
 def completed_zeta_pair(s, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
     """(value, abs_err) of pi^{-s/2} Gamma(s/2) zeta(s) at a point s (a complex)
-    or at every point of a 1-D array s, bit for bit the same either way.
+    or at every point of a 1-D array s, in the Hurwitz kernel's shape: one
+    body of operators for both, bit for bit the same either way.  As in
+    hurwitz_pair, the two forms part only where a line chooses Python's or
+    numpy's operators and where the guard asks whether every point passed.
 
-    Gamma(s/2) = exp(Stirling(w)) / prod_{j < shift} (s/2 + j), w = s/2 + shift,
-    with the recurrence taken as one product, not as a sum of logs: numpy's
-    complex log rounds as cmath.log only away from |z| = 1, and the factors
-    s/2 + j come near it.  On an array each point keeps its own shift, and the
-    product runs up to the largest shift with the others masked.  A point at a
-    pole of Gamma(s/2) or of the completed zeta raises, for an array the
-    scalar error of its first such point.
+    The guard raises the error of the first point at a pole of the completed
+    zeta (s = 1, and s = 0, -2, -4, ..., the poles of Gamma(s/2)); zeta(s)
+    comes next, so that a point the kernel rejects raises its error before
+    Gamma(s/2) can overflow.  Gamma(s/2) = exp(Stirling(w)) / prod_{j < shift}
+    (s/2 + j), w = s/2 + shift, with the recurrence taken as one product, not
+    as a sum of logs: numpy's complex log rounds as cmath.log only away from
+    |z| = 1, and the factors s/2 + j come near it.  Each point keeps its own
+    shift; on an array the product runs to the largest, a factor past a
+    point's own shift being 1.  The abs_err holds an absolute allowance of the
+    least normal double times |zeta(s)| and its error, for where the Gamma
+    factor underflows.
     """
     arr = isinstance(s, np.ndarray)
+    exp, mul, mod, most = ((np.exp, cmul, cabs, lambda x: x.max(initial=0)) if arr
+                           else (cmath.exp, operator.mul, abs, float))
     h = 0.5 * s
-    nearest = np.round(h.real) if arr else round(h.real)
-    bad = ((cabs(s) < POLE_GUARD) | (cabs(s - 1) < POLE_GUARD)
-           | ((nearest <= 0) & (cabs(h - nearest) < POLE_GUARD)))
-    if arr:
-        for i in np.flatnonzero(bad)[:1]:
-            completed_zeta_pair(complex(s[i]), cfg)          # raises
-        shift = np.maximum(0.0, np.ceil(LOG_GAMMA_SHIFT - h.real))
-        steps = int(shift.max(initial=0))
-    elif bad:
-        for p in (0.0, 1.0):
-            if abs(s - p) < POLE_GUARD:
-                raise PoleProximity(f"completed zeta pole at s={p:g}",
-                                    location=complex(p), source="xi")
-        raise PoleProximity(f"completed zeta Gamma(s/2) pole at s={2 * nearest:g}",
-                            location=complex(2 * nearest), source="xi")
-    else:
-        shift = steps = max(0, math.ceil(LOG_GAMMA_SHIFT - h.real))
+    nearest = h.real // 1 + (h.real % 1 >= 0.5)
+    # |s| < POLE_GUARD puts h within the guard of the Gamma(s/2) pole at 0.
+    ok = (mod(s - 1) >= POLE_GUARD) & ((nearest > 0) | (mod(h - nearest) >= POLE_GUARD))
+    if not (ok.all() if arr else ok):
+        raise _xi_error(complex(np.ravel(s)[np.argmin(ok)]))
+    zv, zerr = hurwitz_pair(s, 1.0, cfg)
+    shift = -((h.real - LOG_GAMMA_SHIFT) // 1)      # ceil(LOG_GAMMA_SHIFT - Re h), at least 0
+    shift = shift * (shift > 0)
     x = _stirling(h + shift) - h * _LOG_PI
     prod = 1 + 0j
-    if arr:
-        for j in range(steps):
-            prod = np.where(j < shift, cmul(prod, h + j), prod)
-    else:
-        for j in range(steps):
-            prod = prod * (h + j)
-    q = 1.0 / cabs(prod)
-    pref = cmul(np.exp(x) if arr else cmath.exp(x), prod.conjugate() * q * q)
-    zv, zerr = hurwitz_pair(s, 1.0, cfg)
-    val = cmul(pref, zv)
-    gamma_err = (1e-14 + (shift + 1) * 3e-16) * (1.0 + cabs(x))
-    return val, cabs(pref) * zerr + cabs(val) * (gamma_err + 5e-16)
+    for j in range(int(most(shift))):
+        prod = mul(prod, (h + j) * (j < shift) + (j >= shift))
+    q = 1.0 / mod(prod)
+    pref = mul(exp(x), prod.conjugate() * q * q)
+    val = mul(pref, zv)
+    gamma_err = (1e-14 + (shift + 1) * 3e-16) * (1.0 + mod(x))
+    return val, (mod(pref) * zerr + mod(val) * (gamma_err + 5e-16)
+                 + sys.float_info.min * (mod(zv) + zerr))
 
 
 def completed_zeta(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:

@@ -52,7 +52,14 @@ def test_usage_error_exit_2(tmp_path, capsys):
     cfg.write_text("r = 2\nm = 3\nlambda = 1 0  0 1  1 1\nshifts = 0 0\noffset = from_one\n")
     for argv in (("density", "zeta(s)", "--sigma0", "0.55", "--T", ""),
                  ("eval", "zeta(s)", "--at", "foo"),
-                 ("eval", "--config", str(cfg), "--at-tuple", "2;x")):
+                 ("eval", "--config", str(cfg), "--at-tuple", "2;x"),
+                 # eval would drop part of these: an expression and --at go
+                 # without --config, --at-tuple only with it.
+                 ("eval", "zeta(s)", "--at", "2", "--at-tuple", "2;2;2"),
+                 ("eval", "--at-tuple", "2;2;2"),
+                 ("eval", "--config", str(cfg), "--at-tuple", "2;2;2", "--at", "2"),
+                 ("eval", "zeta(s)", "--config", str(cfg), "--at-tuple", "2;2;2"),
+                 ("eval", "--config", str(cfg))):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 2, argv

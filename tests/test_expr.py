@@ -272,6 +272,8 @@ def test_eval_batch_agrees_with_eval_expr(text):
 @example(text="hurwitz(s,1/3)", zs=[-1.6451697434547998 + 17.34996850973232j])
 @example(text="hurwitz(s,1/3)", zs=[0.9748203624031646 + 380.09428620097094j])
 @example(text="zeta(s/3)+1", zs=[2.0, 1.0181930358318132 - 84.9115664078729j])
+# xi raised OverflowError, not zeta's BudgetExceeded, left of Re(s) = -24.5.
+@example(text="xi(s)", zs=[0.5 + 14j, -30 + 1j, -2e3 + 1j, -1e5 + 1j])
 def test_eval_batch_equals_eval_expr_bit_for_bit(text, zs):
     # Points where eval_expr raises are left out (the budget and pole-guard
     # tests cover them); the batch of the rest matches point by point.
@@ -329,6 +331,21 @@ def test_xi_gamma_pole_reported_at_s():
         for exc in (want.value, got.value):
             assert str(exc) == f"completed zeta Gamma(s/2) pole at s={at}"
             assert (exc.location, exc.source) == (complex(at), "xi")
+
+
+@pytest.mark.parametrize("z", [-30 + 1j, -2e3 + 1j, -1e5 + 1j])
+def test_xi_left_of_the_kernel_raises_zetas_budget_error(z):
+    # zeta(s) runs before Gamma(s/2), which would overflow this far left, so
+    # xi raises zeta's BudgetExceeded, in eval_expr, in eval_batch and in the
+    # kernel entry's array form; a RuntimeWarning fails the test.
+    with pytest.raises(BudgetExceeded) as want:
+        eval_expr(parse_expr("zeta(s)"), z)
+    e = parse_expr("xi(s)")
+    for run in (lambda: eval_expr(e, z), lambda: eval_batch(e, [1 + 1j] * 500 + [z]),
+                lambda: zeta.completed_zeta_pair(np.array([2 + 1j, z]))):
+        with pytest.raises(BudgetExceeded) as got:
+            run()
+        assert str(got.value) == str(want.value)
 
 
 def test_eval_batch_budget_exceeded_matches_eval_expr(monkeypatch):

@@ -210,6 +210,21 @@ def test_completed_zeta_poles():
             completed_zeta(p + 1e-10)
 
 
+def test_completed_zeta_underflow_keeps_its_error_bound():
+    # pi^{-s/2} Gamma(s/2) is subnormal near t = 900 and 0 at t = 1000 and
+    # 2000, where |xi| is 5e-342 and 2e-683; abs_err still covers mpmath's
+    # value, and a batch gives the point's bits.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    zs = [0.7 + 900j, 0.7 + 1000j, 0.5 - 2000j, 2 + 1000j]
+    values, errs = zeta.completed_zeta_pair(np.array(zs))
+    for z, v, err in zip(zs, values.tolist(), errs.tolist()):
+        s = mpmath.mpc(z.real, z.imag)
+        ref = mpmath.pi ** (-s / 2) * mpmath.gamma(s / 2) * mpmath.zeta(s)
+        assert abs(mpmath.mpc(v) - ref) <= err <= 1e-307, z
+        assert (v, err) == zeta.completed_zeta_pair(z)
+
+
 def test_hurwitz_batch_matches_scalar():
     # Default and tight (order 4, target 1e-15) cutoffs, at several shifts.
     # Rows at t ~ 30000 are wider than one prefix block at every setting, so
