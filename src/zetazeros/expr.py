@@ -19,10 +19,12 @@ family atoms (ezd, barnes, sphere, symmat) parse and print as themselves and
 evaluate through their families' term lists, polynomials in Hurwitz zetas.
 
 eval_expr evaluates one point; eval_batch evaluates an array of points in one
-vectorised pass.  Both run the same compiled closure: every node, atom and
-error rule is written with operators only, so a point and an array go
-through the same code.  majorant folds the tree into pole orders and a
-closed-form bound of |F * prod (s - p)^k| over boxes, for the zero engine.
+vectorised pass.  Both run one body, _evaluate: the pole guard, then the
+compiled closure.  The guard, every node, atom and error rule are written
+with operators only, so a point and an array go through the same code and
+a batch fails where its first failing point fails.  majorant folds the tree
+into pole orders and a closed-form bound of |F * prod (s - p)^k| over boxes,
+for the zero engine.
 """
 
 from __future__ import annotations
@@ -114,6 +116,7 @@ class Neg(_Node):
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = "+-*^()[],/"
+_DIGITS = "0123456789"      # ASCII only: str.isdigit also takes '²' and '٣'
 
 
 def _tokenize(text: str):
@@ -128,10 +131,10 @@ def _tokenize(text: str):
             toks.append((c, c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or text[j] == "."
                 j += 1
             toks.append(("num", text[i:j], i))
@@ -429,7 +432,8 @@ class AtomKind:
     ``evaluator`` returns a closure (s, cfg) -> (value, abs_err) that takes a
     point (a complex) or a 1-D array of points and runs one kernel body on
     either, so the bits are the same either way; it does not guard poles,
-    which eval_expr and eval_batch do from ``poles``.
+    which _evaluate, the body of eval_expr and eval_batch, does from
+    ``poles``.
     The parser runs ``check``, the family's own parameter validator, so that a
     structural parameter out of range is an ArityError at parse time.  The
     closures look up their kernel entry (hurwitz_pair, completed_zeta_pair,
@@ -672,58 +676,55 @@ def majorant(e):
                             for p, n in orders.items() if n > sub.get(p, 0)) for sub, b in kids)
 
 
-def eval_expr(e, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
-    """Evaluate with first-order error propagation; guards every pole candidate."""
+def _evaluate(e, s, cfg: EvalConfig) -> tuple:
+    """(value, abs_err) of e at a point s (a complex) or at every point of a
+    1-D array s, in the Hurwitz kernel's shape: the pole guard, which raises
+    PoleProximity for the first point within POLE_GUARD of a candidate (its
+    first such candidate), then the compiled closure.  The guard takes its
+    moduli by config.cabs, so a point and an array decide alike; a NaN point
+    is no hit and goes on to the closure."""
     if not isinstance(e, _Node):
         raise TypeError(f"not an expression node: {e!r}")
-    s = complex(s)
     guard, fn = e._plan
-    for location, source in guard:
-        if abs(s - location) < POLE_GUARD:
-            raise _guard_error(s, location, source)
-    z, err = fn(s, cfg)
-    return ComplexValue(z.real, z.imag, err)
+    hit = False
+    for location, _ in guard:
+        hit = hit | (cabs(s - location) < POLE_GUARD)
+    if hit.any() if isinstance(hit, np.ndarray) else hit:
+        z = complex(np.ravel(s)[np.argmax(hit)])
+        location, source = next(c for c in guard if cabs(z - c[0]) < POLE_GUARD)
+        raise PoleProximity(f"s={z:.6g} within pole_guard of candidate {location:.6g} "
+                            f"from {source}", location=location, source=source)
+    return fn(s, cfg)
 
 
-def _guard_error(s: complex, location: complex, source: str) -> PoleProximity:
-    return PoleProximity(
-        f"s={s:.6g} within pole_guard of candidate {location:.6g} from {source}",
-        location=location, source=source,
-    )
+def eval_expr(e, s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> ComplexValue:
+    """Evaluate with first-order error propagation; guards every pole candidate."""
+    return ComplexValue.of(*_evaluate(e, complex(s), cfg))
 
 
 def eval_batch(e, zs, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """eval_expr at every point of the 1-D sequence zs: (values, abs_errs).
 
-    The same closure runs on the array as eval_expr runs on a point, and its
-    arithmetic rounds on arrays as on a complex, so each value and abs_err
-    equals eval_expr's bit for bit.  Values do not depend on the order of zs
-    or on how a list of points is split into batches.  The pole guard checks
-    every point before any is evaluated and raises eval_expr's
-    PoleProximity for the first offending one.  When evaluation fails, or a
-    point's abs_err is not finite, eval_batch raises what eval_expr raises at
-    the first point where it fails (ValueError for a non-finite abs_err).
+    The same body runs on the array as eval_expr runs on a point, the pole
+    guard and the closure alike, and its arithmetic rounds on arrays as on a
+    complex, so each value and abs_err, and each guard decision, equals
+    eval_expr's bit for bit.  Values do not depend on the order of zs or on
+    how a list of points is split into batches.  The array runs with numpy
+    overflow and invalid operations raising.  When evaluation fails there,
+    at the guard, in an atom or in an overflow, or a point's abs_err is not
+    finite, eval_batch raises what eval_expr raises at the first point where
+    it fails (ValueError for a non-finite abs_err).
     """
-    if not isinstance(e, _Node):
-        raise TypeError(f"not an expression node: {e!r}")
     s = np.asarray(zs, dtype=complex)
     if s.ndim != 1:
         raise ValueError(f"eval_batch takes a 1-D sequence of points, got shape {s.shape}")
-    guard, fn = e._plan
-    if guard and s.size:
-        locations = np.array([loc for loc, _ in guard])
-        near = np.abs(s[None, :] - locations[:, None]) < POLE_GUARD
-        hit = near.any(axis=0)
-        if hit.any():
-            i = int(np.argmax(hit))
-            raise _guard_error(complex(s[i]), *guard[int(np.argmax(near[:, i]))])
     try:
-        values, errs = (np.array(np.broadcast_to(x, s.shape)) for x in fn(s, cfg))
+        with np.errstate(over="raise", invalid="raise"):
+            values, errs = (np.array(np.broadcast_to(x, s.shape)) for x in _evaluate(e, s, cfg))
+        if not np.isfinite(errs).all():
+            raise ValueError("abs_err must be finite")
     except (ZetaError, ArithmeticError, ValueError):
         for z in s.tolist():        # what eval_expr raises at the first failing point
             eval_expr(e, z, cfg)
         raise
-    for i in np.flatnonzero(~np.isfinite(errs))[:1]:
-        eval_expr(e, complex(s[i]), cfg)
-        ComplexValue.of(values[i], errs[i])         # the ValueError eval_expr gives
     return values, errs

@@ -46,6 +46,7 @@ import cmath
 import math
 import operator
 import sys
+from contextlib import nullcontext
 from functools import lru_cache
 
 import numpy as np
@@ -57,6 +58,7 @@ from .tables import BERNOULLI_MAX_INDEX, bernoulli, bernoulli_over_factorial
 EM_ORDER = 12            # Bernoulli correction terms M of every Euler-Maclaurin sum
 MAX_TERMS = 10**7        # hard cap on direct-sum terms
 POLE_GUARD = 1e-8        # least distance from a point to a pole candidate
+_RATIO_CAP = 2.0 ** 500  # _em_cutoff's ratio where decay < 1; its square is finite
 LOG_GAMMA_SHIFT = 12.0   # recurrence target for Re(s) before the Stirling series
 LOG_GAMMA_TERMS = 10
 
@@ -182,7 +184,10 @@ def _em_cutoff(s, a: float, cfg: EvalConfig, chain=None):
     # divides by 0 nor overflows at points _cutoff_ok rejects.
     decay = s.real + 2 * order + 1
     decay = (decay > 0.5) * decay + (decay <= 0.5)
-    root = (factor / cfg.target_abs_err) ** (1.0 / decay)
+    # Where decay < 1 a ratio past _RATIO_CAP gives a root past MAX_TERMS; held
+    # at the cap it still does, and the power, whose exponent is below 2, stays finite.
+    ratio = factor / cfg.target_abs_err
+    root = (ratio - (ratio - _RATIO_CAP) * ((ratio > _RATIO_CAP) & (decay < 1))) ** (1.0 / decay)
     x_min = abs(s + 2 * order) / math.pi
     n = -((a - root * (root >= x_min) - x_min * (root < x_min)) // 1)      # ceiling
     n = n * (n >= 1) + (n < 1)
@@ -193,7 +198,7 @@ def _cutoff_ok(s, n_cut):
     """Where Euler-Maclaurin may run with cutoff n_cut = _em_cutoff(s, ...):
     outside the pole guard, at an order that converges, within MAX_TERMS.
     Operators only, like _em_cutoff."""
-    return ((abs(s - 1) >= POLE_GUARD) & (s.real + 2 * EM_ORDER + 1 > 0.5)
+    return ((cabs(s - 1) >= POLE_GUARD) & (s.real + 2 * EM_ORDER + 1 > 0.5)
             & (n_cut <= MAX_TERMS))
 
 
@@ -218,11 +223,17 @@ def hurwitz_pair(s, a: float, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
     kernel: the chain, the cutoff, the guard, which raises the error of the
     first rejected point, and _hurwitz_em's sum.  A point and an array run the
     same code and agree bit for bit; they part only in the prefix row's layout.
+    A point far past MAX_TERMS raises BudgetExceeded in either form, with no
+    numpy warning.
     The expression atoms and the family term lists evaluate through this entry."""
-    chain = _pochhammer_chain(s, EM_ORDER)
-    n_cut = _em_cutoff(s, a, cfg, chain)
-    ok = _cutoff_ok(s, n_cut)
-    if not (ok.all() if isinstance(s, np.ndarray) else ok):
+    # Far past MAX_TERMS (|s| > 1e12) the chain overflows to inf and NaN, as
+    # Python's complex arithmetic does silently at a point; _cutoff_ok rejects it.
+    arr = isinstance(s, np.ndarray)
+    with np.errstate(over="ignore", invalid="ignore") if arr else nullcontext():
+        chain = _pochhammer_chain(s, EM_ORDER)
+        n_cut = _em_cutoff(s, a, cfg, chain)
+        ok = _cutoff_ok(s, n_cut)
+    if not (ok.all() if arr else ok):
         raise _cutoff_error(complex(np.ravel(s)[np.argmin(ok)]), a, cfg)
     return _hurwitz_em(s, a, n_cut, EM_ORDER, chain)
 
@@ -267,6 +278,7 @@ def log_gamma(s: complex) -> ComplexValue:
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _stirling(w):
@@ -317,9 +329,11 @@ def completed_zeta_pair(s, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
     as a sum of logs: numpy's complex log rounds as cmath.log only away from
     |z| = 1, and the factors s/2 + j come near it.  Each point keeps its own
     shift; on an array the product runs to the largest, a factor past a
-    point's own shift being 1.  The abs_err holds an absolute allowance of the
-    least normal double times |zeta(s)| and its error, for where the Gamma
-    factor underflows.
+    point's own shift being 1.  Where exp(Stirling(w)) would overflow (Re s
+    past about 340), both forms raise cmath.exp's OverflowError before it is
+    taken.  The abs_err holds an absolute allowance of the least normal
+    double times |zeta(s)| and its error, for where the Gamma factor
+    underflows.
     """
     arr = isinstance(s, np.ndarray)
     exp, mul, mod, most = ((np.exp, cmul, cabs, lambda x: x.max(initial=0)) if arr
@@ -334,6 +348,8 @@ def completed_zeta_pair(s, cfg: EvalConfig = DEFAULT_CONFIG) -> tuple:
     shift = -((h.real - LOG_GAMMA_SHIFT) // 1)      # ceil(LOG_GAMMA_SHIFT - Re h), at least 0
     shift = shift * (shift > 0)
     x = _stirling(h + shift) - h * _LOG_PI
+    if most(x.real) > _LOG_MAX:         # exp(x) overflows: cmath.exp's error, point or array
+        raise OverflowError("math range error")
     prod = 1 + 0j
     for j in range(int(most(shift))):
         prod = mul(prod, (h + j) * (j < shift) + (j >= shift))

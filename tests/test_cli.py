@@ -42,6 +42,10 @@ def test_eval_syntax_exit_2(capsys):
     assert run("eval", "frob(s)", "--at", "2") == 2
     for text in ("zeta(s/0)", "hurwitz(s,1/0)", "barnes(2,1/0)", "zeta(1/0*s)", "zeta(s/2.5)"):
         assert run("eval", text, "--at", "2") == 2, text
+    # a digit outside ASCII is a syntax error with its position, not a bare ValueError
+    capsys.readouterr()
+    assert run("eval", "zeta(s)^\u00b2", "--at", "2") == 2
+    assert "syntax error: unexpected character '\u00b2' (at position 8)" in capsys.readouterr().err
     # structural parameters outside the family's range are usage errors
     for text in ("ezd(0)", "ezd(13)", "barnes(13,1/2)", "sphere(17)", "symmat(4,Ln,+1,+1)"):
         assert run("eval", text, "--at", "2.3") == 2, text

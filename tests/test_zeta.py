@@ -225,6 +225,29 @@ def test_completed_zeta_underflow_keeps_its_error_bound():
         assert (v, err) == zeta.completed_zeta_pair(z)
 
 
+@pytest.mark.parametrize("z", [700 + 1j, 2000 + 0j])
+def test_completed_zeta_overflow_raises_at_a_point_and_on_an_array(z):
+    # Gamma(s/2) overflows past Re(s) ~ 340: the array form raises the point's
+    # OverflowError for its first such point; a RuntimeWarning fails the test.
+    with pytest.raises(OverflowError) as want:
+        zeta.completed_zeta_pair(z)
+    with pytest.raises(OverflowError) as got:
+        zeta.completed_zeta_pair(np.array([2 + 1j, z, 3000 + 0j]))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("z", [-24.4 + 1e8j, 3 + 1e300j, -20 + 1e20j])
+def test_hurwitz_far_past_max_terms_raises_budget_exceeded(z):
+    # Far past MAX_TERMS the cutoff's power (at -24.4+1e8i) and the rising
+    # factorials (at the others) would overflow; both forms raise the same
+    # BudgetExceeded, and a RuntimeWarning fails the test.
+    with pytest.raises(BudgetExceeded) as want:
+        hurwitz_pair(z, 1.0)
+    with pytest.raises(BudgetExceeded) as got:
+        hurwitz_pair(np.array([2 + 1j, z]), 1.0)
+    assert str(got.value) == str(want.value)
+
+
 def test_hurwitz_batch_matches_scalar():
     # Default and tight (order 4, target 1e-15) cutoffs, at several shifts.
     # Rows at t ~ 30000 are wider than one prefix block at every setting, so
