@@ -23,16 +23,22 @@ from the cell's boundary: near a multiple zero the closed-form majorant
 alone would need segments shorter than rounding allows.
 
 Every edge gets uniform samples _SAMPLES_PER_UNIT apart (at least its two
-corners), evaluated in one batch; the segments that fail the test are
-bisected breadth-first, one eval_batch per depth over every failing segment
-of the decision.  A cell's certified contour (samples, values, errors and
-increments) goes with it: zero localization cuts a cell of winding w into
-w + 1 strips across its longer side, samples and certifies only the cuts,
-and hands each strip the parent's nodes on its sides, cut at the strip's
-ends, until each cell holds winding 1.  Strip windings must conserve the
-parent's; only a fault can break that, so a failure leaves the cell
-unresolved.  A density scan hands each tile's certified top edge to the
-tile above as its bottom edge.
+corners), evaluated in one batch.  The segments that fail the test are
+refined in rounds, one eval_batch per round over every failing segment of
+the decision: a segment is cut into n = ceil(sqrt(need / gap)) equal
+pieces, 2 <= n <= _MAX_PIECES, where need = L^2 M / (4 rho^2) and gap is
+the chord's distance from 0 less the end errors, since need falls as L^2
+and n such pieces would pass if M did not change.  A segment whose chord
+meets the error discs (gap <= 0), and every segment after round
+_SIZED_DEPTH, is halved.  A cell's certified contour (samples, values,
+errors and increments) goes with it: zero localization cuts a cell of
+winding w into w + 1 strips across its longer side, samples and certifies
+only the cuts, and hands each strip the parent's nodes on its sides, cut at
+the strip's ends, until each cell holds winding 1; a cut's end that is a
+node of the parent already keeps that node's values.  Strip windings must
+conserve the parent's; only a fault can break that, so a failure leaves the
+cell unresolved.  A density scan hands each tile's certified top edge to
+the tile above as its bottom edge.
 
 Each winding-1 cell is polished with Newton's method, whose slope at each
 step is the secant through its last two iterates, so that a step costs one
@@ -51,22 +57,22 @@ hold more points than that budget.
 
 A contour meets a zero when the error bounds cannot tell its values from
 0, and the certifier says so by one of two rules, each raising
-NearZeroOnContour: a node (a sample or a bisection midpoint) whose |F| is
+NearZeroOnContour: a node (a sample or a point a round added) whose |F| is
 at most its abs_err, the first in polyline order, since no segment from it
-can pass; or a segment still failing at _MAX_DEPTH, named by its end of
-smaller |F|, since at that length (2^-40 of a sample spacing) a failing
-chord lies, as far as the bounds tell, within its end errors of 0.  Either
-hit is retried by one rule, _jittered: attempt k of at most
-_JITTER_RETRIES + 1 pushes the scanned rectangle or the density scan
+can pass; or a segment still failing after _MAX_DEPTH rounds, named by its
+end of smaller |F|, since at that length (at most 2^-40 of a sample
+spacing) a failing chord lies, as far as the bounds tell, within its end
+errors of 0.  Either hit is retried by one rule, _jittered: attempt k of at
+most _JITTER_RETRIES + 1 pushes the scanned rectangle or the density scan
 outward by k * _JITTER, or moves a split's cuts by k jitters, and the last
 attempt's hit is raised.  DepthExceeded means only an exhausted evaluation
 budget.
 
 The engine's settings are the module constants below (_SAMPLES_PER_UNIT,
-_RHO, _MAX_DEPTH, _MIN_CELL, _JITTER and the budgets); a caller sets only
-ContourConfig.zero_tol, Newton's residual tolerance.  Scans run in the
-calling thread.  The ``threads`` keyword of the scan functions is accepted
-for compatibility and has no effect.
+_RHO, _MAX_DEPTH, _MAX_PIECES, _SIZED_DEPTH, _MIN_CELL, _JITTER and the
+budgets); a caller sets only ContourConfig.zero_tol, Newton's residual
+tolerance.  Scans run in the calling thread.  The ``threads`` keyword of the
+scan functions is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -89,7 +95,9 @@ from .expr import eval_batch, eval_expr, majorant, pole_set
 
 _SAMPLES_PER_UNIT = 8.0      # uniform contour samples per unit of edge length
 _RHO = 0.4                   # growth of a segment's box for its majorant
-_MAX_DEPTH = 40              # segment bisection depth
+_MAX_DEPTH = 40              # refinement rounds; a segment is then at most 2^-40 of a spacing
+_MAX_PIECES = 16             # most pieces a failing segment is cut into in one round
+_SIZED_DEPTH = 6             # the last round that sizes the cut; later rounds halve
 _MIN_CELL = 1e-9             # a cell this small is reported, not split
 _JITTER = 1e-7               # near-zero retry step
 _TILE_HEIGHT = 25.0          # density-scan strip height
@@ -281,8 +289,11 @@ class _Walker:
         return self.fn(z)
 
     def sample(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F and its abs_err at every point of the array pts, in one batch."""
+        """F and its abs_err at every point of the array pts, in one batch
+        (none for no points)."""
         self._count(len(pts))
+        if not len(pts):
+            return np.empty(0, complex), np.empty(0)
         return tuple(np.asarray(x) for x in self.fn.batch(pts))
 
     def boundary_points(self, rect: Rectangle) -> np.ndarray:
@@ -300,7 +311,7 @@ class _Walker:
         """prod (z - p)^k over the pole candidates: G = F times this."""
         return math.prod(((z - p) ** k for p, k in self.poles.items()), start=1.0)
 
-    def _certified(self, z0, z1, v0, v1, e0, e1, hulls=()) -> np.ndarray:
+    def _certified(self, z0, z1, v0, v1, e0, e1, hulls=()):
         """The segment test, over arrays of segments [z0, z1] with F and
         abs_err at their ends: G's values a and b and errors ea and eb there,
         and M bounding |G| on the segment's box grown by rho = _RHO.  Cauchy's
@@ -310,7 +321,9 @@ class _Walker:
         its principal increment is the true one.  Each (rect, H) of
         ``hulls`` (a cell holding the segments and its hull) gives the same
         estimate with M = H and rho the segment's distance from rect's
-        boundary; the smallest is taken."""
+        boundary; the smallest is taken.  Returns (passes, gap, need): the
+        chord's distance from 0 less ea + eb, need = L^2 M / (4 rho^2), and
+        the mask gap > need."""
         q0, q1 = self._regular(z0), self._regular(z1)
         a, u = v0 * q0, v1 * q1 - v0 * q0
         tau = np.clip(-(a * u.conjugate()).real / np.maximum(np.abs(u) ** 2, 1e-300), 0.0, 1.0)
@@ -322,39 +335,45 @@ class _Walker:
             eta = np.minimum(np.minimum(sl - rect.sigma_lo, rect.sigma_hi - sh),
                              np.minimum(tl - rect.t_lo, rect.t_hi - th))
             m = np.minimum(m, np.where(eta > 0, h / np.where(eta > 0, eta, 1.0) ** 2, np.inf))
-        return gap > 0.25 * np.abs(z1 - z0) ** 2 * m
+        need = 0.25 * np.abs(z1 - z0) ** 2 * m
+        return gap > need, gap, need
 
     def certify(self, pts, vals, errs, todo=None, hulls=()):
         """The polyline pts, with F and abs_err at each point, refined until
         every segment flagged in the boolean array todo (every segment for
-        None) passes the test (_certified, with ``hulls``): the segments that
-        fail are bisected breadth-first, their midpoints evaluated in one
-        batch per depth, and their halves tested in turn.  The contour meets
-        a zero, and NearZeroOnContour is raised, at the first node in
-        polyline order (of pts, then of each depth's midpoints) whose |F| is
-        at most its abs_err, and at a segment still failing at _MAX_DEPTH,
-        named by its end of smaller |F|.  Returns the refined (pts, vals,
-        errs)."""
+        None) passes the test (_certified, with ``hulls``): in each round the
+        segments that fail are cut into _pieces equal pieces, the new points
+        of all of them evaluated in one batch, and the pieces tested in the
+        next round.  The contour meets a zero, and NearZeroOnContour is
+        raised, at the first node in polyline order (of pts, then of each
+        round's new points) whose |F| is at most its abs_err, and at a
+        segment still failing after _MAX_DEPTH rounds, named by its end of
+        smaller |F|.  Returns the refined (pts, vals, errs)."""
         todo = np.ones(len(pts) - 1, bool) if todo is None else todo
-        zm, vm, em = pts, vals, errs        # the nodes to check: all, then the midpoints
+        zm, vm, em = pts, vals, errs        # the nodes to check: all, then the new ones
         for depth in range(_MAX_DEPTH + 1):
             for j in np.flatnonzero(np.abs(vm) <= em)[:1]:
                 raise _near_zero(zm[j], vm[j])
             i = np.flatnonzero(todo)
             ends = (x[j] for x in (pts, vals, errs) for j in (i, i + 1))
-            b = i[~self._certified(*ends, hulls)]
+            passes, gap, need = self._certified(*ends, hulls)
+            b = i[~passes]
             if not b.size:
                 return pts, vals, errs
             if depth == _MAX_DEPTH:
                 j = b[0] + (abs(vals[b[0] + 1]) < abs(vals[b[0]]))
                 raise _near_zero(pts[j], vals[j])
-            zm = 0.5 * (pts[b] + pts[b + 1])
+            cuts = _pieces(gap[~passes], need[~passes], depth) - 1
+            at = np.repeat(b, cuts)                 # the segment each new point cuts
+            k = np.arange(1, len(at) + 1) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+            # z0 + (z1 - z0) * k/n keeps an axis-aligned edge's fixed coordinate exact.
+            zm = pts[at] + (pts[at + 1] - pts[at]) * (k / np.repeat(cuts + 1, cuts))
             vm, em = self.sample(zm)
-            todo = np.zeros(len(pts) + len(b) - 1, bool)
-            halves = b + np.arange(len(b))          # where each left half starts
-            todo[halves] = todo[halves + 1] = True
-            pts, vals, errs = (np.insert(x, b + 1, y)
+            pts, vals, errs = (np.insert(x, at + 1, y)
                                for x, y in ((pts, zm), (vals, vm), (errs, em)))
+            new = at + np.arange(1, len(at) + 1)    # where the new points sit now
+            todo = np.zeros(len(pts) - 1, bool)
+            todo[new - 1] = todo[new] = True
 
     def increments(self, pts, vals) -> np.ndarray:
         """Phase increments of F along certified contour samples: G's
@@ -373,6 +392,20 @@ class _Walker:
         pts, vals, errs = self.certify(pts, vals, errs, todo)
         dphi = self.increments(pts, vals)
         return _turns(dphi), (pts, vals, errs, dphi)
+
+
+def _pieces(gap: np.ndarray, need: np.ndarray, depth: int) -> np.ndarray:
+    """How many equal pieces each failing segment of round ``depth`` is cut
+    into.  need scales as L^2 while gap, for a small enough segment, stays
+    near the chord's distance, so n = ceil(sqrt(need / gap)) pieces would
+    pass if M did not change; n is held to 2 <= n <= _MAX_PIECES.  A segment
+    whose chord meets the error discs (gap <= 0) is halved, as is every
+    segment after round _SIZED_DEPTH."""
+    if depth > _SIZED_DEPTH:
+        return np.full(len(gap), 2)
+    ratio = need / np.where(gap > 0, gap, 1.0)
+    n = np.ceil(np.sqrt(np.fmin(ratio, float(_MAX_PIECES) ** 2)))      # NaN gives the most
+    return np.where(gap > 0, np.maximum(n, 2), 2).astype(int)
 
 
 def _near_zero(z, v) -> NearZeroOnContour:
@@ -468,7 +501,7 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, contour, hulls=())
     j (1 <= j < m) sits at lo + L * (j - 1 + _SPLIT_FRAC) / m along the side
     [lo, lo + L], off the centre so that zeros on natural symmetry lines
     (e.g. Re = 1/2) stay strictly inside one strip.  Only the cuts are
-    sampled, in one batch, and certified together, one batch per depth, with
+    sampled, in one batch, and certified together, one batch per round, with
     the ``hulls`` (rect, H) of the cell and of the cells it was cut from,
     which keep the cost of a cut near a multiple zero in check; each
     strip takes the parent's certified ``contour`` (pts, vals, errs, dphi) on
@@ -495,10 +528,19 @@ def _split_cell(walker: _Walker, rect: Rectangle, w_par: int, contour, hulls=())
                  else _edge(complex(c, rect.t_lo), complex(c, rect.t_hi)) for c in ends[1:-1]]
         joins = np.cumsum([len(line) for line in lines])[:-1]
         pts = np.concatenate(lines)
-        vals, errs = walker.sample(pts)
+        # A cut's end may be a node of the parent already: every node lies on
+        # the cell's boundary, so one on a cut line is that cut's end.  The
+        # end keeps the node's values, and the strips take it from the cut.
+        on_cut = np.flatnonzero(np.isin(pool[0].imag if across_t else pool[0].real, ends[1:-1]))
+        on_cut = on_cut[np.argsort(pool[0][on_cut])]
+        old = np.isin(pts, pool[0][on_cut])
+        j = on_cut[np.searchsorted(pool[0][on_cut], pts[old])]
+        vals, errs = np.empty(len(pts), complex), np.empty(len(pts))
+        vals[old], errs[old] = pool[1][j], pool[2][j]
+        vals[~old], errs[~old] = walker.sample(pts[~old])
         todo = ~np.isin(np.arange(len(pts) - 1), joins - 1)     # not from one cut to the next
         done = walker.certify(pts, vals, errs, todo, hulls)
-        nodes = [np.concatenate(x) for x in zip(pool, done)]
+        nodes = [np.concatenate((np.delete(x, on_cut), y)) for x, y in zip(pool, done)]
         measured = []
         for a, b in zip(ends, ends[1:]):
             strip = (Rectangle(rect.sigma_lo, rect.sigma_hi, a, b) if across_t

@@ -114,7 +114,13 @@ def _hurwitz_em(s, a: float, n_cut, order: int, chain=None) -> tuple:
     else:
         n_cut = int(n_cut)
         terms = np.zeros(-(-n_cut // _ROW_PAD) * _ROW_PAD, dtype=complex)
-        np.exp(-s * _log_grid(a, n_cut), out=terms[:n_cut])
+        if a < 1.0 and s.real * math.log(a) < -700.0:
+            # The first term a^-s may overflow; the sum and its abs_err are
+            # then infinite, which ComplexValue.of refuses, with no numpy warning.
+            with np.errstate(over="ignore"):
+                np.exp(-s * _log_grid(a, n_cut), out=terms[:n_cut])
+        else:
+            np.exp(-s * _log_grid(a, n_cut), out=terms[:n_cut])
         prefix, mass = complex(np.add.reduce(terms)), float(np.add.reduce(np.abs(terms)))
     x = n_cut + a
     return _em_tail(s, x, np.log(x), prefix, mass, np.log2(n_cut + (n_cut < 2)), order,

@@ -346,6 +346,20 @@ def test_eval_batch_raises_what_eval_expr_raises(text, zs):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("text, z", [
+    ("hurwitz(2*s-1,1/3)", 330), ("hurwitz(2*s-1,1/3)", 700 + 1j),
+    ("hurwitz(2*s-1,1/3)", 2000), ("hurwitz(s/3+2,1/10)", 2000), ("barnes(3,1/2)", 2000),
+])
+def test_hurwitz_first_term_overflow_is_an_infinite_abs_err(text, z):
+    # With a shift a < 1 and a large Re(s), a^-s, the first term of the
+    # prefix sum, overflows: both forms raise eval_expr's ValueError for the
+    # infinite abs_err, and a RuntimeWarning fails the test.
+    e = parse_expr(text)
+    for run in (lambda: eval_expr(e, z), lambda: eval_batch(e, [5 + 1j, z])):
+        with pytest.raises(ValueError, match="^abs_err must be finite and >= 0, got inf$"):
+            run()
+
+
 def test_xi_gamma_pole_reported_at_s():
     # Gamma(s/2) has its poles at s = 0, -2, -4, ...; xi names them in s.
     e = parse_expr("xi(s)")

@@ -194,8 +194,9 @@ def test_density_scan_basic():
 def test_density_scan_evaluates_each_point_once(monkeypatch):
     # Each tile's certified top edge is the next tile's bottom edge; its
     # values are handed on, so no point of the scan is evaluated twice.
-    # 22,084 points, certified: the majorant sum |(n+a)^-s| overstates |zeta|
-    # on the left edge, so its segments are bisected.  8,585 while two
+    # 18,821 points, certified: the majorant sum |(n+a)^-s| overstates |zeta|
+    # on the left edge, so its segments are refined.  22,084 while every
+    # failing segment was halved, one round per depth; 8,585 while two
     # sampling levels had to agree; 11,248 batched for 9,313 distinct ones
     # while each tile sampled its own edges; 9,313 while the first tile's
     # level 0 aliased the phase beside the pole at s = 1.
@@ -205,7 +206,7 @@ def test_density_scan_evaluates_each_point_once(monkeypatch):
     scan = density_scan(parse_expr("zeta(s)^2-zeta(2*s)"), 0.55, (100.0, 200.0, 400.0),
                         t_floor=1e-3)
     assert scan.counts == (13, 34, 86)
-    assert len(batched) == len(set(batched)) == 22_084
+    assert len(batched) == len(set(batched)) == 18_821
 
 
 def test_density_scan_repeated_T(monkeypatch):
@@ -307,7 +308,7 @@ def test_wind_names_first_near_zero_and_bisects_wide_segments():
     rect = Rectangle(-1.0, 1.0, -1.0, 1.0)
     # F(z) = z on a triangle around 0: each chord keeps 1/2 from 0, within
     # L^2 M / (4 rho^2) of a side of length sqrt(3), so each segment is
-    # bisected with fresh evaluations until its pieces pass.
+    # cut with fresh evaluations until its pieces pass.
     pts = np.array([cmath.exp(2j * math.pi * k / 3) for k in (0, 1, 2, 0)])
     w, (refined, *_) = walker.wind(pts, pts, np.zeros(4))
     assert w == 1
@@ -373,11 +374,73 @@ def test_node_rule_names_the_first_midpoint_within_its_error():
     assert exc.value.point == 1.5 and walker.evals == 2
 
 
+def _sized_fn(ratio):
+    """F = 1, exact, with a constant majorant that makes need = ratio on a
+    segment of length 1: need / gap = ratio L^2 where the ends carry no
+    error."""
+    fn = _const_fn(1.0)
+    fn.bound = lambda sl, sh, tl, th: 0.0 * sl + 4.0 * ratio * zeros._RHO**2
+    return fn
+
+
+def _recorded(fn):
+    """fn, with every batch it evaluates appended to the list returned."""
+    batches, batch = [], fn.batch
+    fn.batch = lambda zs: batches.append(zs.tolist()) or batch(zs)
+    return fn, batches
+
+
+def test_failing_segment_is_cut_into_as_many_pieces_as_its_certificate_needs():
+    # need / gap = 50 on the two unit segments, so each is cut into
+    # ceil(sqrt(50)) = 8 pieces, whose need / gap is 50/64, and passes; the
+    # short last segment passes as it is.  The round makes one batch of
+    # 2 * 7 points, in polyline order, each at z0 + (z1 - z0) * k/8, and
+    # the edge's fixed coordinate stays exact.
+    fn, batches = _recorded(_sized_fn(50.0))
+    walker = _Walker(fn)
+    pts = np.array([0.0, 1.0, 2.0, 2.1]) + 0.7j
+    refined, _, _ = walker.certify(pts, np.ones(4, complex), np.zeros(4))
+    cut = [z0 + (z1 - z0) * (k / 8) for z0, z1 in ((0.7j, 1 + 0.7j), (1 + 0.7j, 2 + 0.7j))
+           for k in range(1, 8)]
+    assert batches == [cut] and walker.evals == 14
+    assert (refined.imag == 0.7).all()
+    assert refined.tolist() == sorted([*pts.tolist(), *cut], key=lambda z: z.real)
+
+
+def test_meeting_the_error_discs_or_a_late_round_halves_a_segment():
+    # The middle segment's end errors, 0.6 each, swallow its chord at
+    # distance 1 (gap <= 0): it is halved, while the first segment (gap 0.4,
+    # need 50) is cut into ceil(sqrt(125)) = 12 pieces in the same batch.
+    # The halves (gap 0.4, need 12.5) take 6 pieces each in the next round.
+    fn, batches = _recorded(_sized_fn(50.0))
+    errs = np.array([0.0, 0.6, 0.6])
+    _Walker(fn).certify(np.array([0.0, 1.0, 2.0]) + 0j, np.ones(3, complex), errs)
+    assert batches[0] == [k / 12 + 0j for k in range(1, 12)] + [1.5 + 0j]
+    assert [len(b) for b in batches] == [12, 10]
+    # After round _SIZED_DEPTH every failing segment is halved: with that
+    # round at -1, the unit segments of need 50 are halved down to pieces of
+    # 1/8, one midpoint each a round.
+    fn, batches = _recorded(_sized_fn(50.0))
+    with mock.patch.object(zeros, "_SIZED_DEPTH", -1):
+        _Walker(fn).certify(np.array([0.0, 1.0, 2.0]) + 0j, np.ones(3, complex), np.zeros(3))
+    assert batches[0] == [0.5 + 0j, 1.5 + 0j]
+    assert [len(b) for b in batches] == [2, 4, 8]
+
+
+def test_pieces_sizes_the_cut_between_two_and_sixteen():
+    gap = np.array([1.0, 1.0, 1.0, 1.0, 0.0, -1.0])
+    need = np.array([1.0, 1.5, 50.0, 1e300, 50.0, 50.0])
+    assert zeros._pieces(gap, need, 0).tolist() == [2, 2, 8, 16, 2, 2]
+    assert zeros._pieces(gap, need, zeros._SIZED_DEPTH).tolist() == [2, 2, 8, 16, 2, 2]
+    assert zeros._pieces(gap, need, zeros._SIZED_DEPTH + 1).tolist() == [2] * 6
+
+
 def test_segment_rule_names_a_root_on_an_edge_off_every_dyadic_point():
     # F = z - 1/3 on the unit square: the root lies on the bottom edge, and
-    # no sample or bisection midpoint, all dyadic, is on it.  The segment
-    # holding it fails at every depth; at _MAX_DEPTH its chord, 1/8 * 2^-40
-    # long, passes through 0, and its end nearer the root is named.
+    # no sample or midpoint, all dyadic, is on it: a chord through 0 is
+    # halved.  The segment holding it fails at every depth; at _MAX_DEPTH
+    # its chord, 1/8 * 2^-40 long, passes through 0, and its end nearer the
+    # root is named.
     # (Before the segment rule the scan raised DepthExceeded there.)  The
     # jitter retries push the rectangle outward by one step, which then
     # holds the root: winding 1.
@@ -573,6 +636,30 @@ def test_split_samples_children_in_one_batch_on_shared_edges(monkeypatch):
         assert shared == {z: v for z, v in measured[b].items() if a.contains(z)}
 
 
+def test_cut_ends_on_the_parents_nodes_keep_their_values():
+    # A cell 0.1 wide, winding 1: its one cut is its two ends, and its
+    # certified contour holds both already.  The split evaluates nothing
+    # and each strip holds each end once, with the parent's values.  (Both
+    # were evaluated again, and held twice, before a cut's end took a node's
+    # values.)
+    rect, z0 = Rectangle(0.0, 0.1, 0.0, 0.1), 0.05 + 0.01j
+    walker = _Walker(_linear_fn(z0))
+    pts, vals, errs, _ = _certified_winding(walker, rect)[1]
+    c = rect.t_lo + rect.height * zeros._SPLIT_FRAC / 2
+    ends = np.array([complex(rect.sigma_lo, c), complex(rect.sigma_hi, c)])
+    pts, vals, errs = zeros._on_contour(rect, np.concatenate((pts[:-1], ends)),
+                                        np.concatenate((vals[:-1], ends - z0)),
+                                        np.concatenate((errs[:-1], [0.0, 0.0])))
+    before = walker.evals
+    split = _split_cell(walker, rect, 1, (pts, vals, errs, walker.increments(pts, vals)))
+    assert walker.evals == before
+    assert [(k.t_hi, w) for k, w, _ in split] == [(c, 1), (rect.t_hi, 0)]
+    for _, _, (p, v, _, _) in split:
+        held = p[:-1][np.isin(p[:-1], ends)]
+        assert sorted(held.tolist(), key=lambda z: z.real) == ends.tolist()
+        assert (v[:-1][np.isin(p[:-1], ends)] == held - z0).all()
+
+
 def _principal(vals):
     """The principal phase increments along vals, bisecting no segment."""
     v = np.asarray(vals)
@@ -632,9 +719,11 @@ def _count_evaluations(monkeypatch):
 
 def test_c12_evaluation_counts(monkeypatch):
     # Deterministic work counts of the c12 localisation, so that a lost saving
-    # shows without timing.  Measured: 2,896 batched points and 79 scalar
-    # evaluations with certified windings, splits that sample only their cuts
-    # and start points projected onto the cell (6,044 and 108 while two
+    # shows without timing.  Measured: 2,765 batched points and 79 scalar
+    # evaluations with certified windings, failing segments cut into as many
+    # pieces as their certificate needs, splits that sample only their cuts
+    # and start points projected onto the cell (2,896 and 79 while every
+    # failing segment was halved; 6,044 and 108 while two
     # sampling levels had to agree and strips sampled their sides afresh;
     # 172 scalar while Newton took a central-difference
     # derivative, three evaluations a step; 8,869 and 276 while the uniform samples aliased the phase
@@ -651,12 +740,14 @@ def test_c12_evaluation_counts(monkeypatch):
     counts = _count_evaluations(monkeypatch)
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), Rectangle(0.55, 2.0, 1e-3, 100.0))
     assert len(res.records) == 13 and not res.unresolved
-    assert counts == {"batched": 2_896, "scalar": 79}
+    assert counts == {"batched": 2_765, "scalar": 79}
 
 
 def test_c11_evaluation_counts(monkeypatch):
-    # The c11 critical-line check: 1,757 batched points and 55 scalar
-    # evaluations with certified windings (3,939 and 52 with graded samples
+    # The c11 critical-line check: 1,716 batched points and 54 scalar
+    # evaluations with certified windings, failing segments cut into as many
+    # pieces as their certificate needs (1,757 and 55 while every failing
+    # segment was halved; 3,939 and 52 with graded samples
     # beside the pole at s = 1/2 and two agreeing sampling levels; 96 scalar
     # while Newton took a central-difference derivative, 3,917 and 102
     # before the graded samples, 9,938 and 145 while a split quadrisected its
@@ -664,7 +755,7 @@ def test_c11_evaluation_counts(monkeypatch):
     counts = _count_evaluations(monkeypatch)
     rep = critical_line_check(parse_expr("xi(s+1/2)-xi(s-1/2)"), 50.0, 1e-6)
     assert len(rep.records) == 9 and rep.passed
-    assert counts == {"batched": 1_757, "scalar": 55}
+    assert counts == {"batched": 1_716, "scalar": 54}
 
 
 def test_window_below_a_triple_pole_is_never_complete_without_its_zero():
@@ -685,9 +776,12 @@ def test_window_below_a_triple_pole_is_never_complete_without_its_zero():
 
 def test_one_zero_window_evaluates_each_point_once(monkeypatch):
     # A rectangle of winding 1 is resolved from the contour its winding was
-    # certified on, so its contour is neither evaluated nor bisected again,
+    # certified on, so its contour is neither evaluated nor refined again,
     # and Newton from that contour's start point finds the zero in the
-    # rectangle itself: 595 batched points and 8 scalar evaluations.  760
+    # rectangle itself: 601 batched points and 8 scalar evaluations, in 3
+    # batches.  595 in 6 while every failing segment was halved, one round
+    # per depth: equal pieces are as short at a segment's easy end as at its
+    # hard end, where halving went on cutting the failing half only.  760
     # and 13 while two sampling levels had to agree; 19 scalar while Newton
     # took a central-difference
     # derivative; 1,472 batched and 57 scalar while the phase aliased beside
@@ -705,7 +799,7 @@ def test_one_zero_window_evaluates_each_point_once(monkeypatch):
     res = localize_zeros(parse_expr("zeta(s)^2-zeta(2*s)"), rect)
     assert len(res.records) == 1 and not res.unresolved
     assert res.records[0].rect == rect
-    assert len(batched) == len(set(batched)) == 595
+    assert len(batched) == len(set(batched)) == 601
     assert len(scalar) == 8
 
 
@@ -931,6 +1025,23 @@ def test_double_zeros_beside_an_edge_keep_their_multiplicity():
         assert all(r.winding_mult == 2 for r in res.records)
 
 
+def test_double_zeros_beside_an_edge_take_few_batches(monkeypatch):
+    # The segments of the left edge beside the three double zeros need many
+    # rounds of refinement.  Cut into as many pieces as their certificate
+    # needs, they take 319 eval_batch calls for 4,628 points; halved, one
+    # round per depth, 645 calls for 4,263.  A split's cut whose end was
+    # already a node of its cell's side took that node's values: evaluated
+    # again, it made 4,629 batched points for 4,628 distinct ones.
+    batches = []
+    monkeypatch.setattr(zeros, "eval_batch",
+                        lambda e, zs, cfg: batches.append(zs.tolist()) or eval_batch(e, zs, cfg))
+    res = localize_zeros(parse_expr("zeta(s)^2"), Rectangle(0.499, 2.0, 1e-3, 30.0))
+    assert res.complete and [r.winding_mult for r in res.records] == [2, 2, 2]
+    batched = [z for b in batches for z in b]
+    assert len(batched) == len(set(batched))
+    assert len(batches) <= 320
+
+
 @lru_cache(maxsize=None)
 def _zeta_zero(n: int) -> complex:
     return complex(mpmath.zetazero(n))
@@ -985,14 +1096,17 @@ def test_zeta_zeros_on_the_left_edge_are_found_after_a_jitter(monkeypatch):
     res = localize_zeros(ZETA, Rectangle(0.5, 2.0, 10.0, 20.0))
     assert res.complete and len(res.records) == 1
     assert abs(res.records[0].location.z - _zeta_zero(1)) < 1e-12
-    # An edge through three zeros: 1,248 batched points and 18 scalar
-    # evaluations.
+    # An edge through three zeros: 1,437 batched points and 18 scalar
+    # evaluations (1,248 and 18 while every failing segment was halved: the
+    # segments beside the zeros on the edge are cut into up to 16 pieces a
+    # round before the segment rule halves them, so they take more points in
+    # fewer rounds).
     counts = _count_evaluations(monkeypatch)
     res = localize_zeros(ZETA, Rectangle(0.5, 2.0, 1e-3, 30.0))
     assert res.complete and len(res.records) == 3
     assert all(abs(r.location.z - _zeta_zero(n)) < 1e-12
                for n, r in enumerate(res.records, start=1))
-    assert counts == {"batched": 1_248, "scalar": 18}
+    assert counts == {"batched": 1_437, "scalar": 18}
 
 
 @pytest.mark.parametrize("text", ["zeta(s)^2", "zeta(s)*zeta(s+1/10000)"])
